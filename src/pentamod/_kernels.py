@@ -1,43 +1,21 @@
-"""Batch kernels for membership tests and the simplicity oracle.
+"""Sphere sampler and the batch simplicity oracle.
 
-Two interchangeable backends compute identical results: numba-jitted
-per-point loops (the default whenever numba imports) and a pure-numpy
-vectorized path.  Force one with PENTAMOD_BACKEND=numba or =numpy.
-benchmarks/bench_backends.py compares them.
+sample_sphere draws the uniform points behind Monte Carlo areas and
+`verify`.  oracle_batch is the vectorized form of pentagon.is_simple: it
+builds every anchor's pentagon arcs at once and tests the 15 arc pairs
+across the whole batch.  Batch membership lives in moduli.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from functools import lru_cache
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via PENTAMOD_BACKEND=numpy
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap(args[0]) if args and callable(args[0]) else wrap
-
-
-_env = os.environ.get("PENTAMOD_BACKEND", "").strip().lower()
-if _env not in ("", "numba", "numpy"):
-    raise ValueError(f"PENTAMOD_BACKEND must be 'numba' or 'numpy', got {_env!r}")
-if _env == "numba" and not HAS_NUMBA:
-    raise ImportError("PENTAMOD_BACKEND=numba but numba is not importable")
-BACKEND = _env or ("numba" if HAS_NUMBA else "numpy")
+from .charts import geometry
 
 _TINY = 1e-300
-
-# keep in sync with moduli.CURVE_EXCLUSION
-_CURVE_EXCLUSION = 1e-11
 
 
 def sample_sphere(samples: int, seed: int) -> np.ndarray:
@@ -56,375 +34,21 @@ def sample_sphere(samples: int, seed: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _pack(n: int):
-    """Geometry constants flattened into plain arrays for the kernels."""
-    from . import moduli
-    from .charts import geometry
-
+def _oracle_constants(n: int):
+    """Fixed pentagon vertices A, B, C and the rotations taking V to W and E."""
     geo = geometry(n)
-    div = moduli.division(n)
-    c = geo.constants
-    ray_b, ray_c = moduli._fan_ray_radii(n)
-    verts = np.array([div.vertices[k] for k in ("A", "B", "M", "C", "B'", "A'")])
-    scal = np.array([float(n), c.d_ab, c.d_am, c.d_bm,
-                     c.lambda_a, c.lambda_b, c.lambda_c, ray_b, ray_c])
-    RA = geo.chart_rotation("A", -2.0 * math.pi / 3.0)
-    RB = geo.chart_rotation("B", 2.0 * math.pi / n)
-    return (geo.frame_a.copy(), geo.frame_b.copy(), div.normals.copy(), verts,
-            scal, geo.A.copy(), geo.B.copy(), geo.C.copy(), RA, RB)
-
-
-# ---------------------------------------------------------------------------
-# membership, numpy backend
-
-
-def _polar_np(pts, F):
-    xi = pts @ F.T
-    th = np.arctan2(xi[:, 1], xi[:, 0])
-    denom = np.maximum(1.0 - xi[:, 2], 1e-15)
-    r = np.sqrt(np.maximum((1.0 + xi[:, 2]) / denom, 0.0))
-    return th, r
-
-
-def _curve_r_np(lam, alpha, phi):
-    s = 1.0 / np.cos(phi - alpha)
-    return 1.0 / (np.sqrt(1.0 + lam * lam * s * s) + lam * s)
-
-
-def _membership_np(pts, FA, FB, normals, verts, scal, tol):
-    n = int(scal[0])
-    d_ab, d_am, d_bm = scal[1], scal[2], scal[3]
-    lam_a, lam_b, lam_c = scal[4], scal[5], scal[6]
-    ray_b, ray_c = scal[7], scal[8]
-    N = pts.shape[0]
-    out = np.zeros(N, dtype=bool)
-
-    chord = 2.0 * math.sin(0.5 * tol)
-    near_vertex = (np.linalg.norm(pts[:, None, :] - verts[None, :, :], axis=2) <= chord).any(axis=1)
-    sd = np.abs(np.arcsin(np.clip(pts @ normals.T, -1.0, 1.0)))
-    onmask = sd <= math.sin(tol) + 1e-15
-    oncount = onmask.sum(axis=1)
-    alive = ~near_vertex & (oncount <= 1)
-
-    thA, rA = _polar_np(pts, FA)
-    thB, rB = _polar_np(pts, FB)
-
-    # exactly one circle: ray inclusion rules
-    one = alive & (oncount == 1)
-    if one.any():
-        cidx = np.argmax(onmask, axis=1)
-        res = np.zeros(N, dtype=bool)
-        res |= (cidx == 0) & (np.cos(thA) > 0.0) & (rA < d_ab)
-        res |= (cidx == 1) & (np.cos(thA - math.pi / 3.0) > 0.0) & (rA < d_am)
-        front2 = np.cos(thA - 2.0 * math.pi / 3.0) > 0.0
-        res |= (cidx == 2) & np.where(front2, rA < d_ab, rA < d_am)
-        for k in range(1, n):
-            sel = cidx == 2 + k
-            front = np.cos(thB - k * math.pi / n) > 0.0
-            rule = np.zeros(N, dtype=bool)
-            if k == n - 1:
-                rule |= front & (rB < d_bm)
-            if k == n - 2:
-                rule |= front & (rB < d_ab)
-            if n == 5 and k == 2:
-                rule |= front & (rB < ray_b - _CURVE_EXCLUSION)
-                rule |= ~front & (rB < ray_c - _CURVE_EXCLUSION)
-            if k == 1:
-                rule |= ~front & (rB < d_bm)
-            res |= sel & rule
-        out[one] = res[one]
-
-    interior = alive & (oncount == 0)
-    if not interior.any():
-        return out
-
-    jA = np.floor((thA % (2.0 * math.pi)) / (math.pi / 3.0)).astype(np.int64) % 6
-    jB = np.floor((thB % (2.0 * math.pi)) / (math.pi / n)).astype(np.int64) % (2 * n)
-    m = np.zeros(N, dtype=np.int64)
-    odd = (jA <= 2) & (jB <= n - 1)
-    m[odd] = 6 * (n - 1 - jB[odd]) + 2 * jA[odd] + 1
-    even = (jA >= 3) & (jB >= n)
-    m[even] = 6 * (jB[even] - n) + 2 * (5 - jA[even]) + 2
-    bad = interior & (m == 0)
-    if bad.any():
-        # float-noise band of circle AB: nudge off the plane and redo
-        side = np.sign(pts[bad] @ normals[0])[:, None]
-        q = pts[bad] + 1e-7 * side * normals[0]
-        q /= np.linalg.norm(q, axis=1, keepdims=True)
-        out[bad] = _membership_np(q, FA, FB, normals, verts, scal, tol)
-        interior &= ~bad
-
-    res = np.zeros(N, dtype=bool)
-    res |= (m == 1) | (m == 2) | (m == 3) | (m == 7)
-
-    sel = interior & (m == 5) & (thA > 2.0 * math.pi / 3.0) & (thA < 5.0 * math.pi / 6.0)
-    if sel.any():
-        res[sel] = rA[sel] < _curve_r_np(lam_a, math.pi / 3.0, thA[sel]) - _CURVE_EXCLUSION
-    sel = interior & (m == 4) & (thA > -0.5 * math.pi) & (thA < -math.pi / 3.0)
-    if sel.any():
-        res[sel] = rA[sel] < _curve_r_np(lam_c, math.pi / 3.0, math.pi / 3.0 - thA[sel]) - _CURVE_EXCLUSION
-    fan_b = (m == 13) | ((n == 5) & (m == 19))
-    sel = interior & fan_b & (thB > (0.5 - 1.0 / n) * math.pi) & (thB < (1.0 - 2.0 / n) * math.pi)
-    if sel.any():
-        res[sel] = rB[sel] < _curve_r_np(lam_b, math.pi / n, math.pi - thB[sel]) - _CURVE_EXCLUSION
-    fan_c = (m == 8) | ((n == 5) & (m == 14))
-    sel = interior & fan_c & (thB > -(1.0 - 1.0 / n) * math.pi) & (thB < -0.5 * math.pi)
-    if sel.any():
-        res[sel] = rB[sel] < _curve_r_np(lam_c, math.pi / n, math.pi + math.pi / n - thB[sel]) - _CURVE_EXCLUSION
-
-    out[interior] = res[interior]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# membership, numba backend
-
-
-@njit(cache=True)
-def _membership_nb(pts, FA, FB, normals, verts, scal, tol, out):
-    n = int(scal[0])
-    d_ab, d_am, d_bm = scal[1], scal[2], scal[3]
-    lam_a, lam_b, lam_c = scal[4], scal[5], scal[6]
-    ray_b, ray_c = scal[7], scal[8]
-    chord = 2.0 * math.sin(0.5 * tol)
-    sintol = math.sin(tol) + 1e-15
-    ncirc = normals.shape[0]
-    for i in range(pts.shape[0]):
-        p0, p1, p2 = pts[i, 0], pts[i, 1], pts[i, 2]
-        ok = True
-        for v in range(verts.shape[0]):
-            dx = p0 - verts[v, 0]
-            dy = p1 - verts[v, 1]
-            dz = p2 - verts[v, 2]
-            if math.sqrt(dx * dx + dy * dy + dz * dz) <= chord:
-                ok = False
-                break
-        if not ok:
-            out[i] = False
-            continue
-        oncount = 0
-        cidx = -1
-        for c in range(ncirc):
-            d = p0 * normals[c, 0] + p1 * normals[c, 1] + p2 * normals[c, 2]
-            if d > 1.0:
-                d = 1.0
-            if d < -1.0:
-                d = -1.0
-            if abs(math.asin(d)) <= sintol:
-                oncount += 1
-                cidx = c
-        if oncount >= 2:
-            out[i] = False
-            continue
-        thA = 0.0
-        rA = 0.0
-        thB = 0.0
-        rB = 0.0
-        jA = 0
-        jB = 0
-        m = 0
-        for _attempt in range(4):
-            xa0 = FA[0, 0] * p0 + FA[0, 1] * p1 + FA[0, 2] * p2
-            xa1 = FA[1, 0] * p0 + FA[1, 1] * p1 + FA[1, 2] * p2
-            xa2 = FA[2, 0] * p0 + FA[2, 1] * p1 + FA[2, 2] * p2
-            thA = math.atan2(xa1, xa0)
-            dA = 1.0 - xa2
-            if dA < 1e-15:
-                dA = 1e-15
-            rA = math.sqrt(max((1.0 + xa2) / dA, 0.0))
-            xb0 = FB[0, 0] * p0 + FB[0, 1] * p1 + FB[0, 2] * p2
-            xb1 = FB[1, 0] * p0 + FB[1, 1] * p1 + FB[1, 2] * p2
-            xb2 = FB[2, 0] * p0 + FB[2, 1] * p1 + FB[2, 2] * p2
-            thB = math.atan2(xb1, xb0)
-            dB = 1.0 - xb2
-            if dB < 1e-15:
-                dB = 1e-15
-            rB = math.sqrt(max((1.0 + xb2) / dB, 0.0))
-            jA = int((thA % (2.0 * math.pi)) // (math.pi / 3.0)) % 6
-            jB = int((thB % (2.0 * math.pi)) // (math.pi / n)) % (2 * n)
-            m = 0
-            if jA <= 2 and jB <= n - 1:
-                m = 6 * (n - 1 - jB) + 2 * jA + 1
-            elif jA >= 3 and jB >= n:
-                m = 6 * (jB - n) + 2 * (5 - jA) + 2
-            if m != 0 or oncount == 1:
-                break
-            # hemisphere readings disagree: noise band of circle AB; nudge
-            side = 1.0 if (p0 * normals[0, 0] + p1 * normals[0, 1] + p2 * normals[0, 2]) >= 0.0 else -1.0
-            q0 = p0 + 1e-7 * side * normals[0, 0]
-            q1 = p1 + 1e-7 * side * normals[0, 1]
-            q2 = p2 + 1e-7 * side * normals[0, 2]
-            qn = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2)
-            p0, p1, p2 = q0 / qn, q1 / qn, q2 / qn
-
-        if oncount == 1:
-            r = False
-            if cidx == 0:
-                r = math.cos(thA) > 0.0 and rA < d_ab
-            elif cidx == 1:
-                r = math.cos(thA - math.pi / 3.0) > 0.0 and rA < d_am
-            elif cidx == 2:
-                if math.cos(thA - 2.0 * math.pi / 3.0) > 0.0:
-                    r = rA < d_ab
-                else:
-                    r = rA < d_am
-            else:
-                k = cidx - 2
-                front = math.cos(thB - k * math.pi / n) > 0.0
-                if front:
-                    if k == n - 1:
-                        r = rB < d_bm
-                    elif k == n - 2:
-                        r = rB < d_ab
-                    elif n == 5 and k == 2:
-                        r = rB < ray_b - 1e-11
-                else:
-                    if k == 1:
-                        r = rB < d_bm
-                    elif n == 5 and k == 2:
-                        r = rB < ray_c - 1e-11
-            out[i] = r
-            continue
-
-        if m == 0:
-            out[i] = False
-            continue
-        if m == 1 or m == 2 or m == 3 or m == 7:
-            out[i] = True
-            continue
-        r = False
-        if m == 5 and 2.0 * math.pi / 3.0 < thA < 5.0 * math.pi / 6.0:
-            s = 1.0 / math.cos(thA - math.pi / 3.0)
-            r = rA < 1.0 / (math.sqrt(1.0 + lam_a * lam_a * s * s) + lam_a * s) - 1e-11
-        elif m == 4 and -0.5 * math.pi < thA < -math.pi / 3.0:
-            s = 1.0 / math.cos(-thA)
-            r = rA < 1.0 / (math.sqrt(1.0 + lam_c * lam_c * s * s) + lam_c * s) - 1e-11
-        elif (m == 13 or (n == 5 and m == 19)) and (0.5 - 1.0 / n) * math.pi < thB < (1.0 - 2.0 / n) * math.pi:
-            s = 1.0 / math.cos(math.pi - thB - math.pi / n)
-            r = rB < 1.0 / (math.sqrt(1.0 + lam_b * lam_b * s * s) + lam_b * s) - 1e-11
-        elif (m == 8 or (n == 5 and m == 14)) and -(1.0 - 1.0 / n) * math.pi < thB < -0.5 * math.pi:
-            s = 1.0 / math.cos(math.pi - thB)
-            r = rB < 1.0 / (math.sqrt(1.0 + lam_c * lam_c * s * s) + lam_c * s) - 1e-11
-        out[i] = r
-
-
-# ---------------------------------------------------------------------------
-# oracle, numba backend
-
-
-@njit(cache=True)
-def _oracle_nb(pts, A, B, C, RA, RB, tol, out):
-    chord = 2.0 * math.sin(0.5 * tol)
-    slack = max(tol, 1e-7)
-    P = np.empty((6, 3))
-    U = np.empty((6, 3))
-    E2 = np.empty((6, 3))
-    NH = np.empty((6, 3))
-    L = np.empty(6)
-    for ip in range(pts.shape[0]):
-        V = pts[ip]
-        ok = True
-        da = 0.0
-        db = 0.0
-        for q in range(3):
-            da += (V[q] - A[q]) ** 2
-            db += (V[q] - B[q]) ** 2
-        if math.sqrt(da) <= chord or math.sqrt(db) <= chord:
-            out[ip] = False
-            continue
-        for q in range(3):
-            P[0, q] = V[q]
-            P[1, q] = A[q]
-            P[2, q] = RA[q, 0] * V[0] + RA[q, 1] * V[1] + RA[q, 2] * V[2]
-            P[3, q] = C[q]
-            P[4, q] = RB[q, 0] * V[0] + RB[q, 1] * V[1] + RB[q, 2] * V[2]
-            P[5, q] = B[q]
-        for a in range(6):
-            u0, u1, u2 = P[a, 0], P[a, 1], P[a, 2]
-            b_ = (a + 1) % 6
-            v0, v1, v2 = P[b_, 0], P[b_, 1], P[b_, 2]
-            c0 = u1 * v2 - u2 * v1
-            c1 = u2 * v0 - u0 * v2
-            c2 = u0 * v1 - u1 * v0
-            cn = math.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
-            s0 = u0 + v0
-            s1 = u1 + v1
-            s2 = u2 + v2
-            if cn < 1e-12 or math.sqrt(s0 * s0 + s1 * s1 + s2 * s2) < 1e-9:
-                ok = False
-                break
-            NH[a, 0], NH[a, 1], NH[a, 2] = c0 / cn, c1 / cn, c2 / cn
-            U[a, 0], U[a, 1], U[a, 2] = u0, u1, u2
-            L[a] = math.atan2(cn, u0 * v0 + u1 * v1 + u2 * v2)
-            E2[a, 0] = NH[a, 1] * u2 - NH[a, 2] * u1
-            E2[a, 1] = NH[a, 2] * u0 - NH[a, 0] * u2
-            E2[a, 2] = NH[a, 0] * u1 - NH[a, 1] * u0
-        if not ok:
-            out[ip] = False
-            continue
-        simple = True
-        for i in range(6):
-            if not simple:
-                break
-            for j in range(i + 1, 6):
-                adj = -1
-                if j == i + 1:
-                    adj = j
-                elif i == 0 and j == 5:
-                    adj = 0
-                m0 = NH[i, 1] * NH[j, 2] - NH[i, 2] * NH[j, 1]
-                m1 = NH[i, 2] * NH[j, 0] - NH[i, 0] * NH[j, 2]
-                m2 = NH[i, 0] * NH[j, 1] - NH[i, 1] * NH[j, 0]
-                nm = math.sqrt(m0 * m0 + m1 * m1 + m2 * m2)
-                if nm < tol:
-                    # coplanar: measure the shared interval along circle i
-                    a0 = math.atan2(U[j, 0] * E2[i, 0] + U[j, 1] * E2[i, 1] + U[j, 2] * E2[i, 2],
-                                    U[j, 0] * U[i, 0] + U[j, 1] * U[i, 1] + U[j, 2] * U[i, 2])
-                    jn = (j + 1) % 6
-                    a1 = math.atan2(P[jn, 0] * E2[i, 0] + P[jn, 1] * E2[i, 1] + P[jn, 2] * E2[i, 2],
-                                    P[jn, 0] * U[i, 0] + P[jn, 1] * U[i, 1] + P[jn, 2] * U[i, 2])
-                    lo = min(a0, a1)
-                    hi = max(a0, a1)
-                    if hi - lo > math.pi:
-                        lo, hi = hi, lo + 2.0 * math.pi
-                    ova = min(L[i], hi) - max(0.0, lo)
-                    ovb = min(L[i], hi - 2.0 * math.pi) - max(0.0, lo - 2.0 * math.pi)
-                    if max(ova, ovb) > tol:
-                        simple = False
-                        break
-                    continue
-                for sgn in (1.0, -1.0):
-                    q0, q1, q2 = sgn * m0 / nm, sgn * m1 / nm, sgn * m2 / nm
-                    ai = math.atan2(q0 * E2[i, 0] + q1 * E2[i, 1] + q2 * E2[i, 2],
-                                    q0 * U[i, 0] + q1 * U[i, 1] + q2 * U[i, 2])
-                    if ai < -tol or ai > L[i] + tol:
-                        continue
-                    aj = math.atan2(q0 * E2[j, 0] + q1 * E2[j, 1] + q2 * E2[j, 2],
-                                    q0 * U[j, 0] + q1 * U[j, 1] + q2 * U[j, 2])
-                    if aj < -tol or aj > L[j] + tol:
-                        continue
-                    if adj >= 0:
-                        d0 = q0 - P[adj, 0]
-                        d1 = q1 - P[adj, 1]
-                        d2 = q2 - P[adj, 2]
-                        if math.sqrt(d0 * d0 + d1 * d1 + d2 * d2) <= 2.0 * math.sin(0.5 * slack):
-                            continue
-                    simple = False
-                    break
-                if not simple:
-                    break
-        out[ip] = simple
-
-
-# ---------------------------------------------------------------------------
-# oracle, numpy backend
+    return (geo.A, geo.B, geo.C,
+            geo.chart_rotation("A", -2.0 * math.pi / 3.0),
+            geo.chart_rotation("B", 2.0 * math.pi / n))
 
 
 def _rowdot(a, b):
     return np.einsum("ij,ij->i", a, b)
 
 
-def _oracle_np(pts, A, B, C, RA, RB, tol):
+def oracle_batch(n: int, pts: np.ndarray, tol: float) -> np.ndarray:
+    """Simplicity of the pentagon anchored at each row of an (N, 3) array."""
+    A, B, C, RA, RB = _oracle_constants(n)
     N = pts.shape[0]
     chord = 2.0 * math.sin(0.5 * tol)
     slack_chord = 2.0 * math.sin(0.5 * max(tol, 1e-7))
@@ -475,27 +99,3 @@ def _oracle_np(pts, A, B, C, RA, RB, tol):
                     if max(ova, ovb) > tol:
                         simple[r] = False
     return simple
-
-
-# ---------------------------------------------------------------------------
-# public entry points
-
-
-def membership_batch(n: int, pts: np.ndarray, tol: float) -> np.ndarray:
-    FA, FB, normals, verts, scal, *_ = _pack(n)
-    pts = np.ascontiguousarray(pts, dtype=np.float64)
-    if BACKEND == "numba":
-        out = np.empty(pts.shape[0], dtype=np.bool_)
-        _membership_nb(pts, FA, FB, normals, verts, scal, tol, out)
-        return out
-    return _membership_np(pts, FA, FB, normals, verts, scal, tol)
-
-
-def oracle_batch(n: int, pts: np.ndarray, tol: float) -> np.ndarray:
-    _, _, _, _, _, A, B, C, RA, RB = _pack(n)
-    pts = np.ascontiguousarray(pts, dtype=np.float64)
-    if BACKEND == "numba":
-        out = np.empty(pts.shape[0], dtype=np.bool_)
-        _oracle_nb(pts, A, B, C, RA, RB, tol, out)
-        return out
-    return _oracle_np(pts, A, B, C, RA, RB, tol)

@@ -124,8 +124,8 @@ def _curve_rows(which: str, n: int, chart: str, samples: int):
                 for t in np.linspace(spec.theta_lo, spec.theta_hi, samples)]
     if which == "a=b":
         # parametrize the great circle, keep the in-disk hemisphere
-        nrm = moduli._ab_plane(n)
-        pts = render._circle_points(np.asarray(nrm), max(4 * samples, 64))
+        nrm = moduli.ab_plane(n)
+        pts = render.circle_points(np.asarray(nrm), max(4 * samples, 64))
         rows = []
         for q in pts:
             if q[2] >= 0.0:

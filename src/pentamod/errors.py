@@ -35,3 +35,7 @@ class OutOfRange(PentamodError):
 
 class NoRootInDisk(PentamodError):
     """Radial polynomial has no root in the open unit disk for this angle."""
+
+
+class InvalidPoints(PentamodError):
+    """Points passed to a predicate do not have the required array shape."""

@@ -18,13 +18,15 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import charts
 from .charts import SQ2, SQ3, SQ5, ChartPoint, geometry, solid_constants
 from .errors import NoRootInDisk, OutOfRange
-from .sphere import DEFAULT_TOL
+from ._kernels import oracle_batch
+from .sphere import DEFAULT_TOL, as_point, as_points
 
 CORE_REGIONS = (1, 2, 3, 7)
 
@@ -83,23 +85,15 @@ class Boundary:
     vertex: str | None = None    # named construction vertex, when recognized
 
 
-def _chart_polar(geo, p: np.ndarray, chart: str) -> tuple[float, float]:
-    """(theta, r) of p in the chart; r is +inf at the origin's antipode."""
-    xi = geo.frame(chart) @ p
-    theta = math.atan2(xi[1], xi[0])
-    denom = 1.0 - xi[2]
-    if denom < 1e-15:
-        return theta, math.inf
-    return theta, math.sqrt(max(0.0, (1.0 + xi[2]) / denom))
+def _sector_region(n: int, jA, jB):
+    """Region index for (A-sector, B-sector) pairs; 0 where unrealized.
 
-
-def _sector_region(n: int, jA: int, jB: int) -> int:
-    """Region index for the (A-sector, B-sector) pair; 0 if unrealized."""
-    if jA <= 2 and jB <= n - 1:
-        return 6 * (n - 1 - jB) + 2 * jA + 1
-    if jA >= 3 and jB >= n:
-        return 6 * (jB - n) + 2 * (5 - jA) + 2
-    return 0
+    Takes integer scalars or arrays alike.
+    """
+    odd = 6 * (n - 1 - jB) + 2 * jA + 1
+    even = 6 * (jB - n) + 2 * (5 - jA) + 2
+    return np.where((jA <= 2) & (jB <= n - 1), odd,
+                    np.where((jA >= 3) & (jB >= n), even, 0))
 
 
 def region_pair(n: int, m: int) -> tuple[int, int]:
@@ -112,21 +106,64 @@ def region_pair(n: int, m: int) -> tuple[int, int]:
     return 5 - r // 2, n + k
 
 
-def _region_of_interior(n: int, p: np.ndarray) -> int:
+def _polar(pts: np.ndarray, frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Chart polar coordinates (theta, r) of an (N, 3) array of points."""
+    xi = pts @ frame.T
+    th = np.arctan2(xi[:, 1], xi[:, 0])
+    denom = np.maximum(1.0 - xi[:, 2], 1e-15)
+    r = np.sqrt(np.maximum((1.0 + xi[:, 2]) / denom, 0.0))
+    return th, r
+
+
+class Classified(NamedTuple):
+    """Where classify puts each point of a batch."""
+
+    circle: np.ndarray    # index into Division.circle_names, -1 if on none
+    region: np.ndarray    # 1..6n off every circle, 0 otherwise
+    theta_a: np.ndarray   # A-chart polar coordinates
+    r_a: np.ndarray
+    theta_b: np.ndarray   # B-chart polar coordinates
+    r_b: np.ndarray
+
+
+def classify(n: int, pts: np.ndarray, tol: float = _REGION_TOL) -> Classified:
+    """Place each point of an (N, 3) array of unit vectors in the division.
+
+    A point within tol (radians) of a division vertex, or of two or more
+    dividing circles, gets neither a circle nor a region.  A point within
+    tol of exactly one circle gets that circle.  Every other point gets its
+    region, read off its A- and B-chart sectors.  With tol = 0 the
+    screens catch only exact hits, for points already known to lie off
+    every circle.
+    """
+    pts = as_points(pts)
     geo = geometry(n)
-    thA, _ = _chart_polar(geo, p, "A")
-    thB, _ = _chart_polar(geo, p, "B")
-    jA = int((thA % (2.0 * math.pi)) // (math.pi / 3.0)) % 6
-    jB = int((thB % (2.0 * math.pi)) // (math.pi / n)) % (2 * n)
-    m = _sector_region(n, jA, jB)
-    if m == 0:
-        # the two hemisphere readings disagree, so p sits in the float-noise
-        # band of circle AB; nudge off the plane and reclassify
-        nab = division(n).normals[0]
-        side = 1.0 if float(p @ nab) >= 0.0 else -1.0
-        q = p + side * 1e-7 * nab
-        return _region_of_interior(n, q / np.linalg.norm(q))
-    return m
+    div = division(n)
+    chord = 2.0 * math.sin(0.5 * tol)
+    t = _tables(n)
+    near_vertex = (np.linalg.norm(pts[:, None, :] - t.vertices[None, :, :], axis=2)
+                   <= chord).any(axis=1)
+    on = np.abs(np.arcsin(np.clip(pts @ div.normals.T, -1.0, 1.0))) <= math.sin(tol) + 1e-15
+    count = on.sum(axis=1)
+    thA, rA = _polar(pts, geo.frame_a)
+    thB, rB = _polar(pts, geo.frame_b)
+    circle = np.where(~near_vertex & (count == 1), on.argmax(axis=1), -1)
+    interior = ~near_vertex & (count == 0)
+    jA = np.floor((thA % (2.0 * math.pi)) / (math.pi / 3.0)).astype(np.int64) % 6
+    jB = np.floor((thB % (2.0 * math.pi)) / (math.pi / n)).astype(np.int64) % (2 * n)
+    region = np.where(interior, t.sectors[jA, jB], 0)
+    out = Classified(circle, region, thA, rA, thB, rB)
+    bad = interior & (region == 0)
+    if bad.any():
+        # the two hemisphere readings disagree, so the point sits in the
+        # float-noise band of circle AB; nudge it off the plane and redo
+        nab = div.normals[0]
+        side = np.sign(pts[bad] @ nab)[:, None]
+        q = pts[bad] + 1e-7 * side * nab
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        for dst, redo in zip(out, classify(n, q, tol)):
+            dst[bad] = redo
+    return out
 
 
 def region_of(n: int, p: np.ndarray, tol: float = _REGION_TOL):
@@ -141,7 +178,7 @@ def region_of(n: int, p: np.ndarray, tol: float = _REGION_TOL):
     dists = np.arcsin(np.clip(div.normals @ p, -1.0, 1.0))
     on = np.flatnonzero(np.abs(dists) <= math.sin(tol) + 1e-15)
     if len(on) == 0:
-        return _region_of_interior(n, p)
+        return int(classify(n, p[None], 0.0).region[0])
     vertex_name = None
     chord = 2.0 * math.sin(0.5 * max(tol, 1e-7))
     for name, v in div.vertices.items():
@@ -155,14 +192,13 @@ def region_of(n: int, p: np.ndarray, tol: float = _REGION_TOL):
     e2 = np.cross(p, e1)
     e2 /= np.linalg.norm(e2)
     e1 = np.cross(e2, p)
-    neighbours = set()
-    for k in range(16):
-        ang = 2.0 * math.pi * (k + 0.31) / 16.0
-        q = p + radius * (math.cos(ang) * e1 + math.sin(ang) * e2)
-        q /= np.linalg.norm(q)
-        if np.min(np.abs(np.arcsin(np.clip(div.normals @ q, -1.0, 1.0)))) > 0.2 * radius:
-            neighbours.add(_region_of_interior(n, q))
-    return Boundary(kind=kind, regions=tuple(sorted(neighbours)), vertex=vertex_name)
+    ang = 2.0 * math.pi * (np.arange(16) + 0.31) / 16.0
+    q = p + radius * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2)
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    clear = np.min(np.abs(np.arcsin(np.clip(q @ div.normals.T, -1.0, 1.0))), axis=1) > 0.2 * radius
+    neighbours = classify(n, q[clear], 0.0).region
+    return Boundary(kind=kind, regions=tuple(sorted({int(m) for m in neighbours})),
+                    vertex=vertex_name)
 
 
 # ---------------------------------------------------------------------------
@@ -388,87 +424,130 @@ def _fan_ray_radii(n: int) -> tuple[float, float]:
     return (rb, rc)
 
 
-def analytic_in_moduli(n: int, p: np.ndarray, tol: float = _REGION_TOL) -> bool:
-    """Membership from the region division and the closed boundary curves.
+@dataclass(frozen=True)
+class _Tables:
+    """One family's division and membership rules as tables.
+
+    vertices holds the division vertices, and sectors[jA, jB] the region of
+    each (A-sector, B-sector) pair, 0 where unrealized.
+
+    Division circle c is a pair of opposite rays from the origin of its
+    chart (the A-chart, or the B-chart where circle_b[c]).  A point on the
+    ray at chart angle angle[c] is in when its chart radius is below
+    front[c]; a point on the opposite ray, below back[c].
+
+    A point in region m is in when core[m].  In a fan region (fan[m]) it is
+    in when its chart angle lies in the open interval (lo[m], hi[m]) and its
+    radius is below that of the region's curve (parameters lam, alpha,
+    phi_const, phi_sign as in CurveSpec; B-chart where fan_b[m]).
+    """
+
+    vertices: np.ndarray
+    sectors: np.ndarray
+    circle_b: np.ndarray
+    angle: np.ndarray
+    front: np.ndarray
+    back: np.ndarray
+    core: np.ndarray
+    fan: np.ndarray
+    fan_b: np.ndarray
+    lam: np.ndarray
+    alpha: np.ndarray
+    phi_const: np.ndarray
+    phi_sign: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _tables(n: int) -> _Tables:
+    c = solid_constants(n)
+    div = division(n)
+    never = -math.inf   # a limit no radius is below: the whole ray is out
+    circles = {
+        "AB": ("A", 0.0, c.d_ab, never),                         # arc A-B
+        "A60": ("A", math.pi / 3.0, c.d_am, never),              # arc A-M
+        "A120": ("A", 2.0 * math.pi / 3.0, c.d_ab, c.d_am),      # arcs A-B', A-C
+    }
+    ray_b, ray_c = _fan_ray_radii(n)
+    for k in range(1, n):
+        front = {n - 1: c.d_bm, n - 2: c.d_ab}.get(k, never)     # arcs B-M, B-A'
+        back = c.d_bm if k == 1 else never                       # arc B-C
+        if n == 5 and k == 2:
+            # the rays splitting the n=5 fans stay in up to the curves
+            front, back = ray_b - CURVE_EXCLUSION, ray_c - CURVE_EXCLUSION
+        circles[f"B{k}"] = ("B", k * math.pi / n, front, back)
+    chart, angle, front, back = zip(*(circles[name] for name in div.circle_names))
+
+    ga, gb, gca, gcb = (curve_spec(which, n) for which in CURVE_NAMES)
+    # fan region -> (curve, open chart-angle interval); gamma_C's interval is
+    # cut where the curve leaves the region's sector
+    fans = {5: (ga, ga.theta_lo, ga.theta_hi), 13: (gb, gb.theta_lo, gb.theta_hi),
+            4: (gca, gca.theta_lo, -math.pi / 3.0),
+            8: (gcb, -(1.0 - 1.0 / n) * math.pi, gcb.theta_hi)}
+    if n == 5:
+        fans[19], fans[14] = fans[13], fans[8]
+    size = 6 * n + 1
+    core = np.zeros(size, dtype=bool)
+    core[list(CORE_REGIONS)] = True
+    fan = np.zeros(size, dtype=bool)
+    fan_b = np.zeros(size, dtype=bool)
+    params = np.full((6, size), np.nan)
+    for m, (spec, lo, hi) in fans.items():
+        fan[m] = True
+        fan_b[m] = spec.chart == "B"
+        params[:, m] = (spec.lam, spec.alpha, spec.phi_const, spec.phi_sign, lo, hi)
+    sectors = _sector_region(n, *np.meshgrid(np.arange(6), np.arange(2 * n), indexing="ij"))
+    return _Tables(np.array(list(div.vertices.values())), sectors,
+                   np.array(chart) == "B", np.array(angle), np.array(front), np.array(back),
+                   core, fan, fan_b, *params)
+
+
+def analytic_in_moduli_batch(n: int, pts: np.ndarray, tol: float = _REGION_TOL) -> np.ndarray:
+    """Membership from the region division and the closed boundary curves,
+    over an (N, 3) array of unit vectors.
 
     True on the open core triangles, on their included internal arcs, and on
     the open fan regions between the curves and the core; False on the
     curves, the excluded arcs and all division vertices.
     """
-    geo = geometry(n)
-    c = geo.constants
-    div = division(n)
-    p = np.asarray(p, dtype=float)
-    chord = 2.0 * math.sin(0.5 * tol)
-    for v in div.vertices.values():
-        if np.linalg.norm(p - v) <= chord:
-            return False
-    dists = np.arcsin(np.clip(div.normals @ p, -1.0, 1.0))
-    on = np.flatnonzero(np.abs(dists) <= math.sin(tol) + 1e-15)
-    if len(on) >= 2:
-        return False
-    thA, rA = _chart_polar(geo, p, "A")
-    thB, rB = _chart_polar(geo, p, "B")
-    if len(on) == 1:
-        return _on_circle_membership(n, div.circle_names[on[0]], thA, rA, thB, rB, c)
-    jA = int((thA % (2.0 * math.pi)) // (math.pi / 3.0)) % 6
-    jB = int((thB % (2.0 * math.pi)) // (math.pi / n)) % (2 * n)
-    m = _sector_region(n, jA, jB)
-    if m in CORE_REGIONS:
-        return True
-    if m == 5:
-        return (2.0 * math.pi / 3.0 < thA < 5.0 * math.pi / 6.0
-                and rA < curve_radius(curve_spec("gamma_A", n), thA) - CURVE_EXCLUSION)
-    if m == 4:
-        return (-0.5 * math.pi < thA < -math.pi / 3.0
-                and rA < curve_radius(curve_spec("gamma_C_A", n), thA) - CURVE_EXCLUSION)
-    if m == 13 or (n == 5 and m == 19):
-        return ((0.5 - 1.0 / n) * math.pi < thB < (1.0 - 2.0 / n) * math.pi
-                and rB < curve_radius(curve_spec("gamma_B", n), thB) - CURVE_EXCLUSION)
-    if m == 8 or (n == 5 and m == 14):
-        return (-(1.0 - 1.0 / n) * math.pi < thB < -0.5 * math.pi
-                and rB < curve_radius(curve_spec("gamma_C_B", n), thB) - CURVE_EXCLUSION)
-    return False
+    t = _tables(n)
+    cl = classify(n, pts, tol)
+    inside = t.core[cl.region]
+
+    on = np.flatnonzero(cl.circle >= 0)
+    if on.size:
+        c = cl.circle[on]
+        in_b = t.circle_b[c]
+        th = np.where(in_b, cl.theta_b[on], cl.theta_a[on])
+        r = np.where(in_b, cl.r_b[on], cl.r_a[on])
+        front = np.cos(th - t.angle[c]) > 0.0
+        inside[on] = r < np.where(front, t.front[c], t.back[c])
+
+    fan = np.flatnonzero(t.fan[cl.region])
+    if not fan.size:
+        return inside
+    m = cl.region[fan]
+    in_b = t.fan_b[m]
+    th = np.where(in_b, cl.theta_b[fan], cl.theta_a[fan])
+    sel = (th > t.lo[m]) & (th < t.hi[m])
+    fan, m, th = fan[sel], m[sel], th[sel]
+    r = np.where(in_b[sel], cl.r_b[fan], cl.r_a[fan])
+    # _eqd_radius on arrays, with phi = phi_const + phi_sign * theta as in curve_radius
+    lam = t.lam[m]
+    s = 1.0 / np.cos(t.phi_const[m] + t.phi_sign[m] * th - t.alpha[m])
+    inside[fan] = r < 1.0 / (np.sqrt(1.0 + lam * lam * s * s) + lam * s) - CURVE_EXCLUSION
+    return inside
 
 
-def _on_circle_membership(n, circle, thA, rA, thB, rB, c) -> bool:
-    """Inclusion rules for points on exactly one dividing circle."""
-    if circle == "AB":
-        return math.cos(thA) > 0.0 and rA < c.d_ab
-    if circle == "A60":
-        return math.cos(thA - math.pi / 3.0) > 0.0 and rA < c.d_am
-    if circle == "A120":
-        if math.cos(thA - 2.0 * math.pi / 3.0) > 0.0:
-            return rA < c.d_ab          # arc A-B' (Omega3^Omega5 side)
-        return rA < c.d_am              # arc A-C
-    k = int(circle[1:])
-    beta = k * math.pi / n
-    if math.cos(thB - beta) > 0.0:      # ray through B at angle k*pi/n
-        if k == n - 1:
-            return rB < c.d_bm          # arc B-M
-        if k == n - 2:
-            return rB < c.d_ab          # arc B-A'
-        if n == 5 and k == 2:
-            return rB < _fan_ray_radii(5)[0] - CURVE_EXCLUSION
-        return False
-    # opposite ray, angle k*pi/n - pi
-    if k == 1:
-        return rB < c.d_bm              # arc B-C
-    if n == 5 and k == 2:
-        return rB < _fan_ray_radii(5)[1] - CURVE_EXCLUSION
-    return False
-
-
-def analytic_in_moduli_batch(n: int, pts: np.ndarray, tol: float = _REGION_TOL) -> np.ndarray:
-    """Vectorized membership over an (N, 3) array of unit vectors."""
-    from . import _kernels
-    return _kernels.membership_batch(n, np.asarray(pts, dtype=float), tol)
+def analytic_in_moduli(n: int, p: np.ndarray, tol: float = _REGION_TOL) -> bool:
+    """analytic_in_moduli_batch for one unit vector of shape (3,)."""
+    return bool(analytic_in_moduli_batch(n, as_point(p)[None], tol)[0])
 
 
 def oracle_in_moduli_batch(n: int, pts: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Vectorized simplicity oracle over an (N, 3) array of unit vectors."""
-    from . import _kernels
-    return _kernels.oracle_batch(n, np.asarray(pts, dtype=float), tol)
+    return oracle_batch(n, as_points(pts), tol)
 
 
 # quadric coefficients (scale, c1, c2) of L(x1^2+x2^2) + (c1 x1 + c2 x2) x3
@@ -521,7 +600,7 @@ REDUCTION_KINDS = ("a=b", "a=c", "b=c")
 
 
 @lru_cache(maxsize=None)
-def _ab_plane(n: int) -> np.ndarray:
+def ab_plane(n: int) -> np.ndarray:
     """Coefficients (l1, l2, l3) of the a=b plane l.xi = 0 in the M-frame.
 
     The locus of equal distance to A and B is the great circle with normal
@@ -562,7 +641,7 @@ def reduction_residual(kind: str, n: int, p: np.ndarray) -> float:
     solid_constants(n)
     xi = np.asarray(p, dtype=float)
     if kind == "a=b":
-        return float(_ab_plane(n) @ xi)
+        return float(ab_plane(n) @ xi)
     if kind == "a=c":
         return _ac_cylinder(n, xi)
     if kind == "b=c":
@@ -637,7 +716,7 @@ def reduction_point(kind: str, n: int, theta: float) -> CurveSample:
 
 def ab_circle(n: int) -> tuple[complex, float]:
     """M-chart center and radius of the a=b circle (radius inf for n=3)."""
-    l1, l2, l3 = _ab_plane(n)
+    l1, l2, l3 = ab_plane(n)
     if abs(l3) < 1e-14:
         return complex(0.0, 0.0), math.inf
     # xi.l = 0 with xi = (2x, 2y, r^2-1)/(r^2+1) gives a chart circle
@@ -649,7 +728,7 @@ def _ab_point(n: int, theta: float) -> CurveSample:
     center, radius = ab_circle(n)
     u = cmath.rect(1.0, theta)
     if math.isinf(radius):
-        diag = math.atan2(-_ab_plane(n)[0], _ab_plane(n)[1])  # direction of the line
+        diag = math.atan2(-ab_plane(n)[0], ab_plane(n)[1])  # direction of the line
         if min(abs((theta - diag) % math.pi), math.pi - abs((theta - diag) % math.pi)) > 1e-9:
             raise NoRootInDisk("diagonal locus does not meet this ray")
         r = 0.5 * gamma_m_chart("gamma_C", n, theta).r if math.pi <= theta <= 1.5 * math.pi else 0.25

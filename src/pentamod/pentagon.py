@@ -16,7 +16,7 @@ import numpy as np
 
 from . import charts
 from .errors import AntipodalConstruction, AntipodalEndpoints, DegenerateAnchor, DegenerateArc
-from .sphere import DEFAULT_TOL, GreatArc, arc_intersect, minor_arc
+from .sphere import DEFAULT_TOL, GreatArc, arc_intersect, as_point, minor_arc
 
 EDGE_NAMES = ("a1", "a2", "c1", "c2", "b2", "b1")
 
@@ -141,6 +141,7 @@ def oracle_in_moduli(n: int, V: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     Construction failures (degenerate or antipodal anchors) count as not in
     the moduli: such anchors cannot produce a tile.
     """
+    V = as_point(V)
     try:
         pent = anchor_pentagon(n, V, tol)
     except (DegenerateAnchor, AntipodalConstruction):

@@ -108,7 +108,9 @@ def _arc_points(u: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
     return np.array([(math.sin((1 - t) * ang) * u + math.sin(t * ang) * v) / s for t in ts])
 
 
-def _circle_points(normal: np.ndarray, k: int) -> np.ndarray:
+def circle_points(normal: np.ndarray, k: int) -> np.ndarray:
+    """k points around the great circle with the given normal, the last one
+    repeating the first."""
     nh = normal / np.linalg.norm(normal)
     e1 = np.cross(nh, np.array([0.0, 0.0, 1.0]))
     if np.linalg.norm(e1) < 1e-9:
@@ -138,7 +140,7 @@ def _region_layers(opts: RenderOptions) -> list[str]:
     div = moduli.division(opts.n)
     out = []
     for name, nrm in zip(div.circle_names, div.normals):
-        pts = _circle_points(nrm, 4 * opts.samples_per_curve)
+        pts = circle_points(nrm, 4 * opts.samples_per_curve)
         out.append(_path(_project(pts, opts.chart, opts.n), "regions", f"circle-{name}"))
     return out
 
@@ -157,7 +159,7 @@ def _core_layers(opts: RenderOptions) -> list[str]:
 def _reduction_layers(opts: RenderOptions) -> list[str]:
     n, k = opts.n, opts.samples_per_curve
     out = []
-    pts = _circle_points(moduli._ab_plane(n), 4 * k)
+    pts = circle_points(moduli.ab_plane(n), 4 * k)
     out.append(_path(_project(pts, opts.chart, n, clip=1.0), "reduction", "red-ab"))
     for kind, ident in (("a=c", "red-ac"), ("b=c", "red-bc")):
         samples = []

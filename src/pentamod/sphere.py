@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AntipodalEndpoints, DegenerateArc
+from .errors import AntipodalEndpoints, DegenerateArc, InvalidPoints
 
 # Default angular tolerance for incidence predicates.  Closed-form constants
 # leave ~1e-12 of double noise; 1e-9 gives three decades of margin.
@@ -29,6 +29,23 @@ def unit(v) -> np.ndarray:
     """Normalize a 3-vector to unit length."""
     v = np.asarray(v, dtype=float)
     return v / np.linalg.norm(v)
+
+
+def as_point(p) -> np.ndarray:
+    """p as a float array of shape (3,); InvalidPoints for any other shape."""
+    a = np.asarray(p, dtype=float)
+    if a.shape != (3,):
+        raise InvalidPoints(f"expected one point of shape (3,), got shape {a.shape}")
+    return a
+
+
+def as_points(pts) -> np.ndarray:
+    """pts as a contiguous float array of shape (N, 3); InvalidPoints for any
+    other shape."""
+    a = np.ascontiguousarray(pts, dtype=float)
+    if a.ndim != 2 or a.shape[1] != 3:
+        raise InvalidPoints(f"expected points of shape (N, 3), got shape {a.shape}")
+    return a
 
 
 def angular_distance(u: np.ndarray, v: np.ndarray) -> float:

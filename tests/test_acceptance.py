@@ -86,7 +86,8 @@ def test_criterion_2_areas():
 
 
 def test_criterion_3_oracle_equivalence():
-    # a tiny warmup call first so jit compilation is not billed as runtime
+    # a tiny warmup call first so the cached per-family tables are not
+    # billed as runtime
     warm = sample_sphere(8, 1)
     for n in SOLIDS:
         moduli.analytic_in_moduli_batch(n, warm)

@@ -251,15 +251,6 @@ def test_membership_n5_internal_fan_rays():
             assert pentagon.oracle_in_moduli(5, p) == want
 
 
-def test_membership_batch_matches_scalar():
-    from pentamod import _kernels
-    pts = _kernels.sample_sphere(700, 123)
-    for n in SOLIDS:
-        batch = moduli.analytic_in_moduli_batch(n, pts)
-        scal = np.array([moduli.analytic_in_moduli(n, p) for p in pts])
-        assert np.array_equal(batch, scal)
-
-
 # ---------------------------------------------------------------------------
 # reduction loci
 
@@ -271,11 +262,11 @@ def test_reduction_residual_a_eq_b_diagonal():
 
 def test_reduction_plane_matches_printed_forms():
     # printed plane coefficients for n=3 and n=4; n=5 first two coefficients
-    l3 = moduli._ab_plane(3)
+    l3 = moduli.ab_plane(3)
     assert np.allclose(l3, [1.0, -1.0, 0.0], atol=1e-12)
-    l4 = moduli._ab_plane(4)
+    l4 = moduli.ab_plane(4)
     assert np.allclose(l4, [SQ2, -SQ3, 2.0 - SQ3], atol=1e-12)
-    l5 = moduli._ab_plane(5)
+    l5 = moduli.ab_plane(5)
     assert l5[0] == pytest.approx(2.0 * 5 ** 0.25, abs=1e-12)
     assert l5[1] == pytest.approx(-math.sqrt(6.0) * math.sqrt(math.sqrt(5.0) + 1.0), abs=1e-12)
 
