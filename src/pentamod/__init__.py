@@ -19,11 +19,11 @@ from .moduli import (Boundary, BcGapReport, CurveSample, CurveSpec,
                      curve_spec, gamma_cartesian_residual,
                      gamma_complex_residual, gamma_m_chart, gamma_point,
                      gamma_residual, m_chart_cartesian_residual,
-                     oracle_in_moduli_batch, reduction_point,
-                     reduction_residual, region_of)
+                     reduction_point, reduction_residual, region_of)
 from .render import RenderOptions, render_svg
 from .pentagon import (Pentagon, SimplicityReport, anchor_pentagon,
-                       face_pentagons, is_simple, oracle_in_moduli)
+                       face_pentagons, is_simple, oracle_in_moduli,
+                       oracle_in_moduli_batch)
 from .sphere import (GreatArc, Rotation, angular_distance, arc_intersect,
                      minor_arc, point_on_arc, rotate, unit)
 

@@ -17,8 +17,8 @@ import numpy as np
 from scipy import integrate
 
 from .charts import solid_constants
-from .moduli import analytic_in_moduli_batch
-from ._kernels import sample_sphere
+from .moduli import analytic_in_moduli_batch, curve_radius, curve_spec
+from .sphere import sample_sphere
 
 # quadrature targets: absolute 1e-13 for the elliptic kernel, 1e-12 for fans
 _EPS_ELLIPTIC = 1e-13
@@ -89,20 +89,18 @@ def part_areas_quadrature(n: int) -> dict:
     Independent route against the elliptic formulas in part_areas: the
     integrand runs over the curve radius functions in their home charts.
     """
-    from . import moduli
-
-    spec_a = moduli.curve_spec("gamma_A", n)
-    spec_b = moduli.curve_spec("gamma_B", n)
-    spec_ca = moduli.curve_spec("gamma_C_A", n)
-    spec_cb = moduli.curve_spec("gamma_C_B", n)
+    spec_a = curve_spec("gamma_A", n)
+    spec_b = curve_spec("gamma_B", n)
+    spec_ca = curve_spec("gamma_C_A", n)
+    spec_cb = curve_spec("gamma_C_B", n)
     return {
-        "A5": fan_area_quadrature(lambda t: moduli.curve_radius(spec_a, t),
+        "A5": fan_area_quadrature(lambda t: curve_radius(spec_a, t),
                                   spec_a.theta_lo, spec_a.theta_hi),
-        "A13": fan_area_quadrature(lambda t: moduli.curve_radius(spec_b, t),
+        "A13": fan_area_quadrature(lambda t: curve_radius(spec_b, t),
                                    spec_b.theta_lo, spec_b.theta_hi),
-        "A4": fan_area_quadrature(lambda t: moduli.curve_radius(spec_ca, t),
+        "A4": fan_area_quadrature(lambda t: curve_radius(spec_ca, t),
                                   -0.5 * math.pi, -math.pi / 3.0),
-        "A8": fan_area_quadrature(lambda t: moduli.curve_radius(spec_cb, t),
+        "A8": fan_area_quadrature(lambda t: curve_radius(spec_cb, t),
                                   -(1.0 - 1.0 / n) * math.pi, -0.5 * math.pi),
     }
 

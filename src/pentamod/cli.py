@@ -16,9 +16,9 @@ import time
 import numpy as np
 
 from . import areas, charts, moduli, pentagon, render
-from ._kernels import sample_sphere
 from .charts import ChartPoint
 from .errors import DegenerateAnchor, AntipodalConstruction, PentamodError
+from .sphere import sample_sphere
 
 SCHEMA = 1
 
@@ -26,18 +26,10 @@ SCHEMA = 1
 # stays within 1e-9
 _CSV_FMT = "{:.12g}"
 
-_CURVES = ("gammaA", "gammaB", "gammaC", "a=b", "a=c", "b=c")
-
-# admissible (curve, chart) combinations with theta ranges; reductions and
-# gammaC default to the M-chart, gammaA/gammaB to their home charts
-_CURVE_CHARTS = {
-    ("gammaA", "A"), ("gammaA", "M"),
-    ("gammaB", "B"), ("gammaB", "M"),
-    ("gammaC", "A"), ("gammaC", "B"), ("gammaC", "M"),
-    ("a=b", "M"), ("a=c", "M"), ("b=c", "M"),
-}
-_DEFAULT_CHART = {"gammaA": "A", "gammaB": "B", "gammaC": "M",
-                  "a=b": "M", "a=c": "M", "b=c": "M"}
+# each curve's charts with a theta parameterization, default first:
+# gammaA/gammaB default to their home charts, gammaC and the reductions to M
+_CURVE_CHARTS = {"gammaA": ("A", "M"), "gammaB": ("B", "M"), "gammaC": ("M", "A", "B"),
+                 "a=b": ("M",), "a=c": ("M",), "b=c": ("M",)}
 
 
 def parse_point(text: str) -> complex:
@@ -105,21 +97,14 @@ def cmd_check(args) -> int:
 
 def _curve_rows(which: str, n: int, chart: str, samples: int):
     """(theta, r) pairs over the curve's admissible range in the chart."""
-    if which in ("gammaA", "gammaB"):
-        name = "gamma_A" if which == "gammaA" else "gamma_B"
+    if which.startswith("gamma"):
+        name = "gamma_" + which[-1]
         if chart == "M":
             lo, hi = moduli.M_THETA_RANGE[name]
             return [(t, moduli.gamma_m_chart(name, n, t).r)
                     for t in np.linspace(lo, hi, samples)]
-        spec = moduli.curve_spec(name, n)
-        return [(t, moduli.curve_radius(spec, t))
-                for t in np.linspace(spec.theta_lo, spec.theta_hi, samples)]
-    if which == "gammaC":
-        if chart == "M":
-            lo, hi = moduli.M_THETA_RANGE["gamma_C"]
-            return [(t, moduli.gamma_m_chart("gamma_C", n, t).r)
-                    for t in np.linspace(lo, hi, samples)]
-        spec = moduli.curve_spec("gamma_C_A" if chart == "A" else "gamma_C_B", n)
+        # gamma_C has one home-chart piece per chart, gamma_C_A and gamma_C_B
+        spec = moduli.curve_spec(name if name in moduli.CURVE_NAMES else f"{name}_{chart}", n)
         return [(t, moduli.curve_radius(spec, t))
                 for t in np.linspace(spec.theta_lo, spec.theta_hi, samples)]
     if which == "a=b":
@@ -146,11 +131,11 @@ def _curve_rows(which: str, n: int, chart: str, samples: int):
 
 def cmd_curve(args) -> int:
     which = args.which
-    if which not in _CURVES:
+    if which not in _CURVE_CHARTS:
         print(f"error: unknown curve {which!r}", file=sys.stderr)
         return 2
-    chart = args.chart or _DEFAULT_CHART[which]
-    if (which, chart) not in _CURVE_CHARTS:
+    chart = args.chart or _CURVE_CHARTS[which][0]
+    if chart not in _CURVE_CHARTS[which]:
         print(f"error: curve {which!r} has no {chart}-chart parameterization",
               file=sys.stderr)
         return 2
@@ -233,7 +218,7 @@ def cmd_verify(args) -> int:
     skip = moduli.boundary_band_mask(n, pts, args.band)
     kept = pts[~skip]
     analytic = moduli.analytic_in_moduli_batch(n, kept)
-    oracle = moduli.oracle_in_moduli_batch(n, kept)
+    oracle = pentagon.oracle_in_moduli_batch(n, kept)
     bad = np.flatnonzero(analytic != oracle)
     disagreements = [
         {"point": [float(x) for x in kept[i]],
@@ -275,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("curve", help="CSV samples of a boundary or reduction curve")
-    p.add_argument("which", choices=_CURVES)
+    p.add_argument("which", choices=tuple(_CURVE_CHARTS))
     add_solid(p)
     p.add_argument("--chart", choices=charts.CHARTS, default=None)
     p.add_argument("--samples", type=int, default=256)

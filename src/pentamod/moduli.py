@@ -10,6 +10,10 @@ The moduli boundary consists of two straight arcs (in the M-chart) plus the
 three curves gamma_A, gamma_B, gamma_C.  Every curve is carried in four
 equivalent representations (polar, cartesian, complex, spherical quadratic)
 in its home chart, plus closed polar forms in the M-chart.
+
+Distances to the division come from one screen (_screen), the curve radius
+from _eqd_radius and the spherical quadratic from _quadric_coeffs.  The
+simplicity oracle that membership is checked against lives in pentagon.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import numpy as np
 from . import charts
 from .charts import SQ2, SQ3, SQ5, ChartPoint, geometry, solid_constants
 from .errors import NoRootInDisk, OutOfRange
-from ._kernels import oracle_batch
 from .sphere import DEFAULT_TOL, as_point, as_points
 
 CORE_REGIONS = (1, 2, 3, 7)
@@ -115,6 +118,16 @@ def _polar(pts: np.ndarray, frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return th, r
 
 
+def _screen(n: int, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Chord distance of each of (N, 3) points to each division vertex,
+    (N, 6), and signed angular distance to each dividing circle, (N, n+2)."""
+    div = division(n)
+    chords = np.empty((pts.shape[0], len(div.vertices)))
+    for k, v in enumerate(div.vertices.values()):
+        chords[:, k] = np.linalg.norm(pts - v, axis=1)
+    return chords, np.arcsin(np.clip(pts @ div.normals.T, -1.0, 1.0))
+
+
 class Classified(NamedTuple):
     """Where classify puts each point of a batch."""
 
@@ -138,12 +151,9 @@ def classify(n: int, pts: np.ndarray, tol: float = _REGION_TOL) -> Classified:
     """
     pts = as_points(pts)
     geo = geometry(n)
-    div = division(n)
-    chord = 2.0 * math.sin(0.5 * tol)
-    t = _tables(n)
-    near_vertex = (np.linalg.norm(pts[:, None, :] - t.vertices[None, :, :], axis=2)
-                   <= chord).any(axis=1)
-    on = np.abs(np.arcsin(np.clip(pts @ div.normals.T, -1.0, 1.0))) <= math.sin(tol) + 1e-15
+    chords, angles = _screen(n, pts)
+    near_vertex = (chords <= 2.0 * math.sin(0.5 * tol)).any(axis=1)
+    on = np.abs(angles) <= math.sin(tol) + 1e-15
     count = on.sum(axis=1)
     thA, rA = _polar(pts, geo.frame_a)
     thB, rB = _polar(pts, geo.frame_b)
@@ -151,13 +161,13 @@ def classify(n: int, pts: np.ndarray, tol: float = _REGION_TOL) -> Classified:
     interior = ~near_vertex & (count == 0)
     jA = np.floor((thA % (2.0 * math.pi)) / (math.pi / 3.0)).astype(np.int64) % 6
     jB = np.floor((thB % (2.0 * math.pi)) / (math.pi / n)).astype(np.int64) % (2 * n)
-    region = np.where(interior, t.sectors[jA, jB], 0)
+    region = np.where(interior, _tables(n).sectors[jA, jB], 0)
     out = Classified(circle, region, thA, rA, thB, rB)
     bad = interior & (region == 0)
     if bad.any():
         # the two hemisphere readings disagree, so the point sits in the
         # float-noise band of circle AB; nudge it off the plane and redo
-        nab = div.normals[0]
+        nab = division(n).normals[0]
         side = np.sign(pts[bad] @ nab)[:, None]
         q = pts[bad] + 1e-7 * side * nab
         q /= np.linalg.norm(q, axis=1, keepdims=True)
@@ -174,17 +184,13 @@ def region_of(n: int, p: np.ndarray, tol: float = _REGION_TOL):
     """
     solid_constants(n)
     div = division(n)
-    p = np.asarray(p, dtype=float)
-    dists = np.arcsin(np.clip(div.normals @ p, -1.0, 1.0))
-    on = np.flatnonzero(np.abs(dists) <= math.sin(tol) + 1e-15)
+    p = as_point(p)
+    chords, angles = _screen(n, p[None])
+    on = np.flatnonzero(np.abs(angles[0]) <= math.sin(tol) + 1e-15)
     if len(on) == 0:
         return int(classify(n, p[None], 0.0).region[0])
-    vertex_name = None
-    chord = 2.0 * math.sin(0.5 * max(tol, 1e-7))
-    for name, v in div.vertices.items():
-        if np.linalg.norm(p - v) <= chord:
-            vertex_name = name
-            break
+    near = np.flatnonzero(chords[0] <= 2.0 * math.sin(0.5 * max(tol, 1e-7)))
+    vertex_name = list(div.vertices)[near[0]] if near.size else None
     kind = "vertex" if (len(on) >= 2 or vertex_name) else "arc"
     # probe a small circle around p for the adjacent regions
     radius = max(200.0 * tol, 1e-6)
@@ -195,7 +201,7 @@ def region_of(n: int, p: np.ndarray, tol: float = _REGION_TOL):
     ang = 2.0 * math.pi * (np.arange(16) + 0.31) / 16.0
     q = p + radius * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2)
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    clear = np.min(np.abs(np.arcsin(np.clip(q @ div.normals.T, -1.0, 1.0))), axis=1) > 0.2 * radius
+    clear = np.min(np.abs(_screen(n, q)[1]), axis=1) > 0.2 * radius
     neighbours = classify(n, q[clear], 0.0).region
     return Boundary(kind=kind, regions=tuple(sorted({int(m) for m in neighbours})),
                     vertex=vertex_name)
@@ -255,12 +261,12 @@ def curve_spec(which: str, n: int) -> CurveSpec:
     raise ValueError(f"unknown curve {which!r}")
 
 
-def _eqd_radius(lam: float, alpha: float, phi: float) -> float:
+def _eqd_radius(lam, alpha, phi):
     # rationalized form of sqrt(1 + (lam*sec)^2) - lam*sec: no cancellation
     # as sec grows toward the r -> 0 endpoint (sec > 0 over every admissible
-    # range)
-    s = 1.0 / math.cos(phi - alpha)
-    return 1.0 / (math.sqrt(1.0 + lam * lam * s * s) + lam * s)
+    # range); floats or arrays alike
+    s = 1.0 / np.cos(phi - alpha)
+    return 1.0 / (np.sqrt(1.0 + lam * lam * s * s) + lam * s)
 
 
 def curve_radius(spec: CurveSpec, theta: float) -> float:
@@ -271,14 +277,29 @@ def curve_radius(spec: CurveSpec, theta: float) -> float:
     singular = spec.theta_lo if spec.singular_end == "lo" else spec.theta_hi
     if abs(theta - singular) < _SINGULAR_CLAMP:
         return 0.0
-    return _eqd_radius(spec.lam, spec.alpha, spec.phi_const + spec.phi_sign * theta)
+    return float(_eqd_radius(spec.lam, spec.alpha, spec.phi_const + spec.phi_sign * theta))
 
 
 def gamma_point(spec: CurveSpec, theta: float) -> CurveSample:
     """Curve sample at chart angle theta."""
-    r = curve_radius(spec, theta)
-    z = ChartPoint(cmath.rect(r, theta), spec.chart, spec.n)
-    return CurveSample(theta=theta, r=r, z=z, xi=charts.to_sphere(z))
+    return _sample(theta, curve_radius(spec, theta), spec.chart, spec.n)
+
+
+def _sample(theta: float, r: float, chart: str, n: int, line_locus: bool = False) -> CurveSample:
+    z = ChartPoint(cmath.rect(r, theta), chart, n)
+    return CurveSample(theta=theta, r=r, z=z, xi=charts.to_sphere(z), line_locus=line_locus)
+
+
+def _quadric_coeffs(spec: CurveSpec) -> tuple[float, float, float]:
+    """(L, c1, c2) of the curve's spherical quadratic
+    L (x1^2 + x2^2) + (c1 x1 + c2 x2) x3 in its chart frame."""
+    if spec.which == "gamma_A":
+        return 2.0 * spec.lam, 1.0, SQ3
+    if spec.which == "gamma_B":
+        return spec.lam, -math.cos(math.pi / spec.n), math.sin(math.pi / spec.n)
+    if spec.which == "gamma_C_A":
+        return spec.lam, 1.0, 0.0
+    return spec.lam, -1.0, 0.0
 
 
 def gamma_residual(spec: CurveSpec, p: np.ndarray) -> float:
@@ -288,15 +309,8 @@ def gamma_residual(spec: CurveSpec, p: np.ndarray) -> float:
     """
     xi = geometry(spec.n).frame(spec.chart) @ np.asarray(p, dtype=float)
     x1, x2, x3 = float(xi[0]), float(xi[1]), float(xi[2])
-    rr = x1 * x1 + x2 * x2
-    if spec.which == "gamma_A":
-        return 2.0 * spec.lam * rr + (x1 + SQ3 * x2) * x3
-    if spec.which == "gamma_B":
-        cn, sn = math.cos(math.pi / spec.n), math.sin(math.pi / spec.n)
-        return spec.lam * rr - (x1 * cn - x2 * sn) * x3
-    if spec.which == "gamma_C_A":
-        return spec.lam * rr + x1 * x3
-    return spec.lam * rr - x1 * x3
+    L, c1, c2 = _quadric_coeffs(spec)
+    return L * (x1 * x1 + x2 * x2) + (c1 * x1 + c2 * x2) * x3
 
 
 def gamma_cartesian_residual(spec: CurveSpec, z: complex) -> float:
@@ -374,9 +388,7 @@ def gamma_m_chart(which: str, n: int, theta: float) -> CurveSample:
     if theta < lo - 1e-12 or theta > hi + 1e-12:
         raise OutOfRange(f"theta {theta} outside [{lo}, {hi}]")
     R = _m_chart_R(which, n, theta)
-    r = 0.5 * (math.sqrt(R * R + 4.0) - R)
-    z = ChartPoint(cmath.rect(r, theta), "M", n)
-    return CurveSample(theta=theta, r=r, z=z, xi=charts.to_sphere(z))
+    return _sample(theta, 0.5 * (math.sqrt(R * R + 4.0) - R), "M", n)
 
 
 def m_chart_cartesian_residual(which: str, n: int, z: complex) -> float:
@@ -428,8 +440,8 @@ def _fan_ray_radii(n: int) -> tuple[float, float]:
 class _Tables:
     """One family's division and membership rules as tables.
 
-    vertices holds the division vertices, and sectors[jA, jB] the region of
-    each (A-sector, B-sector) pair, 0 where unrealized.
+    sectors[jA, jB] holds the region of each (A-sector, B-sector) pair, 0
+    where unrealized.
 
     Division circle c is a pair of opposite rays from the origin of its
     chart (the A-chart, or the B-chart where circle_b[c]).  A point on the
@@ -442,7 +454,6 @@ class _Tables:
     phi_const, phi_sign as in CurveSpec; B-chart where fan_b[m]).
     """
 
-    vertices: np.ndarray
     sectors: np.ndarray
     circle_b: np.ndarray
     angle: np.ndarray
@@ -498,9 +509,8 @@ def _tables(n: int) -> _Tables:
         fan_b[m] = spec.chart == "B"
         params[:, m] = (spec.lam, spec.alpha, spec.phi_const, spec.phi_sign, lo, hi)
     sectors = _sector_region(n, *np.meshgrid(np.arange(6), np.arange(2 * n), indexing="ij"))
-    return _Tables(np.array(list(div.vertices.values())), sectors,
-                   np.array(chart) == "B", np.array(angle), np.array(front), np.array(back),
-                   core, fan, fan_b, *params)
+    return _Tables(sectors, np.array(chart) == "B", np.array(angle), np.array(front),
+                   np.array(back), core, fan, fan_b, *params)
 
 
 def analytic_in_moduli_batch(n: int, pts: np.ndarray, tol: float = _REGION_TOL) -> np.ndarray:
@@ -533,33 +543,14 @@ def analytic_in_moduli_batch(n: int, pts: np.ndarray, tol: float = _REGION_TOL) 
     sel = (th > t.lo[m]) & (th < t.hi[m])
     fan, m, th = fan[sel], m[sel], th[sel]
     r = np.where(in_b[sel], cl.r_b[fan], cl.r_a[fan])
-    # _eqd_radius on arrays, with phi = phi_const + phi_sign * theta as in curve_radius
-    lam = t.lam[m]
-    s = 1.0 / np.cos(t.phi_const[m] + t.phi_sign[m] * th - t.alpha[m])
-    inside[fan] = r < 1.0 / (np.sqrt(1.0 + lam * lam * s * s) + lam * s) - CURVE_EXCLUSION
+    curve_r = _eqd_radius(t.lam[m], t.alpha[m], t.phi_const[m] + t.phi_sign[m] * th)
+    inside[fan] = r < curve_r - CURVE_EXCLUSION
     return inside
 
 
 def analytic_in_moduli(n: int, p: np.ndarray, tol: float = _REGION_TOL) -> bool:
     """analytic_in_moduli_batch for one unit vector of shape (3,)."""
     return bool(analytic_in_moduli_batch(n, as_point(p)[None], tol)[0])
-
-
-def oracle_in_moduli_batch(n: int, pts: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Vectorized simplicity oracle over an (N, 3) array of unit vectors."""
-    return oracle_batch(n, as_points(pts), tol)
-
-
-# quadric coefficients (scale, c1, c2) of L(x1^2+x2^2) + (c1 x1 + c2 x2) x3
-# for the first-order distance estimate in boundary_band_mask
-def _quadric_coeffs(spec: CurveSpec) -> tuple[float, float, float]:
-    if spec.which == "gamma_A":
-        return 2.0 * spec.lam, 1.0, SQ3
-    if spec.which == "gamma_B":
-        return spec.lam, -math.cos(math.pi / spec.n), math.sin(math.pi / spec.n)
-    if spec.which == "gamma_C_A":
-        return spec.lam, 1.0, 0.0
-    return spec.lam, -1.0, 0.0
 
 
 def boundary_band_mask(n: int, pts: np.ndarray, band: float) -> np.ndarray:
@@ -569,14 +560,12 @@ def boundary_band_mask(n: int, pts: np.ndarray, band: float) -> np.ndarray:
     quadrics of the three curves; curve distance is the first-order estimate
     |Q| / |grad Q| (exact to O(band^2)).
     """
-    pts = np.asarray(pts, dtype=float)
-    div = division(n)
-    near = np.zeros(pts.shape[0], dtype=bool)
+    pts = as_points(pts)
     if band <= 0.0:
-        return near
-    for v in div.vertices.values():
-        near |= np.linalg.norm(pts - v, axis=1) <= 2.0 * math.sin(0.5 * band)
-    near |= (np.abs(np.arcsin(np.clip(pts @ div.normals.T, -1.0, 1.0))) <= band).any(axis=1)
+        return np.zeros(pts.shape[0], dtype=bool)
+    chords, angles = _screen(n, pts)
+    near = ((chords <= 2.0 * math.sin(0.5 * band)).any(axis=1)
+            | (np.abs(angles) <= band).any(axis=1))
     geo = geometry(n)
     for which in CURVE_NAMES:
         spec = curve_spec(which, n)
@@ -595,9 +584,6 @@ def boundary_band_mask(n: int, pts: np.ndarray, band: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # reduction loci (a=b, a=c, b=c)
-
-REDUCTION_KINDS = ("a=b", "a=c", "b=c")
-
 
 @lru_cache(maxsize=None)
 def ab_plane(n: int) -> np.ndarray:
@@ -710,8 +696,7 @@ def reduction_point(kind: str, n: int, theta: float) -> CurveSample:
     r = _bracket_root(lambda x: x ** 4 + c2 * x * x + c0 + c1 * x * (x * x + 1.0) * trig)
     if r is None:
         raise NoRootInDisk(f"{kind} locus does not meet the ray theta={theta}")
-    z = ChartPoint(cmath.rect(r, theta), "M", n)
-    return CurveSample(theta=theta, r=r, z=z, xi=charts.to_sphere(z))
+    return _sample(theta, r, "M", n)
 
 
 def ab_circle(n: int) -> tuple[complex, float]:
@@ -732,8 +717,7 @@ def _ab_point(n: int, theta: float) -> CurveSample:
         if min(abs((theta - diag) % math.pi), math.pi - abs((theta - diag) % math.pi)) > 1e-9:
             raise NoRootInDisk("diagonal locus does not meet this ray")
         r = 0.5 * gamma_m_chart("gamma_C", n, theta).r if math.pi <= theta <= 1.5 * math.pi else 0.25
-        z = ChartPoint(cmath.rect(r, theta), "M", n)
-        return CurveSample(theta=theta, r=r, z=z, xi=charts.to_sphere(z), line_locus=True)
+        return _sample(theta, r, "M", n, line_locus=True)
     b = (u.real * center.real + u.imag * center.imag)
     disc = b * b - (abs(center) ** 2 - radius * radius)
     if disc < 0.0:
@@ -742,9 +726,7 @@ def _ab_point(n: int, theta: float) -> CurveSample:
     roots = [r for r in roots if 1e-12 < r < 1.0]
     if not roots:
         raise NoRootInDisk("a=b circle crossing lies outside the unit disk")
-    r = min(roots)
-    z = ChartPoint(cmath.rect(r, theta), "M", n)
-    return CurveSample(theta=theta, r=r, z=z, xi=charts.to_sphere(z))
+    return _sample(theta, min(roots), "M", n)
 
 
 @dataclass(frozen=True)

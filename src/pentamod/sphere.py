@@ -1,4 +1,5 @@
-"""Floating-point spherical primitives: unit vectors, rotations, minor arcs.
+"""Floating-point spherical primitives: unit vectors, rotations, minor arcs,
+input validation (as_point/as_points) and the uniform sampler sample_sphere.
 
 Points on the sphere are plain numpy arrays of shape (3,), kept unit length.
 All angles are radians.  Distances are computed with atan2 of cross-norm and
@@ -24,6 +25,9 @@ ANTIPODAL_EPS = 1e-9
 # Angular separation below this means coincident endpoints.
 DEGENERATE_EPS = 1e-12
 
+# |p.p - 1| above this rejects a point as off the unit sphere (or non-finite).
+UNIT_NORM_EPS = 1e-9
+
 
 def unit(v) -> np.ndarray:
     """Normalize a 3-vector to unit length."""
@@ -32,20 +36,39 @@ def unit(v) -> np.ndarray:
 
 
 def as_point(p) -> np.ndarray:
-    """p as a float array of shape (3,); InvalidPoints for any other shape."""
+    """p as a float array of shape (3,); InvalidPoints for any other shape
+    and for a non-finite or non-unit vector."""
     a = np.asarray(p, dtype=float)
     if a.shape != (3,):
         raise InvalidPoints(f"expected one point of shape (3,), got shape {a.shape}")
-    return a
+    return as_points(a[None])[0]
 
 
 def as_points(pts) -> np.ndarray:
     """pts as a contiguous float array of shape (N, 3); InvalidPoints for any
-    other shape."""
+    other shape and for any non-finite or non-unit row."""
     a = np.ascontiguousarray(pts, dtype=float)
     if a.ndim != 2 or a.shape[1] != 3:
         raise InvalidPoints(f"expected points of shape (N, 3), got shape {a.shape}")
+    # written so that NaN and inf fail the comparison
+    if not (np.abs(np.einsum("ij,ij->i", a, a) - 1.0) <= UNIT_NORM_EPS).all():
+        raise InvalidPoints(f"points must be finite unit vectors, |p.p - 1| <= {UNIT_NORM_EPS}")
     return a
+
+
+def sample_sphere(samples: int, seed: int) -> np.ndarray:
+    """Uniform points on the sphere, deterministic given (seed, samples).
+
+    Uses the counter-based Philox generator, so chunked generation with
+    explicit counter advances would reproduce the same stream.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    g = np.random.Generator(np.random.Philox(seed))
+    z = g.uniform(-1.0, 1.0, samples)
+    az = g.uniform(0.0, 2.0 * math.pi, samples)
+    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.column_stack([s * np.cos(az), s * np.sin(az), z])
 
 
 def angular_distance(u: np.ndarray, v: np.ndarray) -> float:

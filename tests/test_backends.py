@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from pentamod import (analytic_in_moduli, analytic_in_moduli_batch, boundary_band_mask,
-                      charts, moduli, oracle_in_moduli, oracle_in_moduli_batch, sphere)
-from pentamod._kernels import sample_sphere
+from pentamod import (analytic_in_moduli, analytic_in_moduli_batch, anchor_pentagon,
+                      boundary_band_mask, charts, moduli, oracle_in_moduli,
+                      oracle_in_moduli_batch, region_of, sphere)
+from pentamod.sphere import sample_sphere
 from pentamod.errors import InvalidPoints
 from pentamod.render import circle_points
 
@@ -54,12 +55,29 @@ def test_oracles_agree_at_known_defect():
     assert oracle_in_moduli_batch(3, V[None])[0] == oracle_in_moduli(3, V)
 
 
-@pytest.mark.parametrize("predicate, bad", [
-    (analytic_in_moduli_batch, np.array([1.0, 0.0, 0.0])),
-    (oracle_in_moduli_batch, np.array([1.0, 0.0, 0.0])),
-    (analytic_in_moduli, np.eye(3)[:2]),
-    (oracle_in_moduli, np.eye(3)[:2]),
-], ids=["membership_batch", "oracle_batch", "membership", "oracle"])
+def _band_mask(n, pts):
+    return boundary_band_mask(n, pts, 1e-6)
+
+
+_BATCH = {"membership_batch": analytic_in_moduli_batch, "oracle_batch": oracle_in_moduli_batch,
+          "band_mask": _band_mask}
+_SCALAR = {"membership": analytic_in_moduli, "oracle": oracle_in_moduli,
+           "region_of": region_of, "anchor_pentagon": anchor_pentagon}
+# rows that are not finite unit vectors; a batch carries one beside a good row
+_GOOD = np.array([0.6, 0.0, 0.8])
+_NOT_UNIT = {"nan": np.array([np.nan, 0.0, 1.0]), "inf": np.array([np.inf, 0.0, 0.0]),
+             "scaled": 1.001 * _GOOD}
+_MALFORMED = (
+    [pytest.param(f, np.array([1.0, 0.0, 0.0]), id=k) for k, f in _BATCH.items()]
+    + [pytest.param(f, np.eye(3)[:2], id=k) for k, f in _SCALAR.items()]
+    + [pytest.param(f, np.vstack([_GOOD, row]), id=f"{k}-{r}")
+       for k, f in _BATCH.items() for r, row in _NOT_UNIT.items()]
+    + [pytest.param(f, row, id=f"{k}-{r}")
+       for k, f in _SCALAR.items() for r, row in _NOT_UNIT.items()]
+)
+
+
+@pytest.mark.parametrize("predicate, bad", _MALFORMED)
 def test_predicates_reject_malformed_shapes(predicate, bad):
     with pytest.raises(InvalidPoints):
         predicate(3, bad)
