@@ -5,7 +5,8 @@ the generic curve reduces to (pi/2 - alpha) - F(pi/2 - alpha, i/lambda) with
 F the incomplete elliptic integral of the first kind.  For purely imaginary
 modulus the integrand 1/sqrt(1 + sin^2(u)/lambda^2) is real and smooth, so F
 is evaluated as an ordinary adaptive quadrature rather than through a
-complex-modulus special function.
+complex-modulus special function.  scipy is imported by the two quadrature
+functions, on first use, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .charts import solid_constants
 from .moduli import analytic_in_moduli_batch, curve_radius, curve_spec
@@ -33,6 +33,8 @@ def elliptic_F_imag(t: float, lam: float) -> float:
         raise ValueError("lambda must be positive")
     if t == 0.0:
         return 0.0
+    from scipy import integrate
+
     inv2 = 1.0 / (lam * lam)
     val, _ = integrate.quad(lambda u: 1.0 / math.sqrt(1.0 + inv2 * math.sin(u) ** 2),
                             0.0, t, epsabs=_EPS_ELLIPTIC, epsrel=_EPS_ELLIPTIC, limit=200)
@@ -41,6 +43,8 @@ def elliptic_F_imag(t: float, lam: float) -> float:
 
 def fan_area_quadrature(r_of_theta, alpha: float, beta: float) -> float:
     """Spherical area of the chart fan 0 <= r <= r(theta), theta in [alpha, beta]."""
+    from scipy import integrate
+
     val, _ = integrate.quad(lambda t: 2.0 * r_of_theta(t) ** 2 / (1.0 + r_of_theta(t) ** 2),
                             alpha, beta, epsabs=_EPS_FAN, epsrel=_EPS_FAN, limit=200)
     return val

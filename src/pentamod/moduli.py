@@ -11,9 +11,12 @@ three curves gamma_A, gamma_B, gamma_C.  Every curve is carried in four
 equivalent representations (polar, cartesian, complex, spherical quadratic)
 in its home chart, plus closed polar forms in the M-chart.
 
-Distances to the division come from one screen (_screen), the curve radius
-from _eqd_radius and the spherical quadratic from _quadric_coeffs.  The
-simplicity oracle that membership is checked against lives in pentagon.
+Nearness to the division vertices and distances to the dividing circles come
+from one screen (_screen), the curve radius from _eqd_radius and the
+spherical quadratic from _quadric_coeffs.  Public entry points validate
+their points once (sphere.as_point/as_points) and hand them to private
+kernels that do not check again.  The simplicity oracle that membership is
+checked against lives in pentagon.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from . import charts
 from .charts import SQ2, SQ3, SQ5, ChartPoint, geometry, solid_constants
 from .errors import NoRootInDisk, OutOfRange
-from .sphere import DEFAULT_TOL, as_point, as_points
+from .sphere import DEFAULT_TOL, UNIT_NORM_EPS, as_point, as_points
 
 CORE_REGIONS = (1, 2, 3, 7)
 
@@ -59,6 +62,7 @@ class Division:
     circle_names: tuple[str, ...]
     normals: np.ndarray          # (n+2, 3)
     vertices: dict               # name -> unit vector
+    vertex_points: np.ndarray    # (6, 3), the vertices in the order of the dict
 
 
 @lru_cache(maxsize=None)
@@ -76,7 +80,8 @@ def division(n: int) -> Division:
     normals = np.array([v / np.linalg.norm(v) for v in normals])
     verts = {"A": geo.A, "B": geo.B, "M": geo.M, "C": geo.C,
              "B'": geo.B_prime, "A'": geo.A_prime}
-    return Division(n=n, circle_names=tuple(names), normals=normals, vertices=verts)
+    return Division(n=n, circle_names=tuple(names), normals=normals, vertices=verts,
+                    vertex_points=np.array(list(verts.values())))
 
 
 @dataclass(frozen=True)
@@ -118,14 +123,27 @@ def _polar(pts: np.ndarray, frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return th, r
 
 
-def _screen(n: int, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Chord distance of each of (N, 3) points to each division vertex,
-    (N, 6), and signed angular distance to each dividing circle, (N, n+2)."""
+def _screen(n: int, pts: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """For (N, 3) points as_points accepts: the index into
+    Division.vertices of the first division vertex within `radius` radians
+    of each point, -1 if none, (N,), and each point's signed angular
+    distance to each dividing circle, (N, n+2).
+
+    A vertex is within the radius when the chord |p - v| is at most
+    2 sin(radius/2).  The chord is computed only where p.v clears
+    1 - chord^2/2; the extra margin of UNIT_NORM_EPS covers points off the
+    unit sphere by as much as as_points allows.
+    """
     div = division(n)
-    chords = np.empty((pts.shape[0], len(div.vertices)))
-    for k, v in enumerate(div.vertices.values()):
-        chords[:, k] = np.linalg.norm(pts - v, axis=1)
-    return chords, np.arcsin(np.clip(pts @ div.normals.T, -1.0, 1.0))
+    chord = 2.0 * math.sin(0.5 * radius)
+    near = pts @ div.vertex_points.T >= 1.0 - 0.5 * chord * chord - UNIT_NORM_EPS
+    vertex = np.full(pts.shape[0], -1)
+    if near.any():
+        rows, k = np.nonzero(near)
+        keep = np.linalg.norm(pts[rows] - div.vertex_points[k], axis=1) <= chord
+        rows, first = np.unique(rows[keep], return_index=True)
+        vertex[rows] = k[keep][first]
+    return vertex, np.arcsin(np.clip(pts @ div.normals.T, -1.0, 1.0))
 
 
 class Classified(NamedTuple):
@@ -149,10 +167,14 @@ def classify(n: int, pts: np.ndarray, tol: float = _REGION_TOL) -> Classified:
     screens catch only exact hits, for points already known to lie off
     every circle.
     """
-    pts = as_points(pts)
+    return _classify(n, as_points(pts), tol)
+
+
+def _classify(n: int, pts: np.ndarray, tol: float) -> Classified:
+    """classify for points already validated by as_points."""
     geo = geometry(n)
-    chords, angles = _screen(n, pts)
-    near_vertex = (chords <= 2.0 * math.sin(0.5 * tol)).any(axis=1)
+    vertex, angles = _screen(n, pts, tol)
+    near_vertex = vertex >= 0
     on = np.abs(angles) <= math.sin(tol) + 1e-15
     count = on.sum(axis=1)
     thA, rA = _polar(pts, geo.frame_a)
@@ -171,7 +193,7 @@ def classify(n: int, pts: np.ndarray, tol: float = _REGION_TOL) -> Classified:
         side = np.sign(pts[bad] @ nab)[:, None]
         q = pts[bad] + 1e-7 * side * nab
         q /= np.linalg.norm(q, axis=1, keepdims=True)
-        for dst, redo in zip(out, classify(n, q, tol)):
+        for dst, redo in zip(out, _classify(n, q, tol)):
             dst[bad] = redo
     return out
 
@@ -185,12 +207,11 @@ def region_of(n: int, p: np.ndarray, tol: float = _REGION_TOL):
     solid_constants(n)
     div = division(n)
     p = as_point(p)
-    chords, angles = _screen(n, p[None])
+    vertex, angles = _screen(n, p[None], max(tol, 1e-7))
     on = np.flatnonzero(np.abs(angles[0]) <= math.sin(tol) + 1e-15)
     if len(on) == 0:
-        return int(classify(n, p[None], 0.0).region[0])
-    near = np.flatnonzero(chords[0] <= 2.0 * math.sin(0.5 * max(tol, 1e-7)))
-    vertex_name = list(div.vertices)[near[0]] if near.size else None
+        return int(_classify(n, p[None], 0.0).region[0])
+    vertex_name = list(div.vertices)[vertex[0]] if vertex[0] >= 0 else None
     kind = "vertex" if (len(on) >= 2 or vertex_name) else "arc"
     # probe a small circle around p for the adjacent regions
     radius = max(200.0 * tol, 1e-6)
@@ -201,8 +222,8 @@ def region_of(n: int, p: np.ndarray, tol: float = _REGION_TOL):
     ang = 2.0 * math.pi * (np.arange(16) + 0.31) / 16.0
     q = p + radius * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2)
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    clear = np.min(np.abs(_screen(n, q)[1]), axis=1) > 0.2 * radius
-    neighbours = classify(n, q[clear], 0.0).region
+    clear = np.min(np.abs(_screen(n, q, 0.0)[1]), axis=1) > 0.2 * radius
+    neighbours = _classify(n, q[clear], 0.0).region
     return Boundary(kind=kind, regions=tuple(sorted({int(m) for m in neighbours})),
                     vertex=vertex_name)
 
@@ -521,8 +542,13 @@ def analytic_in_moduli_batch(n: int, pts: np.ndarray, tol: float = _REGION_TOL) 
     the open fan regions between the curves and the core; False on the
     curves, the excluded arcs and all division vertices.
     """
+    return _membership(n, as_points(pts), tol)
+
+
+def _membership(n: int, pts: np.ndarray, tol: float) -> np.ndarray:
+    """analytic_in_moduli_batch for points already validated by as_points."""
     t = _tables(n)
-    cl = classify(n, pts, tol)
+    cl = _classify(n, pts, tol)
     inside = t.core[cl.region]
 
     on = np.flatnonzero(cl.circle >= 0)
@@ -550,7 +576,7 @@ def analytic_in_moduli_batch(n: int, pts: np.ndarray, tol: float = _REGION_TOL) 
 
 def analytic_in_moduli(n: int, p: np.ndarray, tol: float = _REGION_TOL) -> bool:
     """analytic_in_moduli_batch for one unit vector of shape (3,)."""
-    return bool(analytic_in_moduli_batch(n, as_point(p)[None], tol)[0])
+    return bool(_membership(n, as_point(p)[None], tol)[0])
 
 
 def boundary_band_mask(n: int, pts: np.ndarray, band: float) -> np.ndarray:
@@ -563,9 +589,8 @@ def boundary_band_mask(n: int, pts: np.ndarray, band: float) -> np.ndarray:
     pts = as_points(pts)
     if band <= 0.0:
         return np.zeros(pts.shape[0], dtype=bool)
-    chords, angles = _screen(n, pts)
-    near = ((chords <= 2.0 * math.sin(0.5 * band)).any(axis=1)
-            | (np.abs(angles) <= band).any(axis=1))
+    vertex, angles = _screen(n, pts, band)
+    near = (vertex >= 0) | (np.abs(angles) <= band).any(axis=1)
     geo = geometry(n)
     for which in CURVE_NAMES:
         spec = curve_spec(which, n)

@@ -8,6 +8,11 @@ iff the six-arc boundary V-A-W-C-E-B-V is a simple closed curve.
 
 The oracle has two forms: is_simple (behind oracle_in_moduli), the reference
 that reports every violation, and its vectorized form oracle_in_moduli_batch.
+The batch form compacts its live rows: it keeps the indices of the anchors
+that are constructible and not yet ruled out, evaluates each arc pair on
+those rows only, and drops the rows the pair rules out.  An anchor's answer
+is the AND over the 15 pairs and each row is computed on its own, so neither
+the compaction nor the order of the pairs changes an answer.
 """
 
 from __future__ import annotations
@@ -168,64 +173,114 @@ def _rowdot(a, b):
     return np.einsum("ij,ij->i", a, b)
 
 
+def _cross(a, b):
+    """Row-wise a x b of (N, 3) arrays; the products and differences of
+    np.cross without its copies of both operands."""
+    out = np.empty(a.shape)
+    for k in range(3):
+        k1, k2 = (k + 1) % 3, (k + 2) % 3
+        np.multiply(a[:, k1], b[:, k2], out=out[:, k])
+        out[:, k] -= a[:, k2] * b[:, k1]
+    return out
+
+
+def _take(a, idx):
+    """Rows idx of an (N, 3) array.  A constant point broadcast to (N, 3)
+    gives a view of the right length, since take would copy it slowly."""
+    return a[:idx.size] if a.strides[0] == 0 else a.take(idx, 0)
+
+
+def _norm(a):
+    """Row-wise |a| of an (N, 3) array, summed in the order of np.linalg.norm."""
+    s = a[:, 0] * a[:, 0]
+    s += a[:, 1] * a[:, 1]
+    s += a[:, 2] * a[:, 2]
+    return np.sqrt(s, out=s)
+
+
+# the 15 arc pairs (i, j), i < j, with the index in the boundary of the vertex
+# that adjacent arcs share (-1 for non-adjacent arcs).  Pairs that rule out
+# the most uniform anchors come first; the order does not change any answer.
+_PAIRS = tuple((i, j, j if j == i + 1 else (0 if (i, j) == (0, 5) else -1))
+               for i, j in ((0, 3), (2, 5), (3, 5), (0, 4), (1, 4), (1, 5), (0, 2), (0, 1),
+                            (0, 5), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (4, 5)))
+
+
 def oracle_in_moduli_batch(n: int, pts: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """oracle_in_moduli over an (N, 3) array of unit vectors.
 
-    Builds every anchor's six arcs at once and tests the 15 arc pairs across
-    the whole batch, with the same tolerances as is_simple.
+    Builds every anchor's six arcs at once and tests the 15 arc pairs with
+    the same tolerances as is_simple, each pair on the rows still live.
     """
     V = as_points(pts)
     geo = charts.geometry(n)
-    A, B, C = geo.A, geo.B, geo.C
     to_w, to_e = _rotations(n)
-    N = V.shape[0]
     chord = 2.0 * math.sin(0.5 * tol)
     slack_chord = 2.0 * math.sin(0.5 * max(tol, 1e-7))
-    P = [V, np.broadcast_to(A, (N, 3)), V @ to_w.T,
-         np.broadcast_to(C, (N, 3)), V @ to_e.T, np.broadcast_to(B, (N, 3))]
-    valid = (np.linalg.norm(V - A, axis=1) > chord) & (np.linalg.norm(V - B, axis=1) > chord)
-    U, NH, E2, L = [], [], [], []
+    rows = np.flatnonzero((_norm(V - geo.A) > chord) & (_norm(V - geo.B) > chord))
+    k = rows.size
+    # W and E are rotated on all N rows, then compacted: BLAS rounds a product
+    # with one row differently, so rotating the kept rows alone could flip
+    # answers at the edges
+    P = [V.take(rows, 0), np.broadcast_to(geo.A, (k, 3)), (V @ to_w.T).take(rows, 0),
+         np.broadcast_to(geo.C, (k, 3)), (V @ to_e.T).take(rows, 0),
+         np.broadcast_to(geo.B, (k, 3))]
+    ok = np.ones(k, dtype=bool)
+    NH, E2, L = [], [], []
     for a in range(6):
         u, v = P[a], P[(a + 1) % 6]
-        cr = np.cross(u, v)
-        cn = np.linalg.norm(cr, axis=1)
-        valid &= (cn > 1e-12) & (np.linalg.norm(u + v, axis=1) > 1e-9)
+        cr = _cross(u, v)
+        cn = _norm(cr)
+        ok &= (cn > 1e-12) & (_norm(u + v) > 1e-9)
         nh = cr / np.maximum(cn, _TINY)[:, None]
-        U.append(u)
         NH.append(nh)
-        E2.append(np.cross(nh, u))
+        E2.append(_cross(nh, u))
         L.append(np.arctan2(cn, _rowdot(u, v)))
-    simple = valid.copy()
-    for i in range(6):
-        for j in range(i + 1, 6):
-            adj = j if j == i + 1 else (0 if (i == 0 and j == 5) else -1)
-            m = np.cross(NH[i], NH[j])
-            nm = np.linalg.norm(m, axis=1)
-            cop = valid & (nm < tol)
-            tr = valid & ~cop & simple
-            if tr.any():
-                mh = m / np.maximum(nm, _TINY)[:, None]
-                for sgn in (1.0, -1.0):
-                    cand = sgn * mh
-                    ai = np.arctan2(_rowdot(cand, E2[i]), _rowdot(cand, U[i]))
-                    aj = np.arctan2(_rowdot(cand, E2[j]), _rowdot(cand, U[j]))
-                    hit = tr & (ai >= -tol) & (ai <= L[i] + tol) & (aj >= -tol) & (aj <= L[j] + tol)
-                    if adj >= 0:
-                        hit &= np.linalg.norm(cand - P[adj], axis=1) > slack_chord
-                    simple &= ~hit
-            if cop.any():
-                rows = np.flatnonzero(cop & simple)
-                for r in rows:
-                    a0 = math.atan2(float(U[j][r] @ E2[i][r]), float(U[j][r] @ U[i][r]))
-                    pj = P[(j + 1) % 6][r]
-                    a1 = math.atan2(float(pj @ E2[i][r]), float(pj @ U[i][r]))
-                    lo, hi = min(a0, a1), max(a0, a1)
-                    if hi - lo > math.pi:
-                        lo, hi = hi, lo + 2.0 * math.pi
-                    ova = min(float(L[i][r]), hi) - max(0.0, lo)
-                    ovb = min(float(L[i][r]), hi - 2.0 * math.pi) - max(0.0, lo - 2.0 * math.pi)
-                    if max(ova, ovb) > tol:
-                        simple[r] = False
+    live = np.flatnonzero(ok)
+    for i, j, adj in _PAIRS:
+        if not live.size:
+            break
+        m = _cross(_take(NH[i], live), _take(NH[j], live))
+        nm = _norm(m)
+        cop = nm < tol
+        out = np.zeros(live.size, dtype=bool)
+        tr = np.flatnonzero(~cop)
+        if tr.size:
+            # the candidates +-m/|m|, first on arc i, then on arc j, away
+            # from the vertex the arcs share
+            at = live.take(tr)
+            mh = _take(m, tr) / np.maximum(nm.take(tr), _TINY)[:, None]
+            xi, yi = _rowdot(mh, _take(P[i], at)), _rowdot(mh, _take(E2[i], at))
+            li = L[i].take(at)
+            for sgn in (1.0, -1.0):
+                ai = np.arctan2(sgn * yi, sgn * xi)
+                h = np.flatnonzero((ai >= -tol) & (ai <= li + tol))
+                if not h.size:
+                    continue
+                cand, ah = sgn * _take(mh, h), at.take(h)
+                aj = np.arctan2(_rowdot(cand, _take(E2[j], ah)), _rowdot(cand, _take(P[j], ah)))
+                hit = (aj >= -tol) & (aj <= L[j].take(ah) + tol)
+                if adj >= 0:
+                    hit &= _norm(cand - _take(P[adj], ah)) > slack_chord
+                out[tr.take(h)] |= hit
+        cp = np.flatnonzero(cop)
+        if cp.size:
+            # one circle: arc j's span in arc i's frame may overlap arc i by
+            # at most tol
+            at = live.take(cp)
+            ui, e2i, li = _take(P[i], at), _take(E2[i], at), L[i].take(at)
+            uj, vj = _take(P[j], at), _take(P[(j + 1) % 6], at)
+            a0 = np.arctan2(_rowdot(uj, e2i), _rowdot(uj, ui))
+            a1 = np.arctan2(_rowdot(vj, e2i), _rowdot(vj, ui))
+            lo, hi = np.minimum(a0, a1), np.maximum(a0, a1)
+            wrap = hi - lo > math.pi
+            lo, hi = np.where(wrap, hi, lo), np.where(wrap, lo + 2.0 * math.pi, hi)
+            ova = np.minimum(li, hi) - np.maximum(0.0, lo)
+            ovb = np.minimum(li, hi - 2.0 * math.pi) - np.maximum(0.0, lo - 2.0 * math.pi)
+            out[cp] = np.maximum(ova, ovb) > tol
+        live = live[~out]
+    simple = np.zeros(V.shape[0], dtype=bool)
+    simple[rows.take(live)] = True
     return simple
 
 

@@ -59,8 +59,9 @@ def as_points(pts) -> np.ndarray:
 def sample_sphere(samples: int, seed: int) -> np.ndarray:
     """Uniform points on the sphere, deterministic given (seed, samples).
 
-    Uses the counter-based Philox generator, so chunked generation with
-    explicit counter advances would reproduce the same stream.
+    Draws all `samples` z values, then all azimuths, from one Philox(seed)
+    stream in one piece; z uniform in [-1, 1] spreads the points uniformly
+    by area.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

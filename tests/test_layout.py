@@ -1,6 +1,10 @@
-"""Layering rule: no module of the package reaches into another's privates."""
+"""Layering rules: no module of the package reaches into another's privates,
+and importing the package does not load scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pentamod"
@@ -55,3 +59,14 @@ def test_layout_check_catches_each_kind(tmp_path):
     found = _violations(src)
     assert len(found) == 3
     assert "line 1" in found[0] and "line 2" in found[1] and "line 4" in found[2]
+
+
+def test_import_does_not_load_scipy():
+    # scipy is about half of the import time; only the area quadratures use
+    # it, and they import it when first called
+    code = ("import sys, pentamod, pentamod.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

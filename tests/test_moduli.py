@@ -369,6 +369,55 @@ def test_boundary_band_mask():
         assert mask[0] and mask[1] and not mask[2]
 
 
+def _full_chord_screen(n, pts, radius):
+    """Reference for moduli._screen: every chord |p - v| computed."""
+    div = moduli.division(n)
+    chord = 2.0 * math.sin(0.5 * radius)
+    near = np.column_stack([np.linalg.norm(pts - v, axis=1) <= chord for v in div.vertex_points])
+    vertex = np.where(near.any(axis=1), near.argmax(axis=1), -1)
+    return vertex, np.arcsin(np.clip(pts @ div.normals.T, -1.0, 1.0))
+
+
+def _around_vertices(n, radius, rng):
+    """Points just inside, at and just outside `radius` from every division
+    vertex, along each dividing circle through it and in random directions,
+    scaled off the unit sphere by nearly the slack that as_points allows."""
+    div = moduli.division(n)
+    pts = []
+    for v in div.vertex_points:
+        dirs = [np.cross(v, nrm) for nrm in div.normals if abs(nrm @ v) < 1e-12]
+        dirs += [np.cross(v, rng.normal(size=3)) for _ in range(3)]
+        for d in dirs:
+            d = d / np.linalg.norm(d)
+            for a in radius * (1.0 + np.array([-1e-6, -1e-9, 0.0, 1e-9, 1e-6])):
+                pts.append(math.cos(a) * v + math.sin(a) * d)
+    return np.array(pts) * rng.choice([1.0 - 4.9e-10, 1.0, 1.0 + 4.9e-10], size=(len(pts), 1))
+
+
+def test_vertex_screen_matches_full_chords(monkeypatch):
+    # the screen computes chords only where p.v clears the radius; its margin
+    # must hold at every radius a caller passes, for points off the unit
+    # sphere by up to the allowed slack
+    rng = np.random.default_rng(17)
+    bands, tols = (1e-9, 1e-6, 1e-3, 0.05), (1e-9, 1e-3)
+    for n in SOLIDS:
+        around = {r: _around_vertices(n, r, rng) for r in bands + (1e-7,)}
+        pts = np.vstack(list(around.values()) + [sphere.sample_sphere(500, n)])
+        naming = {tol: around[max(tol, 1e-7)] for tol in tols}
+        for r in bands + (1e-7, 0.0):
+            assert np.array_equal(moduli._screen(n, pts, r)[0],
+                                  _full_chord_screen(n, pts, r)[0]), (n, r)
+        masks = [moduli.boundary_band_mask(n, pts, band) for band in bands]
+        regions = [[moduli.region_of(n, p, tol) for p in naming[tol]] for tol in tols]
+        assert any(isinstance(b, moduli.Boundary) and b.vertex for b in regions[0])
+        with monkeypatch.context() as m:
+            m.setattr(moduli, "_screen", _full_chord_screen)
+            for band, mask in zip(bands, masks):
+                assert np.array_equal(moduli.boundary_band_mask(n, pts, band), mask), (n, band)
+            for tol, got in zip(tols, regions):
+                assert [moduli.region_of(n, p, tol) for p in naming[tol]] == got, (n, tol)
+
+
 def test_near_curve_agreement_outside_band():
     # points a few 1e-6 on either side of each boundary curve still agree
     # between the analytic predicate and the oracle
