@@ -11,11 +11,11 @@ three curves gamma_A, gamma_B, gamma_C.  Every curve is carried in four
 equivalent representations (polar, cartesian, complex, spherical quadratic)
 in its home chart, plus closed polar forms in the M-chart.
 
-Nearness to the division vertices and distances to the dividing circles come
-from one screen (_screen), the curve radius from _eqd_radius and the
-spherical quadratic from _quadric_coeffs.  Public entry points validate
-their points once (sphere.as_point/as_points) and hand them to private
-kernels that do not check again.  The simplicity oracle that membership is
+Nearness to the division vertices comes from one screen (_vertex_screen),
+distances to the dividing circles from _circle_angles, the curve radius from
+_eqd_radius and the spherical quadratic from _quadric_coeffs.  Public entry
+points validate their points once (sphere.as_point/as_points) and hand them
+to private kernels that do not check again.  The simplicity oracle that membership is
 checked against lives in pentagon.
 """
 
@@ -123,11 +123,10 @@ def _polar(pts: np.ndarray, frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return th, r
 
 
-def _screen(n: int, pts: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+def _vertex_screen(n: int, pts: np.ndarray, radius: float) -> np.ndarray:
     """For (N, 3) points as_points accepts: the index into
     Division.vertices of the first division vertex within `radius` radians
-    of each point, -1 if none, (N,), and each point's signed angular
-    distance to each dividing circle, (N, n+2).
+    of each point, -1 if none, (N,).
 
     A vertex is within the radius when the chord |p - v| is at most
     2 sin(radius/2).  The chord is computed only where p.v clears
@@ -143,7 +142,12 @@ def _screen(n: int, pts: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndar
         keep = np.linalg.norm(pts[rows] - div.vertex_points[k], axis=1) <= chord
         rows, first = np.unique(rows[keep], return_index=True)
         vertex[rows] = k[keep][first]
-    return vertex, np.arcsin(np.clip(pts @ div.normals.T, -1.0, 1.0))
+    return vertex
+
+
+def _circle_angles(n: int, pts: np.ndarray) -> np.ndarray:
+    """Each point's signed angular distance to each dividing circle, (N, n+2)."""
+    return np.arcsin(np.clip(pts @ division(n).normals.T, -1.0, 1.0))
 
 
 class Classified(NamedTuple):
@@ -172,9 +176,14 @@ def classify(n: int, pts: np.ndarray, tol: float = _REGION_TOL) -> Classified:
 
 def _classify(n: int, pts: np.ndarray, tol: float) -> Classified:
     """classify for points already validated by as_points."""
+    return _place(n, pts, _vertex_screen(n, pts, tol) >= 0, _circle_angles(n, pts), tol)
+
+
+def _place(n: int, pts: np.ndarray, near_vertex: np.ndarray, angles: np.ndarray,
+           tol: float) -> Classified:
+    """_classify, given which points are within tol of a division vertex
+    and the points' circle angles."""
     geo = geometry(n)
-    vertex, angles = _screen(n, pts, tol)
-    near_vertex = vertex >= 0
     on = np.abs(angles) <= math.sin(tol) + 1e-15
     count = on.sum(axis=1)
     thA, rA = _polar(pts, geo.frame_a)
@@ -207,11 +216,14 @@ def region_of(n: int, p: np.ndarray, tol: float = _REGION_TOL):
     solid_constants(n)
     div = division(n)
     p = as_point(p)
-    vertex, angles = _screen(n, p[None], max(tol, 1e-7))
+    angles = _circle_angles(n, p[None])
     on = np.flatnonzero(np.abs(angles[0]) <= math.sin(tol) + 1e-15)
     if len(on) == 0:
-        return int(_classify(n, p[None], 0.0).region[0])
-    vertex_name = list(div.vertices)[vertex[0]] if vertex[0] >= 0 else None
+        # every division vertex lies on two circles (within 1e-15), so for
+        # tol >= 0 a point on no circle is no vertex either
+        return int(_place(n, p[None], np.zeros(1, dtype=bool), angles, 0.0).region[0])
+    vertex = _vertex_screen(n, p[None], max(tol, 1e-7))[0]
+    vertex_name = list(div.vertices)[vertex] if vertex >= 0 else None
     kind = "vertex" if (len(on) >= 2 or vertex_name) else "arc"
     # probe a small circle around p for the adjacent regions
     radius = max(200.0 * tol, 1e-6)
@@ -222,7 +234,7 @@ def region_of(n: int, p: np.ndarray, tol: float = _REGION_TOL):
     ang = 2.0 * math.pi * (np.arange(16) + 0.31) / 16.0
     q = p + radius * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2)
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    clear = np.min(np.abs(_screen(n, q, 0.0)[1]), axis=1) > 0.2 * radius
+    clear = np.min(np.abs(_circle_angles(n, q)), axis=1) > 0.2 * radius
     neighbours = _classify(n, q[clear], 0.0).region
     return Boundary(kind=kind, regions=tuple(sorted({int(m) for m in neighbours})),
                     vertex=vertex_name)
@@ -582,15 +594,16 @@ def analytic_in_moduli(n: int, p: np.ndarray, tol: float = _REGION_TOL) -> bool:
 def boundary_band_mask(n: int, pts: np.ndarray, band: float) -> np.ndarray:
     """True for points within `band` radians of any moduli-boundary locus.
 
-    Covers the division circles, the division vertices and the supporting
-    quadrics of the three curves; curve distance is the first-order estimate
-    |Q| / |grad Q| (exact to O(band^2)).
+    Covers the division circles, and with them the division vertices (each
+    lies on two circles, so a point within `band` of a vertex is within
+    `band` of one of them), and the supporting quadrics of the three curves;
+    curve distance is the first-order estimate |Q| / |grad Q| (exact to
+    O(band^2)).
     """
     pts = as_points(pts)
     if band <= 0.0:
         return np.zeros(pts.shape[0], dtype=bool)
-    vertex, angles = _screen(n, pts, band)
-    near = (vertex >= 0) | (np.abs(angles) <= band).any(axis=1)
+    near = (np.abs(_circle_angles(n, pts)) <= band).any(axis=1)
     geo = geometry(n)
     for which in CURVE_NAMES:
         spec = curve_spec(which, n)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import charts
 from .errors import AntipodalConstruction, AntipodalEndpoints, DegenerateAnchor, DegenerateArc
-from .sphere import DEFAULT_TOL, GreatArc, arc_intersect, as_point, as_points, minor_arc
+from .sphere import DEFAULT_TOL, GreatArc, arc_intersect, as_point, as_points, minor_arc, norm3
 
 EDGE_NAMES = ("a1", "a2", "c1", "c2", "b2", "b1")
 
@@ -97,7 +97,7 @@ def anchor_pentagon(n: int, V: np.ndarray, tol: float = DEFAULT_TOL) -> Pentagon
     V = as_point(V)
     A, B, C = geo.A, geo.B, geo.C
     chord = 2.0 * math.sin(0.5 * tol)
-    if np.linalg.norm(V - A) <= chord or np.linalg.norm(V - B) <= chord:
+    if norm3(V - A) <= chord or norm3(V - B) <= chord:
         raise DegenerateAnchor("anchor coincides with A or B")
     to_w, to_e = _rotations(n)
     W = to_w @ V
@@ -118,7 +118,7 @@ def anchor_pentagon(n: int, V: np.ndarray, tol: float = DEFAULT_TOL) -> Pentagon
 
 
 def _near(p: np.ndarray, q: np.ndarray, tol: float) -> bool:
-    return np.linalg.norm(p - q) <= 2.0 * math.sin(0.5 * tol) + 1e-15
+    return norm3(p - q) <= 2.0 * math.sin(0.5 * tol) + 1e-15
 
 
 def is_simple(p: Pentagon, tol: float = DEFAULT_TOL) -> SimplicityReport:

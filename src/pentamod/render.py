@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import charts, moduli, pentagon
+from . import charts, moduli, pentagon, sphere
 from .charts import ChartPoint, geometry
 from .errors import NoRootInDisk
 
@@ -102,7 +102,7 @@ def _path(segs, style_key: str, ident: str | None = None) -> str:
 
 
 def _arc_points(u: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
-    ang = math.atan2(np.linalg.norm(np.cross(u, v)), float(u @ v))
+    ang = sphere.angular_distance(u, v)
     ts = np.linspace(0.0, 1.0, k)
     s = math.sin(ang)
     return np.array([(math.sin((1 - t) * ang) * u + math.sin(t * ang) * v) / s for t in ts])

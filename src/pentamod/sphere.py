@@ -4,12 +4,24 @@ input validation (as_point/as_points) and the uniform sampler sample_sphere.
 Points on the sphere are plain numpy arrays of shape (3,), kept unit length.
 All angles are radians.  Distances are computed with atan2 of cross-norm and
 dot, never acos, so they stay accurate near 0 and pi.
+
+The scalar geometry takes its cross products and lengths from cross3 and
+norm3 rather than np.cross and np.linalg.norm, whose argument and axis
+handling cost over ten times the arithmetic on one 3-vector.  Both round
+exactly like numpy.  cross3 forms the same six products and three
+differences as np.cross, in the same order, on Python floats: each is one
+IEEE double operation, so every component has the same bits.  norm3 is
+sqrt(a.dot(a)), which is what np.linalg.norm runs on a 1-D float array
+(ravel, x.dot(x), sqrt); the sum stays on numpy's dot, since BLAS may fuse
+it in an order plain float arithmetic would not reproduce.  Each arc keeps
+its tangent normal x u, computed once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,10 +41,21 @@ DEGENERATE_EPS = 1e-12
 UNIT_NORM_EPS = 1e-9
 
 
+def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b of two float arrays of shape (3,), bit-identical to np.cross."""
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def norm3(a: np.ndarray) -> float:
+    """|a| of a float array of shape (3,), bit-identical to np.linalg.norm."""
+    return math.sqrt(a.dot(a))
+
+
 def unit(v) -> np.ndarray:
     """Normalize a 3-vector to unit length."""
     v = np.asarray(v, dtype=float)
-    return v / np.linalg.norm(v)
+    return v / norm3(v)
 
 
 def as_point(p) -> np.ndarray:
@@ -74,7 +97,7 @@ def sample_sphere(samples: int, seed: int) -> np.ndarray:
 
 def angular_distance(u: np.ndarray, v: np.ndarray) -> float:
     """Spherical distance between two unit vectors, in [0, pi]."""
-    return math.atan2(np.linalg.norm(np.cross(u, v)), float(u @ v))
+    return math.atan2(norm3(cross3(u, v)), float(u @ v))
 
 
 @dataclass(frozen=True)
@@ -117,17 +140,25 @@ class GreatArc:
         w = (math.sin((1.0 - t) * self.length) * self.u + math.sin(t * self.length) * self.v) / s
         return unit(w)
 
+    @cached_property
+    def tangent(self) -> np.ndarray:
+        """normal x u: the unit tangent of the circle at u, pointing along
+        the arc."""
+        return cross3(self.normal, self.u)
+
 
 def minor_arc(u: np.ndarray, v: np.ndarray) -> GreatArc:
     """Minor arc between two non-antipodal, non-coincident unit vectors."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if np.linalg.norm(u + v) <= ANTIPODAL_EPS:
+    if norm3(u + v) <= ANTIPODAL_EPS:
         raise AntipodalEndpoints("arc endpoints are antipodal")
-    length = angular_distance(u, v)
+    c = cross3(u, v)
+    nc = norm3(c)
+    length = math.atan2(nc, float(u @ v))   # angular_distance(u, v), sharing c with the normal
     if length < DEGENERATE_EPS:
         raise DegenerateArc("arc endpoints coincide")
-    return GreatArc(u=u, v=v, normal=unit(np.cross(u, v)), length=length)
+    return GreatArc(u=u, v=v, normal=c / nc, length=length)
 
 
 def point_on_arc(p: np.ndarray, s: GreatArc, tol: float = DEFAULT_TOL) -> bool:
@@ -139,14 +170,13 @@ def point_on_arc(p: np.ndarray, s: GreatArc, tol: float = DEFAULT_TOL) -> bool:
     d = float(p @ s.normal)
     if abs(d) > math.sin(min(abs(tol), 1.0)) + 1e-15:
         return False
-    e2 = np.cross(s.normal, s.u)
-    ang = math.atan2(float(p @ e2), float(p @ s.u))
+    ang = math.atan2(float(p @ s.tangent), float(p @ s.u))
     return -tol <= ang <= s.length + tol
 
 
 def _circle_interval(ref: GreatArc, other: GreatArc) -> tuple[float, float]:
     """Angular interval of `other` measured along `ref`'s circle frame."""
-    e2 = np.cross(ref.normal, ref.u)
+    e2 = ref.tangent
     a0 = math.atan2(float(other.u @ e2), float(other.u @ ref.u))
     a1 = math.atan2(float(other.v @ e2), float(other.v @ ref.u))
     lo, hi = min(a0, a1), max(a0, a1)
@@ -177,8 +207,8 @@ def arc_intersect(s: GreatArc, t: GreatArc, tol: float = DEFAULT_TOL) -> ArcInte
     filtered by on-arc tests on both inputs.  Coplanar case: reported via the
     overlap flag together with the shared sub-arc endpoints.
     """
-    m = np.cross(s.normal, t.normal)
-    nm = np.linalg.norm(m)
+    m = cross3(s.normal, t.normal)
+    nm = norm3(m)
     if nm < tol:
         lo, hi = _circle_interval(s, t)
         a, b = max(0.0, lo), min(s.length, hi)
@@ -186,13 +216,13 @@ def arc_intersect(s: GreatArc, t: GreatArc, tol: float = DEFAULT_TOL) -> ArcInte
         a2, b2 = max(0.0, lo - 2.0 * math.pi), min(s.length, hi - 2.0 * math.pi)
         if b2 - a2 > b - a:
             a, b = a2, b2
+        e2 = s.tangent
         if b - a > tol:
-            e2 = np.cross(s.normal, s.u)
             p0 = unit(math.cos(a) * s.u + math.sin(a) * e2)
             p1 = unit(math.cos(b) * s.u + math.sin(b) * e2)
             return ArcIntersection(points=(), overlap=True, shared=(p0, p1))
         if b - a > -tol:
-            p0 = unit(math.cos(0.5 * (a + b)) * s.u + math.sin(0.5 * (a + b)) * np.cross(s.normal, s.u))
+            p0 = unit(math.cos(0.5 * (a + b)) * s.u + math.sin(0.5 * (a + b)) * e2)
             return ArcIntersection(points=(p0,), overlap=True, shared=())
         return ArcIntersection(points=(), overlap=True, shared=())
     m = m / nm

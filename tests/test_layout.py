@@ -1,5 +1,6 @@
 """Layering rules: no module of the package reaches into another's privates,
-and importing the package does not load scipy."""
+the scalar geometry stays off numpy's 3-vector cross and norm, and importing
+the package does not load scipy."""
 
 import ast
 import os
@@ -59,6 +60,61 @@ def test_layout_check_catches_each_kind(tmp_path):
     found = _violations(src)
     assert len(found) == 3
     assert "line 1" in found[0] and "line 2" in found[1] and "line 4" in found[2]
+
+
+# the scalar geometry of these modules goes through sphere.cross3 and
+# sphere.norm3, which give numpy's bits at a fraction of its per-call cost
+SCALAR_MODULES = ("sphere.py", "pentagon.py")
+_NUMPY_VECTOR_OPS = ("numpy.cross", "numpy.linalg.norm")
+
+
+def _dotted(node):
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        return ".".join([node.id] + parts[::-1])
+    return None
+
+
+def _numpy_vector_ops(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    numpy_names = {"numpy"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            numpy_names |= {a.asname for a in node.names if a.name == "numpy" and a.asname}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (name := _dotted(node)):
+            head, _, rest = name.partition(".")
+            if head in numpy_names and f"numpy.{rest}" in _NUMPY_VECTOR_OPS:
+                found.append(f"line {node.lineno}: uses {name}")
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if f"{node.module}.{alias.name}" in _NUMPY_VECTOR_OPS:
+                    found.append(f"line {node.lineno}: imports {node.module}.{alias.name}")
+    return found
+
+
+def test_scalar_geometry_avoids_numpy_cross_and_norm():
+    bad = {name: v for name in SCALAR_MODULES if (v := _numpy_vector_ops(PACKAGE / name))}
+    assert not bad, bad
+
+
+def test_numpy_vector_op_check_catches_each_kind(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text('"""np.cross in a docstring is fine."""\n'
+                   "import numpy as np\n"
+                   "import numpy\n"
+                   "from numpy.linalg import norm\n"
+                   "a = np.cross(x, y)\n"
+                   "b = numpy.linalg.norm(a)\n"
+                   "c = np.linalg.det(a) + np.dot(a, a)\n"
+                   "f = np.cross\n", encoding="utf-8")
+    found = _numpy_vector_ops(src)
+    assert sorted(found) == ["line 4: imports numpy.linalg.norm", "line 5: uses np.cross",
+                             "line 6: uses numpy.linalg.norm", "line 8: uses np.cross"]
 
 
 def test_import_does_not_load_scipy():

@@ -369,13 +369,33 @@ def test_boundary_band_mask():
         assert mask[0] and mask[1] and not mask[2]
 
 
+def test_every_division_vertex_lies_on_two_circles():
+    # so a point within `band` of a vertex is within `band` of a circle
+    # through it, and boundary_band_mask needs no vertex term
+    for n in SOLIDS:
+        div = moduli.division(n)
+        dots = np.sort(np.abs(div.vertex_points @ div.normals.T), axis=1)
+        assert (dots[:, 1] < 1e-15).all(), (n, dots[:, 1])
+
+
+def test_band_mask_covers_every_vertex_disc():
+    # points exactly `band` from each vertex, in random directions
+    rng = np.random.default_rng(23)
+    for n in SOLIDS:
+        for v in moduli.division(n).vertex_points:
+            dirs = np.cross(v, rng.normal(size=(16, 3)))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            for band in (1e-9, 1e-6, 1e-3, 0.05):
+                pts = math.cos(band) * v + math.sin(band) * dirs
+                assert moduli.boundary_band_mask(n, pts, band).all(), (n, v, band)
+
+
 def _full_chord_screen(n, pts, radius):
-    """Reference for moduli._screen: every chord |p - v| computed."""
+    """Reference for moduli._vertex_screen: every chord |p - v| computed."""
     div = moduli.division(n)
     chord = 2.0 * math.sin(0.5 * radius)
     near = np.column_stack([np.linalg.norm(pts - v, axis=1) <= chord for v in div.vertex_points])
-    vertex = np.where(near.any(axis=1), near.argmax(axis=1), -1)
-    return vertex, np.arcsin(np.clip(pts @ div.normals.T, -1.0, 1.0))
+    return np.where(near.any(axis=1), near.argmax(axis=1), -1)
 
 
 def _around_vertices(n, radius, rng):
@@ -405,15 +425,12 @@ def test_vertex_screen_matches_full_chords(monkeypatch):
         pts = np.vstack(list(around.values()) + [sphere.sample_sphere(500, n)])
         naming = {tol: around[max(tol, 1e-7)] for tol in tols}
         for r in bands + (1e-7, 0.0):
-            assert np.array_equal(moduli._screen(n, pts, r)[0],
-                                  _full_chord_screen(n, pts, r)[0]), (n, r)
-        masks = [moduli.boundary_band_mask(n, pts, band) for band in bands]
+            assert np.array_equal(moduli._vertex_screen(n, pts, r),
+                                  _full_chord_screen(n, pts, r)), (n, r)
         regions = [[moduli.region_of(n, p, tol) for p in naming[tol]] for tol in tols]
         assert any(isinstance(b, moduli.Boundary) and b.vertex for b in regions[0])
         with monkeypatch.context() as m:
-            m.setattr(moduli, "_screen", _full_chord_screen)
-            for band, mask in zip(bands, masks):
-                assert np.array_equal(moduli.boundary_band_mask(n, pts, band), mask), (n, band)
+            m.setattr(moduli, "_vertex_screen", _full_chord_screen)
             for tol, got in zip(tols, regions):
                 assert [moduli.region_of(n, p, tol) for p in naming[tol]] == got, (n, tol)
 

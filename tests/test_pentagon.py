@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from pentamod import charts, moduli, pentagon, sphere
 from pentamod.charts import ChartPoint
-from pentamod.errors import DegenerateAnchor
+from pentamod.errors import AntipodalConstruction, DegenerateAnchor
 
 SOLIDS = (3, 4, 5)
 
@@ -206,3 +207,58 @@ def test_antipodal_construction_rejected():
     with pytest.raises(AntipodalConstruction):
         pentagon.anchor_pentagon(4, V)
     assert not pentagon.oracle_in_moduli(4, V)
+
+
+# sha256 prefixes of anchor_pentagon's arcs and is_simple's reports over
+# _digest_anchors(n); any change of rounding in the arc geometry moves them
+PENTAGON_DIGESTS = {3: "27de1fdcebc31c92", 4: "c79b36afb4603d4f", 5: "65b25d5d626416cd"}
+
+
+def _perpendicular(v, rng):
+    t = rng.standard_normal(3)
+    t -= (t @ v) * v
+    return t / np.linalg.norm(t)
+
+
+def _digest_anchors(n):
+    """Uniform anchors, anchors on and 1e-12 ... 1e-6 rad off every dividing
+    circle, and anchors 1e-12 ... 1e-6 rad from every division vertex."""
+    rng = np.random.default_rng([n, 6])
+    div = moduli.division(n)
+    pts = list(sphere.sample_sphere(150, 60 + n))
+    offsets = (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6)
+    for nrm in div.normals:
+        e1 = _perpendicular(nrm, rng)
+        e2 = np.cross(nrm, e1)
+        for phi in rng.uniform(0.0, 2.0 * math.pi, 6):
+            q = math.cos(phi) * e1 + math.sin(phi) * e2
+            pts += [math.cos(d) * q + math.sin(d) * nrm for d in offsets]
+    for v in div.vertex_points:
+        for _ in range(3):
+            d = _perpendicular(v, rng)
+            pts += [math.cos(a) * v + math.sin(a) * d for a in (1e-12, 1e-9, 1e-6)]
+    return pts
+
+
+def _pentagon_digest(n):
+    h = hashlib.sha256()
+    for V in _digest_anchors(n):
+        try:
+            pent = pentagon.anchor_pentagon(n, V)
+        except (DegenerateAnchor, AntipodalConstruction) as exc:
+            h.update(type(exc).__name__.encode())
+            continue
+        for arc in pent.arcs:
+            h.update(np.hstack([arc.u, arc.v, arc.normal, arc.length]).tobytes())
+        report = pentagon.is_simple(pent)
+        h.update(bytes([report.simple]))
+        for v in report.violations:
+            h.update(f"{v.pair}{v.kind}".encode() + v.witness.tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("n", SOLIDS)
+def test_pentagon_and_report_bits_are_pinned(n):
+    # the arcs and reports are bit-identical to the numpy cross/norm
+    # formulation they were pinned with
+    assert _pentagon_digest(n) == PENTAGON_DIGESTS[n]

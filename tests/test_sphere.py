@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pentamod import sphere
 from pentamod.errors import AntipodalEndpoints, DegenerateArc
@@ -122,3 +124,40 @@ def test_arc_intersect_symmetric_and_on_both():
             assert sphere.point_on_arc(p, a) and sphere.point_on_arc(p, b)
             assert min(np.linalg.norm(p - q) for q in r2.points) < 1e-10
     assert found > 20   # the sample must actually exercise intersections
+
+
+# unit-scale, tiny (products underflow to subnormals or zero), subnormal and
+# huge (products overflow to inf, differences to nan) components, of either
+# sign, mixed freely within one vector
+_COMPONENT = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.floats(-1e-160, 1e-160),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.floats(-1e300, 1e300),
+)
+_VECTOR = st.lists(_COMPONENT, min_size=3, max_size=3).map(np.array)
+
+
+@given(_VECTOR, _VECTOR)
+def test_cross3_is_np_cross_bit_for_bit(a, b):
+    with np.errstate(all="ignore"):
+        want = np.cross(a, b)
+    assert sphere.cross3(a, b).tobytes() == want.tobytes()
+
+
+@given(_VECTOR)
+def test_norm3_is_np_linalg_norm_bit_for_bit(a):
+    with np.errstate(all="ignore"):
+        want, got = np.linalg.norm(a), sphere.norm3(a)
+    assert np.float64(got).tobytes() == want.tobytes()
+
+
+def test_cross3_and_norm3_match_numpy_on_generic_vectors():
+    # hypothesis favours short, exactly representable values whose sums
+    # round alike in any order; generic doubles tell the summation orders
+    # apart (about one vector in five for a plain left-to-right sum)
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(4000, 3)) * 10.0 ** rng.integers(-150, 150, size=(4000, 1))
+    b = rng.normal(size=(4000, 3))
+    assert all(sphere.cross3(x, y).tobytes() == np.cross(x, y).tobytes() for x, y in zip(a, b))
+    assert all(np.float64(sphere.norm3(x)).tobytes() == np.linalg.norm(x).tobytes() for x in a)
