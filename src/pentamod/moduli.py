@@ -13,7 +13,7 @@ in its home chart, plus closed polar forms in the M-chart.
 
 Nearness to the division vertices comes from one screen (_vertex_screen),
 distances to the dividing circles from _circle_angles, the curve radius from
-_eqd_radius and the spherical quadratic from _quadric_coeffs.  Public entry
+_eqd_radius and the spherical quadratic from _quadric.  Public entry
 points validate their points once (sphere.as_point/as_points) and hand them
 to private kernels that do not check again.  The simplicity oracle that membership is
 checked against lives in pentagon.
@@ -151,7 +151,7 @@ def _circle_angles(n: int, pts: np.ndarray) -> np.ndarray:
 
 
 class Classified(NamedTuple):
-    """Where classify puts each point of a batch."""
+    """Where _classify puts each point of a batch."""
 
     circle: np.ndarray    # index into Division.circle_names, -1 if on none
     region: np.ndarray    # 1..6n off every circle, 0 otherwise
@@ -161,7 +161,7 @@ class Classified(NamedTuple):
     r_b: np.ndarray
 
 
-def classify(n: int, pts: np.ndarray, tol: float = _REGION_TOL) -> Classified:
+def _classify(n: int, pts: np.ndarray, tol: float) -> Classified:
     """Place each point of an (N, 3) array of unit vectors in the division.
 
     A point within tol (radians) of a division vertex, or of two or more
@@ -169,13 +169,8 @@ def classify(n: int, pts: np.ndarray, tol: float = _REGION_TOL) -> Classified:
     tol of exactly one circle gets that circle.  Every other point gets its
     region, read off its A- and B-chart sectors.  With tol = 0 the
     screens catch only exact hits, for points already known to lie off
-    every circle.
+    every circle.  The points must already be validated by as_points.
     """
-    return _classify(n, as_points(pts), tol)
-
-
-def _classify(n: int, pts: np.ndarray, tol: float) -> Classified:
-    """classify for points already validated by as_points."""
     return _place(n, pts, _vertex_screen(n, pts, tol) >= 0, _circle_angles(n, pts), tol)
 
 
@@ -323,16 +318,17 @@ def _sample(theta: float, r: float, chart: str, n: int, line_locus: bool = False
     return CurveSample(theta=theta, r=r, z=z, xi=charts.to_sphere(z), line_locus=line_locus)
 
 
-def _quadric_coeffs(spec: CurveSpec) -> tuple[float, float, float]:
-    """(L, c1, c2) of the curve's spherical quadratic
-    L (x1^2 + x2^2) + (c1 x1 + c2 x2) x3 in its chart frame."""
+def _quadric(spec: CurveSpec, x1, x2, x3):
+    """The curve's spherical quadratic Q = L (x1^2 + x2^2) + (c1 x1 + c2 x2) x3
+    and grad Q at chart-frame (x1, x2, x3); floats or arrays alike."""
     if spec.which == "gamma_A":
-        return 2.0 * spec.lam, 1.0, SQ3
-    if spec.which == "gamma_B":
-        return spec.lam, -math.cos(math.pi / spec.n), math.sin(math.pi / spec.n)
-    if spec.which == "gamma_C_A":
-        return spec.lam, 1.0, 0.0
-    return spec.lam, -1.0, 0.0
+        L, c1, c2 = 2.0 * spec.lam, 1.0, SQ3
+    elif spec.which == "gamma_B":
+        L, c1, c2 = spec.lam, -math.cos(math.pi / spec.n), math.sin(math.pi / spec.n)
+    else:   # gamma_C_A, gamma_C_B
+        L, c1, c2 = spec.lam, (1.0 if spec.which == "gamma_C_A" else -1.0), 0.0
+    return (L * (x1 * x1 + x2 * x2) + (c1 * x1 + c2 * x2) * x3,
+            (2.0 * L * x1 + c1 * x3, 2.0 * L * x2 + c2 * x3, c1 * x1 + c2 * x2))
 
 
 def gamma_residual(spec: CurveSpec, p: np.ndarray) -> float:
@@ -341,9 +337,7 @@ def gamma_residual(spec: CurveSpec, p: np.ndarray) -> float:
     Zero exactly on the curve's supporting quadric.
     """
     xi = geometry(spec.n).frame(spec.chart) @ np.asarray(p, dtype=float)
-    x1, x2, x3 = float(xi[0]), float(xi[1]), float(xi[2])
-    L, c1, c2 = _quadric_coeffs(spec)
-    return L * (x1 * x1 + x2 * x2) + (c1 * x1 + c2 * x2) * x3
+    return _quadric(spec, *xi.tolist())[0]
 
 
 def gamma_cartesian_residual(spec: CurveSpec, z: complex) -> float:
@@ -607,13 +601,9 @@ def boundary_band_mask(n: int, pts: np.ndarray, band: float) -> np.ndarray:
     geo = geometry(n)
     for which in CURVE_NAMES:
         spec = curve_spec(which, n)
-        L, c1, c2 = _quadric_coeffs(spec)
         xi = pts @ geo.frame(spec.chart).T
-        x1, x2, x3 = xi[:, 0], xi[:, 1], xi[:, 2]
-        q = L * (x1 * x1 + x2 * x2) + (c1 * x1 + c2 * x2) * x3
-        g = np.column_stack([2.0 * L * x1 + c1 * x3,
-                             2.0 * L * x2 + c2 * x3,
-                             c1 * x1 + c2 * x2])
+        q, grad = _quadric(spec, xi[:, 0], xi[:, 1], xi[:, 2])
+        g = np.column_stack(grad)
         g -= (np.einsum("ij,ij->i", g, xi))[:, None] * xi
         gn = np.linalg.norm(g, axis=1)
         near |= np.abs(q) <= band * np.maximum(gn, 1e-12)

@@ -11,8 +11,9 @@ that reports every violation, and its vectorized form oracle_in_moduli_batch.
 The batch form compacts its live rows: it keeps the indices of the anchors
 that are constructible and not yet ruled out, evaluates each arc pair on
 those rows only, and drops the rows the pair rules out.  An anchor's answer
-is the AND over the 15 pairs and each row is computed on its own, so neither
-the compaction nor the order of the pairs changes an answer.
+is the AND over the pairs and each row is computed on its own, so neither
+the compaction nor the order of the pairs changes an answer.  It skips the
+three adjacent pairs that cannot fail (see _PAIRS).
 """
 
 from __future__ import annotations
@@ -198,18 +199,23 @@ def _norm(a):
     return np.sqrt(s, out=s)
 
 
-# the 15 arc pairs (i, j), i < j, with the index in the boundary of the vertex
+# the arc pairs (i, j), i < j, with the index in the boundary of the vertex
 # that adjacent arcs share (-1 for non-adjacent arcs).  Pairs that rule out
 # the most uniform anchors come first; the order does not change any answer.
+# Three adjacent pairs never fail and are left out (is_simple keeps them).
+# c1/c2: E is the half-turn of W about C (to_e to_w^T = 2 C C^T - I), so the
+# arcs leave C in opposite directions along one circle.  a1/a2 and b2/b1
+# leave A and B in different directions, so they could meet again only at
+# -A or -B, which no minor arc reaches.
 _PAIRS = tuple((i, j, j if j == i + 1 else (0 if (i, j) == (0, 5) else -1))
-               for i, j in ((0, 3), (2, 5), (3, 5), (0, 4), (1, 4), (1, 5), (0, 2), (0, 1),
-                            (0, 5), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (4, 5)))
+               for i, j in ((0, 3), (2, 5), (3, 5), (0, 4), (1, 4), (1, 5), (0, 2),
+                            (0, 5), (1, 2), (1, 3), (2, 4), (3, 4)))
 
 
 def oracle_in_moduli_batch(n: int, pts: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """oracle_in_moduli over an (N, 3) array of unit vectors.
 
-    Builds every anchor's six arcs at once and tests the 15 arc pairs with
+    Builds every anchor's six arcs at once and tests the arc pairs with
     the same tolerances as is_simple, each pair on the rows still live.
     """
     V = as_points(pts)

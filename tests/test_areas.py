@@ -22,6 +22,43 @@ def simpson_F(t, lam, pieces=1 << 14):
     return h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
 
 
+def _quad(f, a, b):
+    """scipy's adaptive quadrature: the independent reference for the closed
+    form and the fixed rule (scipy is a test-only dependency)."""
+    from scipy import integrate
+    return integrate.quad(f, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+
+
+def test_elliptic_matches_scipy_quad():
+    pytest.importorskip("scipy")
+    amplitudes = {n: (0.3, math.pi / 6.0, (0.5 - 1.0 / n) * math.pi, 0.5 * math.pi)
+                  for n in SOLIDS}
+    cases = []
+    for n in SOLIDS:
+        c = solid_constants(n)
+        cases += [(t, lam) for lam in (c.lambda_a, c.lambda_b, c.lambda_c) for t in amplitudes[n]]
+    every_t = sorted({t for ts in amplitudes.values() for t in ts})
+    cases += [(t, lam) for lam in (1e-3, 1e-2, 0.2, 3.0, 1e8) for t in every_t]
+    for t, lam in cases:
+        want = _quad(lambda u: 1.0 / math.sqrt(1.0 + (math.sin(u) / lam) ** 2), 0.0, t)
+        assert abs(areas.elliptic_F_imag(t, lam) - want) < 1e-13, (t, lam)
+
+
+def test_part_areas_match_scipy_quad(monkeypatch):
+    # the same four fans, each integrated adaptively by scipy: the fixed
+    # Gauss-Legendre rule and the elliptic formulas both agree with it
+    pytest.importorskip("scipy")
+    fixed = {n: areas.part_areas_quadrature(n) for n in SOLIDS}
+    monkeypatch.setattr(areas, "fan_area_quadrature", lambda r, a, b: _quad(
+        lambda t: 2.0 * r(t) ** 2 / (1.0 + r(t) ** 2), a, b))
+    for n in SOLIDS:
+        rep = areas.part_areas(n)
+        for key, want in areas.part_areas_quadrature(n).items():
+            assert abs(fixed[n][key] - want) < 1e-13, (n, key)
+            assert abs(getattr(rep, key) - want) < 1e-13, (n, key)
+        assert areas.consistency_A2A4A8(n) < 1e-13
+
+
 def test_elliptic_trivial_cases():
     assert areas.elliptic_F_imag(0.0, 0.3) == 0.0
     # lambda -> infinity degenerates to F(t, 0) = t

@@ -1,6 +1,6 @@
 """Layering rules: no module of the package reaches into another's privates,
-the scalar geometry stays off numpy's 3-vector cross and norm, and importing
-the package does not load scipy."""
+the scalar geometry stays off numpy's 3-vector cross and norm, importing
+the package does not load scipy, and every command runs with scipy blocked."""
 
 import ast
 import os
@@ -118,11 +118,47 @@ def test_numpy_vector_op_check_catches_each_kind(tmp_path):
 
 
 def test_import_does_not_load_scipy():
-    # scipy is about half of the import time; only the area quadratures use
-    # it, and they import it when first called
+    # scipy is a test-only dependency: the package runs on numpy alone, and
+    # importing it must not pull scipy in through another package either
     code = ("import sys, pentamod, pentamod.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+# a sys.meta_path finder that refuses scipy, then every CLI command in turn
+_WITHOUT_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy
+    sys.exit("scipy was not blocked")
+except ImportError:
+    pass
+from pentamod import cli
+codes = [cli.main(argv) for argv in {commands!r}]
+print("exit codes", codes)
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    commands = [["area", "--solid", "5", "--mc", "100000", "42"],
+                ["check", "--solid", "3", "--chart", "M", "--point", "-0.17-0.17i"],
+                ["verify", "--solid", "3", "--samples", "20000", "--seed", "7"],
+                ["render", "--solid", "4", "--out", str(tmp_path / "m.svg"),
+                 "--include", "moduli-boundary", "reduction-curves"],
+                ["curve", "gammaA", "--solid", "3", "--samples", "16"]]
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY.format(commands=commands)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == f"exit codes {[0] * len(commands)}", out.stdout
+    assert (tmp_path / "m.svg").stat().st_size > 0

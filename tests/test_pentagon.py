@@ -262,3 +262,52 @@ def test_pentagon_and_report_bits_are_pinned(n):
     # the arcs and reports are bit-identical to the numpy cross/norm
     # formulation they were pinned with
     assert _pentagon_digest(n) == PENTAGON_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", SOLIDS)
+def test_c_arcs_are_half_turn_images_about_c(n):
+    # E = to_e V and W = to_w V, so E is the half-turn of W about C: the arcs
+    # C->W and C->E leave C in opposite directions and meet only at C, which
+    # is why the batch oracle skips the c1/c2 pair
+    geo = charts.geometry(n)
+    to_w = geo.chart_rotation("A", -2.0 * math.pi / 3.0)
+    to_e = geo.chart_rotation("B", 2.0 * math.pi / n)
+    half_turn = 2.0 * np.outer(geo.C, geo.C) - np.eye(3)
+    assert np.abs(to_e @ to_w.T - half_turn).max() < 1e-15
+
+
+def _antipodal_edge_anchors(n):
+    """Anchors within 1e-12 ... 1e-5 rad of -A and -B (arcs a1/a2 or b2/b1
+    nearly of length pi) and of the anchors that send W or E to -C (c1 or c2
+    nearly of length pi), on both sides of the 1e-9 antipodal tolerance."""
+    rng = np.random.default_rng([n, 11])
+    geo = charts.geometry(n)
+    to_w = geo.chart_rotation("A", -2.0 * math.pi / 3.0)
+    to_e = geo.chart_rotation("B", 2.0 * math.pi / n)
+    centres = (-geo.A, -geo.B, to_w.T @ -geo.C, to_e.T @ -geo.C)
+    pts = []
+    for c in centres:
+        for _ in range(8):
+            d = _perpendicular(c, rng)
+            for a in (1e-12, 5e-10, 1e-9 - 1e-12, 1e-9 + 1e-12, 2e-9, 1e-7, 1e-5):
+                pts.append(math.cos(a) * c + math.sin(a) * d)
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("n", SOLIDS)
+def test_skipped_adjacent_pairs_never_fail_at_the_antipodal_edge(n):
+    # the reference tests all 15 pairs: a1/a2, c1/c2 and b2/b1 never report a
+    # violation, and the batch oracle (which skips them) agrees with it
+    pts = _antipodal_edge_anchors(n)
+    skipped = {("a1", "a2"), ("c1", "c2"), ("b2", "b1")}
+    built = 0
+    for V in pts:
+        try:
+            pent = pentagon.anchor_pentagon(n, V)
+        except (DegenerateAnchor, AntipodalConstruction):
+            continue
+        built += 1
+        assert not {v.pair for v in pentagon.is_simple(pent).violations} & skipped
+    assert 0 < built < len(pts)
+    want = [pentagon.oracle_in_moduli(n, V) for V in pts]
+    assert pentagon.oracle_in_moduli_batch(n, pts).tolist() == want
