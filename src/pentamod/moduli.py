@@ -185,8 +185,12 @@ def _place(n: int, pts: np.ndarray, near_vertex: np.ndarray, angles: np.ndarray,
     thB, rB = _polar(pts, geo.frame_b)
     circle = np.where(~near_vertex & (count == 1), on.argmax(axis=1), -1)
     interior = ~near_vertex & (count == 0)
-    jA = np.floor((thA % (2.0 * math.pi)) / (math.pi / 3.0)).astype(np.int64) % 6
-    jB = np.floor((thB % (2.0 * math.pi)) / (math.pi / n)).astype(np.int64) % (2 * n)
+    # arctan2 lies in [-pi, pi], so one conditional turn gives what th % 2pi
+    # gives, bit for bit but for the sign of -0.0, at a fraction of the cost
+    turnA = np.where(thA < 0.0, thA + 2.0 * math.pi, thA)
+    turnB = np.where(thB < 0.0, thB + 2.0 * math.pi, thB)
+    jA = np.floor(turnA / (math.pi / 3.0)).astype(np.int64) % 6
+    jB = np.floor(turnB / (math.pi / n)).astype(np.int64) % (2 * n)
     region = np.where(interior, _tables(n).sectors[jA, jB], 0)
     out = Classified(circle, region, thA, rA, thB, rB)
     bad = interior & (region == 0)

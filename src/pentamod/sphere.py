@@ -59,12 +59,20 @@ def unit(v) -> np.ndarray:
 
 
 def as_point(p) -> np.ndarray:
-    """p as a float array of shape (3,); InvalidPoints for any other shape
-    and for a non-finite or non-unit vector."""
-    a = np.asarray(p, dtype=float)
+    """p as a contiguous float array of shape (3,); InvalidPoints for any
+    other shape and for a non-finite or non-unit vector.
+
+    The same test as as_points, on Python floats: a one-row einsum costs
+    several times the arithmetic.
+    """
+    a = np.ascontiguousarray(p, dtype=float)
     if a.shape != (3,):
         raise InvalidPoints(f"expected one point of shape (3,), got shape {a.shape}")
-    return as_points(a[None])[0]
+    x, y, z = a.tolist()
+    # written so that NaN and inf fail the comparison
+    if not abs(x * x + y * y + z * z - 1.0) <= UNIT_NORM_EPS:
+        raise InvalidPoints(f"point must be a finite unit vector, |p.p - 1| <= {UNIT_NORM_EPS}")
+    return a
 
 
 def as_points(pts) -> np.ndarray:
@@ -79,18 +87,33 @@ def as_points(pts) -> np.ndarray:
     return a
 
 
-def sample_sphere(samples: int, seed: int) -> np.ndarray:
-    """Uniform points on the sphere, deterministic given (seed, samples).
+def _uniform(seed: int, draw: int, count: int, low: float, high: float) -> np.ndarray:
+    """Draws draw .. draw + count - 1 of the Philox(seed) stream, as uniform
+    doubles in [low, high).  Each double takes one 64-bit output and each
+    Philox counter step gives four, so the stream is advanced by whole
+    steps and the remainder discarded."""
+    bits = np.random.Philox(seed).advance(draw // 4)
+    bits.random_raw(draw % 4)
+    return np.random.Generator(bits).uniform(low, high, count)
 
-    Draws all `samples` z values, then all azimuths, from one Philox(seed)
-    stream in one piece; z uniform in [-1, 1] spreads the points uniformly
-    by area.
+
+def sample_sphere(samples: int, seed: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Rows start .. stop - 1 (default: all) of `samples` uniform points on
+    the sphere, deterministic given (seed, samples).
+
+    One Philox(seed) stream holds all `samples` z values, then all
+    azimuths; z uniform in [-1, 1] spreads the points uniformly by area.
+    Row i takes draws i and samples + i.  The counter-based generator jumps
+    straight to them, so any row range is bit-identical to the same slice
+    of the whole draw and costs only its own rows.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    g = np.random.Generator(np.random.Philox(seed))
-    z = g.uniform(-1.0, 1.0, samples)
-    az = g.uniform(0.0, 2.0 * math.pi, samples)
+    stop = samples if stop is None else stop
+    if not 0 <= start <= stop <= samples:
+        raise ValueError(f"rows [{start}, {stop}) are not a range of the {samples} samples")
+    z = _uniform(seed, start, stop - start, -1.0, 1.0)
+    az = _uniform(seed, samples + start, stop - start, 0.0, 2.0 * math.pi)
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     return np.column_stack([s * np.cos(az), s * np.sin(az), z])
 

@@ -1,9 +1,10 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
-from pentamod import areas, moduli
+from pentamod import areas, moduli, sphere
 from pentamod.charts import solid_constants
 
 SOLIDS = (3, 4, 5)
@@ -156,3 +157,45 @@ def test_elliptic_input_validation():
         areas.elliptic_F_imag(2.0, 1.0)
     with pytest.raises(ValueError):
         areas.elliptic_F_imag(0.3, 0.0)
+
+
+@pytest.mark.parametrize("chunk, cores", [(997, 1), (997, 2), (4096, 2), (7001, 1),
+                                          (7001, 2), (20_000, 2)])
+def test_monte_carlo_hits_do_not_depend_on_pieces_or_workers(monkeypatch, chunk, cores):
+    monkeypatch.setattr(areas, "_CHUNK", chunk)
+    monkeypatch.setattr(areas, "_cores", lambda: cores)
+    pts = sphere.sample_sphere(20_000, 7)
+    for n in SOLIDS:
+        want = int(np.count_nonzero(moduli.analytic_in_moduli_batch(n, pts)))
+        assert areas.monte_carlo_area(n, 20_000, 7).hits == want
+
+
+def test_monte_carlo_streams_bounded_pieces(monkeypatch):
+    seen = {"sampler": [], "membership": []}
+
+    def recorded(name, f):
+        def call(*args):
+            out = f(*args)
+            seen[name].append(len(out) if name == "sampler" else len(args[1]))
+            return out
+        return call
+
+    monkeypatch.setattr(areas, "sample_sphere", recorded("sampler", areas.sample_sphere))
+    monkeypatch.setattr(areas, "analytic_in_moduli_batch",
+                        recorded("membership", areas.analytic_in_moduli_batch))
+    # the pinned hits of the benchmark's baseline call
+    assert areas.monte_carlo_area(4, 1_000_000, 42).hits == 114897
+    assert sum(seen["sampler"]) == 1_000_000
+    for rows in seen.values():
+        assert max(rows) <= areas._CHUNK
+    # near-equal pieces: never a lone row cut from a larger batch
+    assert min(seen["sampler"]) >= areas._CHUNK // 2
+    assert sorted(r for r in seen["membership"] if r) == sorted(seen["sampler"])
+
+
+def test_one_piece_monte_carlo_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a one-piece call started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert areas.monte_carlo_area(3, areas._CHUNK, 5).samples == areas._CHUNK

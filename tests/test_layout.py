@@ -1,6 +1,7 @@
 """Layering rules: no module of the package reaches into another's privates,
 the scalar geometry stays off numpy's 3-vector cross and norm, importing
-the package does not load scipy, and every command runs with scipy blocked."""
+the package loads neither scipy nor what only some calls need and starts
+no thread, and every command runs with scipy blocked."""
 
 import ast
 import os
@@ -119,13 +120,17 @@ def test_numpy_vector_op_check_catches_each_kind(tmp_path):
 
 def test_import_does_not_load_scipy():
     # scipy is a test-only dependency: the package runs on numpy alone, and
-    # importing it must not pull scipy in through another package either
-    code = ("import sys, pentamod, pentamod.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    # importing it must not pull scipy in through another package either.
+    # The thread pool of Monte Carlo and the quadrature rule load on first
+    # use, so importing starts no thread and pays for neither.
+    code = ("import sys, threading, pentamod, pentamod.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy', 'concurrent.futures', 'numpy.polynomial')))); "
+            "print(threading.active_count())")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "1"]
 
 
 # a sys.meta_path finder that refuses scipy, then every CLI command in turn

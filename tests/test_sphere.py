@@ -161,3 +161,39 @@ def test_cross3_and_norm3_match_numpy_on_generic_vectors():
     b = rng.normal(size=(4000, 3))
     assert all(sphere.cross3(x, y).tobytes() == np.cross(x, y).tobytes() for x, y in zip(a, b))
     assert all(np.float64(sphere.norm3(x)).tobytes() == np.linalg.norm(x).tobytes() for x in a)
+
+
+def _whole_draw(samples, seed):
+    # the sampler as one generator drawing all z values, then all azimuths
+    g = np.random.Generator(np.random.Philox(seed))
+    z = g.uniform(-1.0, 1.0, samples)
+    az = g.uniform(0.0, 2.0 * math.pi, samples)
+    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.column_stack([s * np.cos(az), s * np.sin(az), z])
+
+
+def test_sample_sphere_whole_range_is_one_stream():
+    for samples, seed in ((1, 0), (7, 3), (20_001, 42)):
+        assert sphere.sample_sphere(samples, seed).tobytes() == _whole_draw(samples, seed).tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 3, 4, 1000, 16384])
+def test_sample_sphere_rows_equal_slice_of_whole_draw(size):
+    samples, seed = 40_003, 11
+    whole = _whole_draw(samples, seed)
+    for start in (0, 1, 2, 3, 5, 4097, 20_001, samples - size):
+        stop = min(start + size, samples)
+        rows = sphere.sample_sphere(samples, seed, start, stop)
+        assert rows.tobytes() == whole[start:stop].tobytes(), (start, stop)
+    # the pieces of a tiling put together give the whole draw
+    step = max(size, 997)
+    pieces = [sphere.sample_sphere(samples, seed, a, min(a + step, samples))
+              for a in range(0, samples, step)]
+    assert np.vstack(pieces).tobytes() == whole.tobytes()
+
+
+def test_sample_sphere_rejects_rows_outside_the_draw():
+    assert sphere.sample_sphere(10, 1, 4, 4).shape == (0, 3)
+    for start, stop in ((-1, 3), (5, 4), (0, 11)):
+        with pytest.raises(ValueError):
+            sphere.sample_sphere(10, 1, start, stop)
