@@ -19,12 +19,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .charts import solid_constants
-from .moduli import analytic_in_moduli_batch, curve_radius, curve_spec
+from .moduli import analytic_in_moduli_batch, curve_radius, fan_parts
 from .sphere import sample_sphere
 
 # rows per Monte Carlo piece, picked by timing 2^12 .. 2^16 on 2 cores:
@@ -116,20 +116,8 @@ def part_areas_quadrature(n: int) -> dict:
     Independent route against the elliptic formulas in part_areas: the
     integrand runs over the curve radius functions in their home charts.
     """
-    spec_a = curve_spec("gamma_A", n)
-    spec_b = curve_spec("gamma_B", n)
-    spec_ca = curve_spec("gamma_C_A", n)
-    spec_cb = curve_spec("gamma_C_B", n)
-    return {
-        "A5": fan_area_quadrature(lambda t: curve_radius(spec_a, t),
-                                  spec_a.theta_lo, spec_a.theta_hi),
-        "A13": fan_area_quadrature(lambda t: curve_radius(spec_b, t),
-                                   spec_b.theta_lo, spec_b.theta_hi),
-        "A4": fan_area_quadrature(lambda t: curve_radius(spec_ca, t),
-                                  -0.5 * math.pi, -math.pi / 3.0),
-        "A8": fan_area_quadrature(lambda t: curve_radius(spec_cb, t),
-                                  -(1.0 - 1.0 / n) * math.pi, -0.5 * math.pi),
-    }
+    return {part: fan_area_quadrature(partial(curve_radius, spec), lo, hi)
+            for part, (spec, lo, hi) in fan_parts(n).items()}
 
 
 def consistency_A2A4A8(n: int) -> float:

@@ -130,10 +130,14 @@ class SolidGeometry:
 
     def chart_rotation(self, chart: str, angle: float) -> np.ndarray:
         """World matrix of multiplication by e^(i*angle) in the given chart."""
-        F = self.frame(chart)
-        ca, sa = math.cos(angle), math.sin(angle)
-        rz = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
-        return F.T @ rz @ F
+        return _chart_rotation(self.frame(chart), angle)
+
+
+def _chart_rotation(frame: np.ndarray, angle: float) -> np.ndarray:
+    """World matrix of multiplication by e^(i*angle) in the chart of frame."""
+    ca, sa = math.cos(angle), math.sin(angle)
+    rz = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
+    return frame.T @ rz @ frame
 
 
 def _derive_frame(origin: np.ndarray, ref: np.ndarray, sign: float) -> np.ndarray:
@@ -147,22 +151,17 @@ def _derive_frame(origin: np.ndarray, ref: np.ndarray, sign: float) -> np.ndarra
 def geometry(n: int) -> SolidGeometry:
     """Base triangle A, B, M (and C) with all chart frames, for family n."""
     c = solid_constants(n)
-    M = np.array([0.0, 0.0, -1.0])
     A = _sphere_from_z(complex(-c.d_am, 0.0))
     B = _sphere_from_z(complex(0.0, -c.d_bm))
-    frame_m = np.eye(3)
     frame_a = _derive_frame(A, B, +1.0)   # B on the positive real axis
     frame_b = _derive_frame(B, A, -1.0)   # A on the negative real axis
-    geo = SolidGeometry(n=n, constants=c, A=A, B=B, C=np.zeros(3), M=M,
-                        B_prime=np.zeros(3), A_prime=np.zeros(3),
-                        frame_a=frame_a, frame_b=frame_b, frame_m=frame_m)
-    C = frame_a.T @ _sphere_from_z(cmath.rect(c.d_am, -math.pi / 3.0))
-    B_prime = geo.chart_rotation("A", 2.0 * math.pi / 3.0) @ B
-    A_prime = geo.chart_rotation("B", -2.0 * math.pi / n) @ A
-    object.__setattr__(geo, "C", C)
-    object.__setattr__(geo, "B_prime", B_prime)
-    object.__setattr__(geo, "A_prime", A_prime)
-    return geo
+    return SolidGeometry(
+        n=n, constants=c, A=A, B=B,
+        C=frame_a.T @ _sphere_from_z(cmath.rect(c.d_am, -math.pi / 3.0)),
+        M=np.array([0.0, 0.0, -1.0]),
+        B_prime=_chart_rotation(frame_a, 2.0 * math.pi / 3.0) @ B,
+        A_prime=_chart_rotation(frame_b, -2.0 * math.pi / n) @ A,
+        frame_a=frame_a, frame_b=frame_b, frame_m=np.eye(3))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,11 @@ The sphere is cut into 6n regions by rotating the great circle AB about A in
 multiples of pi/3 and about B in multiples of pi/n.  Region indices follow
 the labelling of the source figures: going around A the inner band is
 Omega_1..Omega_6, each further band of B-sectors adds 6, odd indices on the
-M-side of circle AB and even indices mirrored.
+M-side of circle AB and even indices mirrored.  A point's region is read
+from the signs of its angles to the n + 2 dividing circles alone: they fix
+its sector in the fan of circles through A and in the fan through B, and
+circle AB, which belongs to both fans, is read once, so every point off the
+circles lands in a realized region.
 
 The moduli boundary consists of two straight arcs (in the M-chart) plus the
 three curves gamma_A, gamma_B, gamma_C.  Every curve is carried in four
@@ -25,19 +29,15 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from . import charts
 from .charts import SQ2, SQ3, SQ5, ChartPoint, geometry, solid_constants
 from .errors import NoRootInDisk, OutOfRange
-from .sphere import DEFAULT_TOL, UNIT_NORM_EPS, as_point, as_points
+from .sphere import DEFAULT_TOL, UNIT_NORM_EPS, VERTEX_SLACK, as_point, as_points
 
 CORE_REGIONS = (1, 2, 3, 7)
-
-# angular half-width treated as "on" a dividing circle or at a vertex
-_REGION_TOL = DEFAULT_TOL
 
 # clamp width at the sec-singular curve endpoints (eqD blows up there; the
 # limiting radius 0 is substituted inside this band)
@@ -114,9 +114,9 @@ def region_pair(n: int, m: int) -> tuple[int, int]:
     return 5 - r // 2, n + k
 
 
-def _polar(pts: np.ndarray, frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Chart polar coordinates (theta, r) of an (N, 3) array of points."""
-    xi = pts @ frame.T
+def _polar(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Chart polar coordinates (theta, r) of an (N, 3) array of chart-frame
+    coordinates."""
     th = np.arctan2(xi[:, 1], xi[:, 0])
     denom = np.maximum(1.0 - xi[:, 2], 1e-15)
     r = np.sqrt(np.maximum((1.0 + xi[:, 2]) / denom, 0.0))
@@ -150,63 +150,38 @@ def _circle_angles(n: int, pts: np.ndarray) -> np.ndarray:
     return np.arcsin(np.clip(pts @ division(n).normals.T, -1.0, 1.0))
 
 
-class Classified(NamedTuple):
-    """Where _classify puts each point of a batch."""
+def _classify(n: int, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Place each point of an (N, 3) array of unit vectors in the division:
+    (circle, region), each (N,).
 
-    circle: np.ndarray    # index into Division.circle_names, -1 if on none
-    region: np.ndarray    # 1..6n off every circle, 0 otherwise
-    theta_a: np.ndarray   # A-chart polar coordinates
-    r_a: np.ndarray
-    theta_b: np.ndarray   # B-chart polar coordinates
-    r_b: np.ndarray
-
-
-def _classify(n: int, pts: np.ndarray, tol: float) -> Classified:
-    """Place each point of an (N, 3) array of unit vectors in the division.
-
-    A point within tol (radians) of a division vertex, or of two or more
-    dividing circles, gets neither a circle nor a region.  A point within
-    tol of exactly one circle gets that circle.  Every other point gets its
-    region, read off its A- and B-chart sectors.  With tol = 0 the
-    screens catch only exact hits, for points already known to lie off
-    every circle.  The points must already be validated by as_points.
+    A point within DEFAULT_TOL (radians) of a division vertex, or of two or
+    more dividing circles, gets neither a circle (-1) nor a region (0).  A
+    point within DEFAULT_TOL of exactly one circle gets that circle's index
+    into Division.circle_names.  Every other point gets its region 1..6n,
+    read from the signs of its circle angles.  The points must already be
+    validated by as_points.
     """
-    return _place(n, pts, _vertex_screen(n, pts, tol) >= 0, _circle_angles(n, pts), tol)
+    near_vertex = _vertex_screen(n, pts, DEFAULT_TOL) >= 0
+    angles = _circle_angles(n, pts)
+    on = np.abs(angles) <= math.sin(DEFAULT_TOL) + 1e-15
+    # a float product sums the rows of a boolean matrix several times
+    # faster than sum or argmax, so argmax runs on the rare rows it decides
+    count = on @ np.ones(n + 2)
+    circle = np.full(len(pts), -1)
+    single = np.flatnonzero(~near_vertex & (count == 1.0))
+    circle[single] = on[single].argmax(axis=1)
+    region = np.where(~near_vertex & (count == 0.0), _sign_region(n, angles), 0)
+    return circle, region
 
 
-def _place(n: int, pts: np.ndarray, near_vertex: np.ndarray, angles: np.ndarray,
-           tol: float) -> Classified:
-    """_classify, given which points are within tol of a division vertex
-    and the points' circle angles."""
-    geo = geometry(n)
-    on = np.abs(angles) <= math.sin(tol) + 1e-15
-    count = on.sum(axis=1)
-    thA, rA = _polar(pts, geo.frame_a)
-    thB, rB = _polar(pts, geo.frame_b)
-    circle = np.where(~near_vertex & (count == 1), on.argmax(axis=1), -1)
-    interior = ~near_vertex & (count == 0)
-    # arctan2 lies in [-pi, pi], so one conditional turn gives what th % 2pi
-    # gives, bit for bit but for the sign of -0.0, at a fraction of the cost
-    turnA = np.where(thA < 0.0, thA + 2.0 * math.pi, thA)
-    turnB = np.where(thB < 0.0, thB + 2.0 * math.pi, thB)
-    jA = np.floor(turnA / (math.pi / 3.0)).astype(np.int64) % 6
-    jB = np.floor(turnB / (math.pi / n)).astype(np.int64) % (2 * n)
-    region = np.where(interior, _tables(n).sectors[jA, jB], 0)
-    out = Classified(circle, region, thA, rA, thB, rB)
-    bad = interior & (region == 0)
-    if bad.any():
-        # the two hemisphere readings disagree, so the point sits in the
-        # float-noise band of circle AB; nudge it off the plane and redo
-        nab = division(n).normals[0]
-        side = np.sign(pts[bad] @ nab)[:, None]
-        q = pts[bad] + 1e-7 * side * nab
-        q /= np.linalg.norm(q, axis=1, keepdims=True)
-        for dst, redo in zip(out, _classify(n, q, tol)):
-            dst[bad] = redo
-    return out
+def _sign_region(n: int, angles: np.ndarray) -> np.ndarray:
+    """The region of each point off every dividing circle, read from the
+    signs of its (N, n+2) circle angles (see _tables)."""
+    t = _tables(n)
+    return t.sign_region[((angles < 0.0) @ t.sign_weights).astype(np.intp)]
 
 
-def region_of(n: int, p: np.ndarray, tol: float = _REGION_TOL):
+def region_of(n: int, p: np.ndarray, tol: float = DEFAULT_TOL):
     """Classify a sphere point into its region, or a Boundary descriptor.
 
     Points within tol (radians) of a dividing circle report the adjacent
@@ -220,8 +195,8 @@ def region_of(n: int, p: np.ndarray, tol: float = _REGION_TOL):
     if len(on) == 0:
         # every division vertex lies on two circles (within 1e-15), so for
         # tol >= 0 a point on no circle is no vertex either
-        return int(_place(n, p[None], np.zeros(1, dtype=bool), angles, 0.0).region[0])
-    vertex = _vertex_screen(n, p[None], max(tol, 1e-7))[0]
+        return int(_sign_region(n, angles)[0])
+    vertex = _vertex_screen(n, p[None], max(tol, VERTEX_SLACK))[0]
     vertex_name = list(div.vertices)[vertex] if vertex >= 0 else None
     kind = "vertex" if (len(on) >= 2 or vertex_name) else "arc"
     # probe a small circle around p for the adjacent regions
@@ -233,8 +208,9 @@ def region_of(n: int, p: np.ndarray, tol: float = _REGION_TOL):
     ang = 2.0 * math.pi * (np.arange(16) + 0.31) / 16.0
     q = p + radius * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2)
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    clear = np.min(np.abs(_circle_angles(n, q)), axis=1) > 0.2 * radius
-    neighbours = _classify(n, q[clear], 0.0).region
+    angles = _circle_angles(n, q)
+    clear = np.min(np.abs(angles), axis=1) > 0.2 * radius
+    neighbours = _sign_region(n, angles[clear])
     return Boundary(kind=kind, regions=tuple(sorted({int(m) for m in neighbours})),
                     vertex=vertex_name)
 
@@ -467,12 +443,22 @@ def _fan_ray_radii(n: int) -> tuple[float, float]:
     return (rb, rc)
 
 
+def fan_parts(n: int) -> dict[str, tuple[CurveSpec, float, float]]:
+    """The moduli's four curve fans, by part name as in areas.AreaReport:
+    each fan's curve and the chart-angle interval it spans.  gamma_C's
+    interval is cut where the curve leaves the part's sector."""
+    ga, gb, gca, gcb = (curve_spec(which, n) for which in CURVE_NAMES)
+    return {"A5": (ga, ga.theta_lo, ga.theta_hi), "A13": (gb, gb.theta_lo, gb.theta_hi),
+            "A4": (gca, gca.theta_lo, -math.pi / 3.0),
+            "A8": (gcb, -(1.0 - 1.0 / n) * math.pi, gcb.theta_hi)}
+
+
 @dataclass(frozen=True)
 class _Tables:
     """One family's division and membership rules as tables.
 
-    sectors[jA, jB] holds the region of each (A-sector, B-sector) pair, 0
-    where unrealized.
+    A point off the division circles has sign code (angles < 0) @
+    sign_weights and lies in region sign_region[code].
 
     Division circle c is a pair of opposite rays from the origin of its
     chart (the A-chart, or the B-chart where circle_b[c]).  A point on the
@@ -485,7 +471,8 @@ class _Tables:
     phi_const, phi_sign as in CurveSpec; B-chart where fan_b[m]).
     """
 
-    sectors: np.ndarray
+    sign_weights: np.ndarray
+    sign_region: np.ndarray
     circle_b: np.ndarray
     angle: np.ndarray
     front: np.ndarray
@@ -521,30 +508,37 @@ def _tables(n: int) -> _Tables:
         circles[f"B{k}"] = ("B", k * math.pi / n, front, back)
     chart, angle, front, back = zip(*(circles[name] for name in div.circle_names))
 
-    ga, gb, gca, gcb = (curve_spec(which, n) for which in CURVE_NAMES)
-    # fan region -> (curve, open chart-angle interval); gamma_C's interval is
-    # cut where the curve leaves the region's sector
-    fans = {5: (ga, ga.theta_lo, ga.theta_hi), 13: (gb, gb.theta_lo, gb.theta_hi),
-            4: (gca, gca.theta_lo, -math.pi / 3.0),
-            8: (gcb, -(1.0 - 1.0 / n) * math.pi, gcb.theta_hi)}
+    # fan region -> its part; the n=5 fans A13 and A8 span two regions each
+    fan_part = {5: "A5", 13: "A13", 4: "A4", 8: "A8"}
     if n == 5:
-        fans[19], fans[14] = fans[13], fans[8]
+        fan_part.update({19: "A13", 14: "A8"})
+    parts = fan_parts(n)
     size = 6 * n + 1
     core = np.zeros(size, dtype=bool)
     core[list(CORE_REGIONS)] = True
     fan = np.zeros(size, dtype=bool)
     fan_b = np.zeros(size, dtype=bool)
     params = np.full((6, size), np.nan)
-    for m, (spec, lo, hi) in fans.items():
+    for m, part in fan_part.items():
+        spec, lo, hi = parts[part]
         fan[m] = True
         fan_b[m] = spec.chart == "B"
         params[:, m] = (spec.lam, spec.alpha, spec.phi_const, spec.phi_sign, lo, hi)
-    sectors = _sector_region(n, *np.meshgrid(np.arange(6), np.arange(2 * n), indexing="ij"))
-    return _Tables(sectors, np.array(chart) == "B", np.array(angle), np.array(front),
-                   np.array(back), core, fan, fan_b, *params)
+    # signs to regions.  Circle k of a fan of m circles through one center
+    # lies at chart angle k pi/m, and a negative angle to it means
+    # sin(theta - k pi/m) > 0.  Let s be 1 where the angle to circle AB
+    # (circle 0 of both fans) is negative, a the number of negative angles
+    # to A60 and A120, b to B1..B(n-1).  The point lies in A-sector a and
+    # B-sector b if s = 1, in 5 - a and 2n - 1 - b if s = 0.  The code
+    # 3n s + n a + b names each of the 6n regions once.
+    sign_weights = np.array([3.0 * n, n, n] + [1.0] * (n - 1))
+    s, a, b = np.meshgrid(np.arange(2), np.arange(3), np.arange(n), indexing="ij")
+    sign_region = _sector_region(n, np.where(s, a, 5 - a), np.where(s, b, 2 * n - 1 - b)).ravel()
+    return _Tables(sign_weights, sign_region, np.array(chart) == "B", np.array(angle),
+                   np.array(front), np.array(back), core, fan, fan_b, *params)
 
 
-def analytic_in_moduli_batch(n: int, pts: np.ndarray, tol: float = _REGION_TOL) -> np.ndarray:
+def analytic_in_moduli_batch(n: int, pts: np.ndarray) -> np.ndarray:
     """Membership from the region division and the closed boundary curves,
     over an (N, 3) array of unit vectors.
 
@@ -552,41 +546,42 @@ def analytic_in_moduli_batch(n: int, pts: np.ndarray, tol: float = _REGION_TOL) 
     the open fan regions between the curves and the core; False on the
     curves, the excluded arcs and all division vertices.
     """
-    return _membership(n, as_points(pts), tol)
+    return _membership(n, as_points(pts))
 
 
-def _membership(n: int, pts: np.ndarray, tol: float) -> np.ndarray:
+def _membership(n: int, pts: np.ndarray) -> np.ndarray:
     """analytic_in_moduli_batch for points already validated by as_points."""
     t = _tables(n)
-    cl = _classify(n, pts, tol)
-    inside = t.core[cl.region]
+    circle, region = _classify(n, pts)
+    inside = t.core[region]
+    on = np.flatnonzero(circle >= 0)
+    fan = np.flatnonzero(t.fan[region])
+    if not (on.size or fan.size):
+        return inside
+    # chart coordinates of all N rows, then of the rows needed: BLAS rounds
+    # a product with fewer rows differently
+    geo = geometry(n)
+    xa, xb = pts @ geo.frame_a.T, pts @ geo.frame_b.T
 
-    on = np.flatnonzero(cl.circle >= 0)
     if on.size:
-        c = cl.circle[on]
-        in_b = t.circle_b[c]
-        th = np.where(in_b, cl.theta_b[on], cl.theta_a[on])
-        r = np.where(in_b, cl.r_b[on], cl.r_a[on])
+        c = circle[on]
+        th, r = _polar(np.where(t.circle_b[c][:, None], xb.take(on, 0), xa.take(on, 0)))
         front = np.cos(th - t.angle[c]) > 0.0
         inside[on] = r < np.where(front, t.front[c], t.back[c])
 
-    fan = np.flatnonzero(t.fan[cl.region])
-    if not fan.size:
-        return inside
-    m = cl.region[fan]
-    in_b = t.fan_b[m]
-    th = np.where(in_b, cl.theta_b[fan], cl.theta_a[fan])
-    sel = (th > t.lo[m]) & (th < t.hi[m])
-    fan, m, th = fan[sel], m[sel], th[sel]
-    r = np.where(in_b[sel], cl.r_b[fan], cl.r_a[fan])
-    curve_r = _eqd_radius(t.lam[m], t.alpha[m], t.phi_const[m] + t.phi_sign[m] * th)
-    inside[fan] = r < curve_r - CURVE_EXCLUSION
+    if fan.size:
+        m = region[fan]
+        th, r = _polar(np.where(t.fan_b[m][:, None], xb.take(fan, 0), xa.take(fan, 0)))
+        sel = (th > t.lo[m]) & (th < t.hi[m])
+        m, th = m[sel], th[sel]
+        curve_r = _eqd_radius(t.lam[m], t.alpha[m], t.phi_const[m] + t.phi_sign[m] * th)
+        inside[fan[sel]] = r[sel] < curve_r - CURVE_EXCLUSION
     return inside
 
 
-def analytic_in_moduli(n: int, p: np.ndarray, tol: float = _REGION_TOL) -> bool:
+def analytic_in_moduli(n: int, p: np.ndarray) -> bool:
     """analytic_in_moduli_batch for one unit vector of shape (3,)."""
-    return bool(_membership(n, as_point(p)[None], tol)[0])
+    return bool(_membership(n, as_point(p)[None])[0])
 
 
 def boundary_band_mask(n: int, pts: np.ndarray, band: float) -> np.ndarray:

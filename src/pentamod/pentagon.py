@@ -26,7 +26,8 @@ import numpy as np
 
 from . import charts
 from .errors import AntipodalConstruction, AntipodalEndpoints, DegenerateAnchor, DegenerateArc
-from .sphere import DEFAULT_TOL, GreatArc, arc_intersect, as_point, as_points, minor_arc, norm3
+from .sphere import (ANTIPODAL_EPS, DEFAULT_TOL, DEGENERATE_EPS, VERTEX_SLACK, GreatArc,
+                     arc_intersect, as_point, as_points, minor_arc, norm3)
 
 EDGE_NAMES = ("a1", "a2", "c1", "c2", "b2", "b1")
 
@@ -36,6 +37,11 @@ _SHARED_VERTEX = {
 }
 
 _TINY = 1e-300
+
+# chords of DEFAULT_TOL and VERTEX_SLACK: a point within that chord of a
+# construction point or of a vertex counts as that point
+_TOL_CHORD = 2.0 * math.sin(0.5 * DEFAULT_TOL)
+_SLACK_CHORD = 2.0 * math.sin(0.5 * VERTEX_SLACK)
 
 
 @dataclass(frozen=True)
@@ -87,7 +93,7 @@ def _rotations(n: int) -> tuple[np.ndarray, np.ndarray]:
             geo.chart_rotation("B", 2.0 * math.pi / n))
 
 
-def anchor_pentagon(n: int, V: np.ndarray, tol: float = DEFAULT_TOL) -> Pentagon:
+def anchor_pentagon(n: int, V: np.ndarray) -> Pentagon:
     """Construct the subdivision pentagon anchored at V.
 
     Raises DegenerateAnchor when V (or a derived vertex) coincides with a
@@ -97,8 +103,7 @@ def anchor_pentagon(n: int, V: np.ndarray, tol: float = DEFAULT_TOL) -> Pentagon
     geo = charts.geometry(n)
     V = as_point(V)
     A, B, C = geo.A, geo.B, geo.C
-    chord = 2.0 * math.sin(0.5 * tol)
-    if norm3(V - A) <= chord or norm3(V - B) <= chord:
+    if norm3(V - A) <= _TOL_CHORD or norm3(V - B) <= _TOL_CHORD:
         raise DegenerateAnchor("anchor coincides with A or B")
     to_w, to_e = _rotations(n)
     W = to_w @ V
@@ -118,11 +123,12 @@ def anchor_pentagon(n: int, V: np.ndarray, tol: float = DEFAULT_TOL) -> Pentagon
                     a1=a1, a2=a2, c1=c1, c2=c2, b2=b2, b1=b1)
 
 
-def _near(p: np.ndarray, q: np.ndarray, tol: float) -> bool:
-    return norm3(p - q) <= 2.0 * math.sin(0.5 * tol) + 1e-15
+def _near(p: np.ndarray, q: np.ndarray) -> bool:
+    """p within VERTEX_SLACK of q."""
+    return norm3(p - q) <= _SLACK_CHORD + 1e-15
 
 
-def is_simple(p: Pentagon, tol: float = DEFAULT_TOL) -> SimplicityReport:
+def is_simple(p: Pentagon) -> SimplicityReport:
     """Test all 15 unordered arc pairs of the boundary.
 
     Adjacent arcs may meet only at their shared vertex; non-adjacent arcs may
@@ -131,13 +137,12 @@ def is_simple(p: Pentagon, tol: float = DEFAULT_TOL) -> SimplicityReport:
     """
     arcs = p.arcs
     violations: list[Violation] = []
-    # the touch test below uses a slightly widened vertex neighbourhood so a
-    # transversal crossing within tol of the shared vertex is not re-reported
-    vertex_slack = max(tol, 1e-7)
+    # _near's VERTEX_SLACK is wider than DEFAULT_TOL, so a transversal
+    # crossing within DEFAULT_TOL of the shared vertex is not re-reported
     for i in range(6):
         for j in range(i + 1, 6):
             shared_name = _SHARED_VERTEX.get((i, j))
-            res = arc_intersect(arcs[i], arcs[j], tol)
+            res = arc_intersect(arcs[i], arcs[j])
             if res.overlap:
                 if res.shared and len(res.shared) == 2:
                     violations.append(Violation((EDGE_NAMES[i], EDGE_NAMES[j]),
@@ -147,27 +152,27 @@ def is_simple(p: Pentagon, tol: float = DEFAULT_TOL) -> SimplicityReport:
                                                 "crossing", res.points[0]))
                 continue
             for q in res.points:
-                if shared_name is not None and _near(q, p.vertex(shared_name), vertex_slack):
+                if shared_name is not None and _near(q, p.vertex(shared_name)):
                     continue
                 kind = "crossing"
                 for a in (arcs[i], arcs[j]):
-                    if _near(q, a.u, vertex_slack) or _near(q, a.v, vertex_slack):
+                    if _near(q, a.u) or _near(q, a.v):
                         kind = "endpoint-degenerate"
                 violations.append(Violation((EDGE_NAMES[i], EDGE_NAMES[j]), kind, q))
     return SimplicityReport(simple=not violations, violations=tuple(violations))
 
 
-def oracle_in_moduli(n: int, V: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def oracle_in_moduli(n: int, V: np.ndarray) -> bool:
     """Ground-truth membership: the anchor yields a simple pentagon.
 
     Construction failures (degenerate or antipodal anchors) count as not in
     the moduli: such anchors cannot produce a tile.
     """
     try:
-        pent = anchor_pentagon(n, V, tol)
+        pent = anchor_pentagon(n, V)
     except (DegenerateAnchor, AntipodalConstruction):
         return False
-    return is_simple(pent, tol).simple
+    return is_simple(pent).simple
 
 
 def _rowdot(a, b):
@@ -212,7 +217,7 @@ _PAIRS = tuple((i, j, j if j == i + 1 else (0 if (i, j) == (0, 5) else -1))
                             (0, 5), (1, 2), (1, 3), (2, 4), (3, 4)))
 
 
-def oracle_in_moduli_batch(n: int, pts: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def oracle_in_moduli_batch(n: int, pts: np.ndarray) -> np.ndarray:
     """oracle_in_moduli over an (N, 3) array of unit vectors.
 
     Builds every anchor's six arcs at once and tests the arc pairs with
@@ -221,9 +226,7 @@ def oracle_in_moduli_batch(n: int, pts: np.ndarray, tol: float = DEFAULT_TOL) ->
     V = as_points(pts)
     geo = charts.geometry(n)
     to_w, to_e = _rotations(n)
-    chord = 2.0 * math.sin(0.5 * tol)
-    slack_chord = 2.0 * math.sin(0.5 * max(tol, 1e-7))
-    rows = np.flatnonzero((_norm(V - geo.A) > chord) & (_norm(V - geo.B) > chord))
+    rows = np.flatnonzero((_norm(V - geo.A) > _TOL_CHORD) & (_norm(V - geo.B) > _TOL_CHORD))
     k = rows.size
     # W and E are rotated on all N rows, then compacted: BLAS rounds a product
     # with one row differently, so rotating the kept rows alone could flip
@@ -237,7 +240,7 @@ def oracle_in_moduli_batch(n: int, pts: np.ndarray, tol: float = DEFAULT_TOL) ->
         u, v = P[a], P[(a + 1) % 6]
         cr = _cross(u, v)
         cn = _norm(cr)
-        ok &= (cn > 1e-12) & (_norm(u + v) > 1e-9)
+        ok &= (cn > DEGENERATE_EPS) & (_norm(u + v) > ANTIPODAL_EPS)
         nh = cr / np.maximum(cn, _TINY)[:, None]
         NH.append(nh)
         E2.append(_cross(nh, u))
@@ -248,7 +251,7 @@ def oracle_in_moduli_batch(n: int, pts: np.ndarray, tol: float = DEFAULT_TOL) ->
             break
         m = _cross(_take(NH[i], live), _take(NH[j], live))
         nm = _norm(m)
-        cop = nm < tol
+        cop = nm < DEFAULT_TOL
         out = np.zeros(live.size, dtype=bool)
         tr = np.flatnonzero(~cop)
         if tr.size:
@@ -260,19 +263,19 @@ def oracle_in_moduli_batch(n: int, pts: np.ndarray, tol: float = DEFAULT_TOL) ->
             li = L[i].take(at)
             for sgn in (1.0, -1.0):
                 ai = np.arctan2(sgn * yi, sgn * xi)
-                h = np.flatnonzero((ai >= -tol) & (ai <= li + tol))
+                h = np.flatnonzero((ai >= -DEFAULT_TOL) & (ai <= li + DEFAULT_TOL))
                 if not h.size:
                     continue
                 cand, ah = sgn * _take(mh, h), at.take(h)
                 aj = np.arctan2(_rowdot(cand, _take(E2[j], ah)), _rowdot(cand, _take(P[j], ah)))
-                hit = (aj >= -tol) & (aj <= L[j].take(ah) + tol)
+                hit = (aj >= -DEFAULT_TOL) & (aj <= L[j].take(ah) + DEFAULT_TOL)
                 if adj >= 0:
-                    hit &= _norm(cand - _take(P[adj], ah)) > slack_chord
+                    hit &= _norm(cand - _take(P[adj], ah)) > _SLACK_CHORD
                 out[tr.take(h)] |= hit
         cp = np.flatnonzero(cop)
         if cp.size:
             # one circle: arc j's span in arc i's frame may overlap arc i by
-            # at most tol
+            # at most DEFAULT_TOL
             at = live.take(cp)
             ui, e2i, li = _take(P[i], at), _take(E2[i], at), L[i].take(at)
             uj, vj = _take(P[j], at), _take(P[(j + 1) % 6], at)
@@ -283,18 +286,18 @@ def oracle_in_moduli_batch(n: int, pts: np.ndarray, tol: float = DEFAULT_TOL) ->
             lo, hi = np.where(wrap, hi, lo), np.where(wrap, lo + 2.0 * math.pi, hi)
             ova = np.minimum(li, hi) - np.maximum(0.0, lo)
             ovb = np.minimum(li, hi - 2.0 * math.pi) - np.maximum(0.0, lo - 2.0 * math.pi)
-            out[cp] = np.maximum(ova, ovb) > tol
+            out[cp] = np.maximum(ova, ovb) > DEFAULT_TOL
         live = live[~out]
     simple = np.zeros(V.shape[0], dtype=bool)
     simple[rows.take(live)] = True
     return simple
 
 
-def face_pentagons(n: int, V: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[Pentagon, Pentagon, Pentagon]:
+def face_pentagons(n: int, V: np.ndarray) -> tuple[Pentagon, Pentagon, Pentagon]:
     """The three congruent pentagons subdividing one face, anchored at the
     rotations of V about the face center."""
     rot = _rotations(n)[0]
-    p0 = anchor_pentagon(n, V, tol)
+    p0 = anchor_pentagon(n, V)
     p1 = _rotate_pentagon(p0, rot)
     p2 = _rotate_pentagon(p1, rot)
     return (p0, p1, p2)

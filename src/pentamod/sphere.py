@@ -27,8 +27,9 @@ import numpy as np
 
 from .errors import AntipodalEndpoints, DegenerateArc, InvalidPoints
 
-# Default angular tolerance for incidence predicates.  Closed-form constants
-# leave ~1e-12 of double noise; 1e-9 gives three decades of margin.
+# Angular tolerance of the incidence predicates (and region_of's default).
+# Closed-form constants leave ~1e-12 of double noise; 1e-9 gives three
+# decades of margin.
 DEFAULT_TOL = 1e-9
 
 # |u + v| below this means antipodal endpoints.
@@ -39,6 +40,11 @@ DEGENERATE_EPS = 1e-12
 
 # |p.p - 1| above this rejects a point as off the unit sphere (or non-finite).
 UNIT_NORM_EPS = 1e-9
+
+# Smallest neighbourhood of a vertex that counts as the vertex itself: a
+# point within max(tol, VERTEX_SLACK) of it is taken to be at the vertex, so
+# a touch found within tol of a vertex is not reported a second time.
+VERTEX_SLACK = 1e-7
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -184,17 +190,17 @@ def minor_arc(u: np.ndarray, v: np.ndarray) -> GreatArc:
     return GreatArc(u=u, v=v, normal=c / nc, length=length)
 
 
-def point_on_arc(p: np.ndarray, s: GreatArc, tol: float = DEFAULT_TOL) -> bool:
+def point_on_arc(p: np.ndarray, s: GreatArc) -> bool:
     """True iff p lies on the supporting circle and within the arc's span.
 
     Both the distance to the circle and the angular overshoot past the
-    endpoints are compared against tol.
+    endpoints are compared against DEFAULT_TOL.
     """
     d = float(p @ s.normal)
-    if abs(d) > math.sin(min(abs(tol), 1.0)) + 1e-15:
+    if abs(d) > math.sin(DEFAULT_TOL) + 1e-15:
         return False
     ang = math.atan2(float(p @ s.tangent), float(p @ s.u))
-    return -tol <= ang <= s.length + tol
+    return -DEFAULT_TOL <= ang <= s.length + DEFAULT_TOL
 
 
 def _circle_interval(ref: GreatArc, other: GreatArc) -> tuple[float, float]:
@@ -223,8 +229,8 @@ class ArcIntersection:
     shared: tuple = ()
 
 
-def arc_intersect(s: GreatArc, t: GreatArc, tol: float = DEFAULT_TOL) -> ArcIntersection:
-    """Intersect two minor arcs.
+def arc_intersect(s: GreatArc, t: GreatArc) -> ArcIntersection:
+    """Intersect two minor arcs, to within DEFAULT_TOL.
 
     Transversal case: candidates are +-(normal_s x normal_t) normalized,
     filtered by on-arc tests on both inputs.  Coplanar case: reported via the
@@ -232,7 +238,7 @@ def arc_intersect(s: GreatArc, t: GreatArc, tol: float = DEFAULT_TOL) -> ArcInte
     """
     m = cross3(s.normal, t.normal)
     nm = norm3(m)
-    if nm < tol:
+    if nm < DEFAULT_TOL:
         lo, hi = _circle_interval(s, t)
         a, b = max(0.0, lo), min(s.length, hi)
         # retry with a 2*pi shift in case t's interval sits across the cut
@@ -240,17 +246,17 @@ def arc_intersect(s: GreatArc, t: GreatArc, tol: float = DEFAULT_TOL) -> ArcInte
         if b2 - a2 > b - a:
             a, b = a2, b2
         e2 = s.tangent
-        if b - a > tol:
+        if b - a > DEFAULT_TOL:
             p0 = unit(math.cos(a) * s.u + math.sin(a) * e2)
             p1 = unit(math.cos(b) * s.u + math.sin(b) * e2)
             return ArcIntersection(points=(), overlap=True, shared=(p0, p1))
-        if b - a > -tol:
+        if b - a > -DEFAULT_TOL:
             p0 = unit(math.cos(0.5 * (a + b)) * s.u + math.sin(0.5 * (a + b)) * e2)
             return ArcIntersection(points=(p0,), overlap=True, shared=())
         return ArcIntersection(points=(), overlap=True, shared=())
     m = m / nm
     pts = []
     for cand in (m, -m):
-        if point_on_arc(cand, s, tol) and point_on_arc(cand, t, tol):
+        if point_on_arc(cand, s) and point_on_arc(cand, t):
             pts.append(cand)
     return ArcIntersection(points=tuple(pts), overlap=False)

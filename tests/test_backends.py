@@ -35,10 +35,9 @@ def test_backends_agree_on_boundary_points():
             geo.M, geo.C, -geo.A, -geo.B,
         ])
         expect = [True, False, True, False, False, False, False]
-        assert list(analytic_in_moduli_batch(n, pts, 1e-9)) == expect
-        assert [analytic_in_moduli(n, p, 1e-9) for p in pts] == expect
-        assert list(oracle_in_moduli_batch(n, pts, 1e-9)) == [oracle_in_moduli(n, p, 1e-9)
-                                                               for p in pts]
+        assert list(analytic_in_moduli_batch(n, pts)) == expect
+        assert [analytic_in_moduli(n, p) for p in pts] == expect
+        assert list(oracle_in_moduli_batch(n, pts)) == [oracle_in_moduli(n, p) for p in pts]
         # points on every division circle, away from the vertices, check each
         # circle's inclusion rule against the scalar oracle
         div = moduli.division(n)

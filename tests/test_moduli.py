@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentamod import charts, moduli, pentagon, sphere
 from pentamod.charts import SQ2, SQ3, ChartPoint
@@ -58,6 +60,74 @@ def test_spec_label_examples():
     assert moduli.region_of(3, p) == 1
     p = charts.to_sphere(ChartPoint(cmath.rect(1.5, math.radians(90)), "A", 3))
     assert moduli.region_of(3, p) == 9
+
+
+def _chart_regions(n, pts):
+    """Reference for the sign reading: the sector pair from each point's A-
+    and B-chart polar angles, floor(theta / (pi/m)) in a fan of m circles.
+    The angle is the argument of charts.to_chart's z, taken from the frame
+    coordinates so that it exists at the chart origin's antipode too."""
+    geo = charts.geometry(n)
+    sectors = []
+    for chart, m in (("A", 3), ("B", n)):
+        xi = pts @ geo.frame(chart).T
+        theta = np.arctan2(xi[:, 1], xi[:, 0]) % (2.0 * math.pi)
+        sectors.append(np.floor(theta / (math.pi / m)).astype(int) % (2 * m))
+    return moduli._sector_region(n, *sectors)
+
+
+def _check_sign_regions(n, pts):
+    """_classify gives every interior point (clear of the vertex screen and
+    of every circle) the region its chart sectors name, and no other point
+    a region; returns how many points were interior."""
+    tol = sphere.DEFAULT_TOL
+    interior = ((moduli._vertex_screen(n, pts, tol) < 0)
+                & (np.abs(moduli._circle_angles(n, pts)) > math.sin(tol) + 1e-15).all(axis=1))
+    circle, region = moduli._classify(n, pts)
+    assert (region[interior] != 0).all()
+    assert (region[~interior] == 0).all()
+    assert np.array_equal(region[interior], _chart_regions(n, pts[interior]))
+    assert (circle[interior] == -1).all()
+    return int(np.count_nonzero(interior))
+
+
+def _near_division(n, rng):
+    """Points 1.0000001e-9 ... 1e-5 rad off every dividing circle, and as far
+    from A, B, -A, -B and every division vertex in random directions."""
+    div = moduli.division(n)
+    geo = charts.geometry(n)
+    offsets = (1.0000001e-9, 1.01e-9, 1e-8, 1e-7, 1e-6, 1e-5)
+    pts = []
+    for nrm in div.normals:
+        ring = np.cross(nrm, rng.normal(size=(200, 3)))
+        ring /= np.linalg.norm(ring, axis=1, keepdims=True)
+        for d in offsets:
+            side = rng.choice((-1.0, 1.0), size=(len(ring), 1))
+            pts.append(math.cos(d) * ring + side * math.sin(d) * nrm)
+    for v in np.vstack([div.vertex_points, -geo.A, -geo.B]):
+        dirs = np.cross(v, rng.normal(size=(200, 3)))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        for d in offsets:
+            pts.append(math.cos(d) * v + math.sin(d) * dirs)
+    return np.vstack(pts)
+
+
+@pytest.mark.parametrize("n", SOLIDS)
+def test_sign_regions_match_chart_sectors(n):
+    rng = np.random.default_rng(60 + n)
+    assert _check_sign_regions(n, sphere.sample_sphere(20000, n)) > 19000
+    near = _near_division(n, rng)
+    assert _check_sign_regions(n, near) > len(near) // 2
+
+
+_UNIT = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: 1e-3 < sum(x * x for x in v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_UNIT, st.sampled_from(SOLIDS))
+def test_sign_regions_match_chart_sectors_hypothesis(v, n):
+    p = np.array(v) / np.linalg.norm(v)
+    _check_sign_regions(n, p[None])
 
 
 # ---------------------------------------------------------------------------
