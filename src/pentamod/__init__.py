@@ -19,7 +19,8 @@ from .moduli import (Boundary, BcGapReport, CurveSample, CurveSpec,
                      curve_spec, gamma_cartesian_residual,
                      gamma_complex_residual, gamma_m_chart, gamma_point,
                      gamma_residual, m_chart_cartesian_residual,
-                     reduction_point, reduction_residual, region_of)
+                     reduction_point, reduction_radii, reduction_residual,
+                     region_of)
 from .render import RenderOptions, render_svg
 from .pentagon import (Pentagon, SimplicityReport, anchor_pentagon,
                        face_pentagons, is_simple, oracle_in_moduli,
@@ -40,8 +41,9 @@ __all__ = [
     "curve_spec", "gamma_m_chart", "gamma_point", "gamma_residual",
     "boundary_band_mask", "curve_radius", "gamma_cartesian_residual",
     "gamma_complex_residual", "m_chart_cartesian_residual",
-    "oracle_in_moduli_batch", "reduction_point", "reduction_residual",
-    "region_of", "part_areas_quadrature", "RenderOptions", "render_svg",
+    "oracle_in_moduli_batch", "reduction_point", "reduction_radii",
+    "reduction_residual", "region_of", "part_areas_quadrature", "RenderOptions",
+    "render_svg",
     "Pentagon", "SimplicityReport", "anchor_pentagon", "face_pentagons",
     "is_simple", "oracle_in_moduli",
     "GreatArc", "Rotation", "angular_distance", "arc_intersect", "minor_arc",

@@ -109,24 +109,13 @@ def _curve_rows(which: str, n: int, chart: str, samples: int):
                 for t in np.linspace(spec.theta_lo, spec.theta_hi, samples)]
     if which == "a=b":
         # parametrize the great circle, keep the in-disk hemisphere
-        nrm = moduli.ab_plane(n)
-        pts = render.circle_points(np.asarray(nrm), max(4 * samples, 64))
-        rows = []
-        for q in pts:
-            if q[2] >= 0.0:
-                continue
-            z = complex(q[0], q[1]) / (1.0 - q[2])
-            rows.append((math.atan2(z.imag, z.real), abs(z)))
-            if len(rows) == samples:
-                break
-        return rows
-    rows = []
-    for t in np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False):
-        try:
-            rows.append((t, moduli.reduction_point(which, n, t).r))
-        except moduli.NoRootInDisk:
-            continue
-    return rows
+        pts = render.circle_points(moduli.ab_plane(n), max(4 * samples, 64))
+        zs = [complex(q[0], q[1]) / (1.0 - q[2]) for q in pts if q[2] < 0.0][:samples]
+        return [(math.atan2(z.imag, z.real), abs(z)) for z in zs]
+    thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    radii = moduli.reduction_radii(which, n, thetas)
+    hit = ~np.isnan(radii)
+    return list(zip(thetas[hit], radii[hit]))
 
 
 def cmd_curve(args) -> int:

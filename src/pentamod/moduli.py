@@ -16,10 +16,12 @@ equivalent representations (polar, cartesian, complex, spherical quadratic)
 in its home chart, plus closed polar forms in the M-chart.
 
 Nearness to the division vertices comes from one screen (_vertex_screen),
-distances to the dividing circles from _circle_angles, the curve radius from
-_eqd_radius and the spherical quadratic from _quadric.  Public entry
-points validate their points once (sphere.as_point/as_points) and hand them
-to private kernels that do not check again.  The simplicity oracle that membership is
+side of and nearness to the dividing circles from the sines of
+_circle_sines (never turned into angles), the curve radius from _eqd_radius,
+the spherical quadratic from _quadric and the a=c and b=c reduction loci
+from the array root finder reduction_radii.  Public entry points validate
+their points once (sphere.as_point/as_points) and hand them to private
+kernels that do not check again.  The simplicity oracle that membership is
 checked against lives in pentagon.
 """
 
@@ -35,7 +37,7 @@ import numpy as np
 from . import charts
 from .charts import SQ2, SQ3, SQ5, ChartPoint, geometry, solid_constants
 from .errors import NoRootInDisk, OutOfRange
-from .sphere import DEFAULT_TOL, UNIT_NORM_EPS, VERTEX_SLACK, as_point, as_points
+from .sphere import DEFAULT_TOL, ON_CIRCLE, UNIT_NORM_EPS, VERTEX_SLACK, as_point, as_points
 
 CORE_REGIONS = (1, 2, 3, 7)
 
@@ -145,9 +147,10 @@ def _vertex_screen(n: int, pts: np.ndarray, radius: float) -> np.ndarray:
     return vertex
 
 
-def _circle_angles(n: int, pts: np.ndarray) -> np.ndarray:
-    """Each point's signed angular distance to each dividing circle, (N, n+2)."""
-    return np.arcsin(np.clip(pts @ division(n).normals.T, -1.0, 1.0))
+def _circle_sines(n: int, pts: np.ndarray) -> np.ndarray:
+    """The sine of each point's signed angle to each dividing circle, p.c
+    for the circle's unit normal c, (N, n+2)."""
+    return pts @ division(n).normals.T
 
 
 def _classify(n: int, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,27 +161,27 @@ def _classify(n: int, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     more dividing circles, gets neither a circle (-1) nor a region (0).  A
     point within DEFAULT_TOL of exactly one circle gets that circle's index
     into Division.circle_names.  Every other point gets its region 1..6n,
-    read from the signs of its circle angles.  The points must already be
+    read from the signs of its circle sines.  The points must already be
     validated by as_points.
     """
     near_vertex = _vertex_screen(n, pts, DEFAULT_TOL) >= 0
-    angles = _circle_angles(n, pts)
-    on = np.abs(angles) <= math.sin(DEFAULT_TOL) + 1e-15
+    sines = _circle_sines(n, pts)
+    on = np.abs(sines) <= ON_CIRCLE
     # a float product sums the rows of a boolean matrix several times
     # faster than sum or argmax, so argmax runs on the rare rows it decides
     count = on @ np.ones(n + 2)
     circle = np.full(len(pts), -1)
     single = np.flatnonzero(~near_vertex & (count == 1.0))
     circle[single] = on[single].argmax(axis=1)
-    region = np.where(~near_vertex & (count == 0.0), _sign_region(n, angles), 0)
+    region = np.where(~near_vertex & (count == 0.0), _sign_region(n, sines), 0)
     return circle, region
 
 
-def _sign_region(n: int, angles: np.ndarray) -> np.ndarray:
+def _sign_region(n: int, sines: np.ndarray) -> np.ndarray:
     """The region of each point off every dividing circle, read from the
-    signs of its (N, n+2) circle angles (see _tables)."""
+    signs of its (N, n+2) circle sines (see _tables)."""
     t = _tables(n)
-    return t.sign_region[((angles < 0.0) @ t.sign_weights).astype(np.intp)]
+    return t.sign_region[((sines < 0.0) @ t.sign_weights).astype(np.intp)]
 
 
 def region_of(n: int, p: np.ndarray, tol: float = DEFAULT_TOL):
@@ -190,12 +193,12 @@ def region_of(n: int, p: np.ndarray, tol: float = DEFAULT_TOL):
     solid_constants(n)
     div = division(n)
     p = as_point(p)
-    angles = _circle_angles(n, p[None])
-    on = np.flatnonzero(np.abs(angles[0]) <= math.sin(tol) + 1e-15)
+    sines = _circle_sines(n, p[None])
+    on = np.flatnonzero(np.abs(sines[0]) <= math.sin(tol) + 1e-15)
     if len(on) == 0:
         # every division vertex lies on two circles (within 1e-15), so for
         # tol >= 0 a point on no circle is no vertex either
-        return int(_sign_region(n, angles)[0])
+        return int(_sign_region(n, sines)[0])
     vertex = _vertex_screen(n, p[None], max(tol, VERTEX_SLACK))[0]
     vertex_name = list(div.vertices)[vertex] if vertex >= 0 else None
     kind = "vertex" if (len(on) >= 2 or vertex_name) else "arc"
@@ -208,9 +211,9 @@ def region_of(n: int, p: np.ndarray, tol: float = DEFAULT_TOL):
     ang = 2.0 * math.pi * (np.arange(16) + 0.31) / 16.0
     q = p + radius * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2)
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    angles = _circle_angles(n, q)
-    clear = np.min(np.abs(angles), axis=1) > 0.2 * radius
-    neighbours = _sign_region(n, angles[clear])
+    sines = _circle_sines(n, q)
+    clear = np.min(np.abs(sines), axis=1) > math.sin(0.2 * radius)
+    neighbours = _sign_region(n, sines[clear])
     return Boundary(kind=kind, regions=tuple(sorted({int(m) for m in neighbours})),
                     vertex=vertex_name)
 
@@ -457,7 +460,7 @@ def fan_parts(n: int) -> dict[str, tuple[CurveSpec, float, float]]:
 class _Tables:
     """One family's division and membership rules as tables.
 
-    A point off the division circles has sign code (angles < 0) @
+    A point off the division circles has sign code (sines < 0) @
     sign_weights and lies in region sign_region[code].
 
     Division circle c is a pair of opposite rays from the origin of its
@@ -596,7 +599,10 @@ def boundary_band_mask(n: int, pts: np.ndarray, band: float) -> np.ndarray:
     pts = as_points(pts)
     if band <= 0.0:
         return np.zeros(pts.shape[0], dtype=bool)
-    near = (np.abs(_circle_angles(n, pts)) <= band).any(axis=1)
+    # no angle to a circle exceeds pi/2, so a wider band covers everything;
+    # a float product counts each row's hits faster than any(axis=1)
+    sines = np.abs(_circle_sines(n, pts))
+    near = (sines <= math.sin(min(band, 0.5 * math.pi))) @ np.ones(n + 2) > 0.0
     geo = geometry(n)
     for which in CURVE_NAMES:
         spec = curve_spec(which, n)
@@ -626,25 +632,6 @@ def ab_plane(n: int) -> np.ndarray:
     return nrm * (lead / nrm[0])
 
 
-def _ac_cylinder(n: int, xi: np.ndarray) -> float:
-    x1, x3 = float(xi[0]), float(xi[2])
-    if n == 3:
-        return 2.0 * SQ3 * x3 * x3 + SQ2 * x1 + x3 - SQ3
-    if n == 4:
-        return 2.0 * SQ3 * x3 * x3 + x1 + SQ2 * x3 - SQ3
-    return 4.0 * SQ3 * x3 * x3 + (SQ5 - 1.0) * x1 + (SQ5 + 1.0) * x3 - 2.0 * SQ3
-
-
-def _bc_cylinder(n: int, xi: np.ndarray) -> float:
-    x2, x3 = float(xi[1]), float(xi[2])
-    if n == 3:
-        return 2.0 * SQ3 * x3 * x3 + SQ2 * x2 + x3 - SQ3
-    if n == 4:
-        return 2.0 * SQ2 * x3 * x3 + x2 + x3 - SQ2
-    q = 5.0 ** 0.25
-    return 2.0 * SQ2 * q * x3 * x3 + math.sqrt(SQ5 - 1.0) * x2 + math.sqrt(SQ5 + 1.0) * x3 - SQ2 * q
-
-
 def reduction_residual(kind: str, n: int, p: np.ndarray) -> float:
     """Plane form (a=b) or parabolic-cylinder form (a=c, b=c) at p.
 
@@ -653,75 +640,97 @@ def reduction_residual(kind: str, n: int, p: np.ndarray) -> float:
     """
     solid_constants(n)
     xi = np.asarray(p, dtype=float)
+    x1, x2, x3 = xi.tolist()
     if kind == "a=b":
         return float(ab_plane(n) @ xi)
     if kind == "a=c":
-        return _ac_cylinder(n, xi)
+        if n == 3:
+            return 2.0 * SQ3 * x3 * x3 + SQ2 * x1 + x3 - SQ3
+        if n == 4:
+            return 2.0 * SQ3 * x3 * x3 + x1 + SQ2 * x3 - SQ3
+        return 4.0 * SQ3 * x3 * x3 + (SQ5 - 1.0) * x1 + (SQ5 + 1.0) * x3 - 2.0 * SQ3
     if kind == "b=c":
-        return _bc_cylinder(n, xi)
+        if n == 3:
+            return 2.0 * SQ3 * x3 * x3 + SQ2 * x2 + x3 - SQ3
+        if n == 4:
+            return 2.0 * SQ2 * x3 * x3 + x2 + x3 - SQ2
+        q = 5.0 ** 0.25
+        return 2.0 * SQ2 * q * x3 * x3 + math.sqrt(SQ5 - 1.0) * x2 + math.sqrt(SQ5 + 1.0) * x3 - SQ2 * q
     raise ValueError(f"unknown reduction kind {kind!r}")
 
 
 def _reduction_quartic(kind: str, n: int) -> tuple[float, float, float]:
     """(c1, c2, c0) of r^4 + c2 r^2 + c0 + c1 r (r^2+1) trig(theta) = 0 in the
-    M-chart, trig = cos for a=c and sin for b=c."""
+    M-chart, trig = cos for a=c and sin for b=c (one quartic for n = 3, where
+    the two loci mirror each other)."""
+    if kind not in ("a=c", "b=c"):
+        raise ValueError(f"no radial quartic for {kind!r}")
+    if n == 3:
+        return (SQ2 * (SQ3 - 1.0), -3.0 * SQ3 * (SQ3 - 1.0), 2.0 - SQ3)
     if kind == "a=c":
-        if n == 3:
-            return (SQ2 * (SQ3 - 1.0), -3.0 * SQ3 * (SQ3 - 1.0), 2.0 - SQ3)
         if n == 4:
             return (2.0 * (SQ3 - SQ2), -6.0 * SQ3 * (SQ3 - SQ2), 5.0 - 2.0 * math.sqrt(6.0))
         return ((SQ5 - SQ3) * (SQ3 - 1.0),
                 3.0 * (2.0 * math.sqrt(15.0) - 3.0 * SQ5 + 4.0 * SQ3 - 9.0),
                 -2.0 * math.sqrt(15.0) + 3.0 * SQ5 - 4.0 * SQ3 + 8.0)
-    if kind == "b=c":
-        if n == 3:
-            return (SQ2 * (SQ3 - 1.0), -3.0 * SQ3 * (SQ3 - 1.0), 2.0 - SQ3)
-        if n == 4:
-            return (2.0 * (SQ2 - 1.0), -6.0 * SQ2 * (SQ2 - 1.0), 3.0 - 2.0 * SQ2)
-        q = 5.0 ** 0.25
-        c1 = SQ2 * math.sqrt(SQ5 + 1.0) * q - SQ5 - 1.0
-        c2 = 3.0 * ((SQ5 + 1.0) ** 1.5 * q / SQ2 - SQ5 - 5.0)
-        c0 = -((SQ5 + 1.0) ** 1.5) * q / SQ2 + SQ5 + 4.0
-        return (c1, c2, c0)
-    raise ValueError(f"no radial quartic for {kind!r}")
+    if n == 4:
+        return (2.0 * (SQ2 - 1.0), -6.0 * SQ2 * (SQ2 - 1.0), 3.0 - 2.0 * SQ2)
+    q = 5.0 ** 0.25
+    c1 = SQ2 * math.sqrt(SQ5 + 1.0) * q - SQ5 - 1.0
+    c2 = 3.0 * ((SQ5 + 1.0) ** 1.5 * q / SQ2 - SQ5 - 5.0)
+    c0 = -((SQ5 + 1.0) ** 1.5) * q / SQ2 + SQ5 + 4.0
+    return (c1, c2, c0)
 
 
-def _bracket_root(f, lo: float = 1e-9, hi: float = 1.0 - 1e-9, pieces: int = 64,
-                  rtol: float = 1e-13) -> float | None:
-    """Smallest root of f in (lo, hi): bracket scan plus bisection."""
-    xs = np.linspace(lo, hi, pieces + 1)
-    vals = [f(x) for x in xs]
-    for i in range(pieces):
-        if vals[i] == 0.0:
-            return float(xs[i])
-        if vals[i] * vals[i + 1] < 0.0:
-            a, b, fa = xs[i], xs[i + 1], vals[i]
-            while b - a > rtol:
-                mid = 0.5 * (a + b)
-                fm = f(mid)
-                if fa * fm <= 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            return 0.5 * (a + b)
-    return None
+# reduction_radii brackets roots on this grid of (0, 1), then bisects to _ROOT_TOL
+_ROOT_GRID = np.linspace(1e-9, 1.0 - 1e-9, 65)
+_ROOT_TOL = 1e-13
+
+
+def reduction_radii(kind: str, n: int, thetas) -> np.ndarray:
+    """M-chart radius of the a=c or b=c locus on the ray at each angle of a
+    1-D array: the smallest root in (0, 1) of the radial quartic, from the
+    first exact zero or sign change on _ROOT_GRID, bisected for all rows at
+    once; NaN where the ray misses the locus."""
+    solid_constants(n)
+    c1, c2, c0 = _reduction_quartic(kind, n)
+    trig = math.cos if kind == "a=c" else math.sin
+    t = np.array([trig(x) for x in np.asarray(thetas, dtype=float).tolist()])
+
+    def quartic(x, t):
+        # float_power is libm's pow, as on floats; ** on arrays rounds apart
+        return np.float_power(x, 4.0) + c2 * x * x + c0 + c1 * x * (x * x + 1.0) * t
+
+    vals = quartic(_ROOT_GRID, t[:, None])
+    zero = vals[:, :-1] == 0.0
+    hit = zero | (vals[:, :-1] * vals[:, 1:] < 0.0)
+    rows = np.flatnonzero(hit.any(axis=1))
+    i = hit[rows].argmax(axis=1)
+    # an exact zero is a bracket of width 0, whose midpoint is the zero
+    a, fa, t = _ROOT_GRID[i], vals[rows, i], t[rows]
+    b = np.where(zero[rows, i], a, _ROOT_GRID[i + 1])
+    while np.count_nonzero(live := b - a > _ROOT_TOL):
+        mid = 0.5 * (a + b)
+        fm = quartic(mid, t)
+        left = fa * fm <= 0.0
+        np.copyto(b, mid, where=live & left)
+        np.copyto(a, mid, where=live > left)
+        np.copyto(fa, fm, where=live > left)
+    radii = np.full(len(vals), np.nan)
+    radii[rows] = 0.5 * (a + b)
+    return radii
 
 
 def reduction_point(kind: str, n: int, theta: float) -> CurveSample:
-    """Radial sample of a reduction locus at M-chart angle theta.
-
-    For a=c and b=c the smallest quartic root in (0, 1) is returned; for the
-    circle locus a=b the ray/circle intersection.  Raises NoRootInDisk when
-    the ray misses the locus.  The degenerate n=3 diagonal (a=b) returns the
-    midpoint of the in-moduli segment, flagged line_locus.
-    """
-    solid_constants(n)
+    """Radial sample of a reduction locus at M-chart angle theta: the a=c or
+    b=c radius of reduction_radii, or where the ray meets the a=b circle.
+    Raises NoRootInDisk when the ray misses the locus.  The degenerate n=3
+    diagonal (a=b) returns the midpoint of the in-moduli segment, flagged
+    line_locus."""
     if kind == "a=b":
         return _ab_point(n, theta)
-    c1, c2, c0 = _reduction_quartic(kind, n)
-    trig = math.cos(theta) if kind == "a=c" else math.sin(theta)
-    r = _bracket_root(lambda x: x ** 4 + c2 * x * x + c0 + c1 * x * (x * x + 1.0) * trig)
-    if r is None:
+    r = float(reduction_radii(kind, n, [theta])[0])
+    if math.isnan(r):
         raise NoRootInDisk(f"{kind} locus does not meet the ray theta={theta}")
     return _sample(theta, r, "M", n)
 
@@ -774,18 +783,16 @@ def check_bc_below_gammaA(n: int, samples: int = 1024) -> BcGapReport:
     The reported tangency angle is where the gap is smallest (refined by
     golden-section search around the grid minimum).
     """
-    solid_constants(n)
 
     def gap(t: float) -> float:
-        ga = gamma_m_chart("gamma_A", n, t).r
-        return ga - reduction_point("b=c", n, t).r
+        return gamma_m_chart("gamma_A", n, t).r - reduction_point("b=c", n, t).r
 
     lo, hi = M_THETA_RANGE["gamma_A"]
     thetas = np.linspace(lo, hi, samples)
-    gaps = np.array([gap(t) for t in thetas])
+    gaps = (np.array([gamma_m_chart("gamma_A", n, t).r for t in thetas])
+            - reduction_radii("b=c", n, thetas))
     i = int(np.argmin(gaps))
-    a = thetas[max(0, i - 1)]
-    b = thetas[min(samples - 1, i + 1)]
+    a, b = thetas[max(0, i - 1)], thetas[min(samples - 1, i + 1)]
     phi = 0.5 * (math.sqrt(5.0) - 1.0)
     x1, x2 = b - phi * (b - a), a + phi * (b - a)
     f1, f2 = gap(x1), gap(x2)

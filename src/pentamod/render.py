@@ -16,7 +16,6 @@ import numpy as np
 
 from . import charts, moduli, pentagon, sphere
 from .charts import ChartPoint, geometry
-from .errors import NoRootInDisk
 
 INCLUDE_CHOICES = ("moduli-boundary", "region-arcs", "reduction-curves",
                    "core-triangles", "face-subdivision")
@@ -161,15 +160,14 @@ def _reduction_layers(opts: RenderOptions) -> list[str]:
     out = []
     pts = circle_points(moduli.ab_plane(n), 4 * k)
     out.append(_path(_project(pts, opts.chart, n, clip=1.0), "reduction", "red-ab"))
+    thetas = np.linspace(0.0, 2.0 * math.pi, 2 * k, endpoint=True)
     for kind, ident in (("a=c", "red-ac"), ("b=c", "red-bc")):
-        samples = []
-        for t in np.linspace(0.0, 2.0 * math.pi, 2 * k, endpoint=True):
-            try:
-                samples.append(moduli.reduction_point(kind, n, t).xi)
-            except NoRootInDisk:
-                continue
-        if samples:
-            out.append(_path(_project(np.array(samples), opts.chart, n), "reduction", ident))
+        radii = moduli.reduction_radii(kind, n, thetas)
+        hit = ~np.isnan(radii)
+        if hit.any():
+            pts = np.array([charts.to_sphere(ChartPoint(cmath.rect(r, t), "M", n))
+                            for t, r in zip(thetas[hit], radii[hit])])
+            out.append(_path(_project(pts, opts.chart, n), "reduction", ident))
     return out
 
 

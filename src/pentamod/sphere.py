@@ -32,6 +32,10 @@ from .errors import AntipodalEndpoints, DegenerateArc, InvalidPoints
 # decades of margin.
 DEFAULT_TOL = 1e-9
 
+# p is on the great circle with unit normal c when |p.c|, the sine of its
+# angle to the circle, is at most this (1e-15 for the dot's rounding).
+ON_CIRCLE = math.sin(DEFAULT_TOL) + 1e-15
+
 # |u + v| below this means antipodal endpoints.
 ANTIPODAL_EPS = 1e-9
 
@@ -196,8 +200,7 @@ def point_on_arc(p: np.ndarray, s: GreatArc) -> bool:
     Both the distance to the circle and the angular overshoot past the
     endpoints are compared against DEFAULT_TOL.
     """
-    d = float(p @ s.normal)
-    if abs(d) > math.sin(DEFAULT_TOL) + 1e-15:
+    if abs(float(p @ s.normal)) > ON_CIRCLE:
         return False
     ang = math.atan2(float(p @ s.tangent), float(p @ s.u))
     return -DEFAULT_TOL <= ang <= s.length + DEFAULT_TOL

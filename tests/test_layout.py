@@ -1,7 +1,8 @@
 """Layering rules: no module of the package reaches into another's privates,
-the scalar geometry stays off numpy's 3-vector cross and norm, importing
-the package loads neither scipy nor what only some calls need and starts
-no thread, and every command runs with scipy blocked."""
+the scalar geometry stays off numpy's 3-vector cross and norm, the circle
+tests of moduli stay off arcsin, importing the package loads neither scipy
+nor what only some calls need and starts no thread, and every command runs
+with scipy blocked."""
 
 import ast
 import os
@@ -79,7 +80,7 @@ def _dotted(node):
     return None
 
 
-def _numpy_vector_ops(path):
+def _numpy_vector_ops(path, ops=_NUMPY_VECTOR_OPS):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     numpy_names = {"numpy"}
     for node in ast.walk(tree):
@@ -89,11 +90,11 @@ def _numpy_vector_ops(path):
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and (name := _dotted(node)):
             head, _, rest = name.partition(".")
-            if head in numpy_names and f"numpy.{rest}" in _NUMPY_VECTOR_OPS:
+            if head in numpy_names and f"numpy.{rest}" in ops:
                 found.append(f"line {node.lineno}: uses {name}")
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                if f"{node.module}.{alias.name}" in _NUMPY_VECTOR_OPS:
+                if f"{node.module}.{alias.name}" in ops:
                     found.append(f"line {node.lineno}: imports {node.module}.{alias.name}")
     return found
 
@@ -116,6 +117,32 @@ def test_numpy_vector_op_check_catches_each_kind(tmp_path):
     found = _numpy_vector_ops(src)
     assert sorted(found) == ["line 4: imports numpy.linalg.norm", "line 5: uses np.cross",
                              "line 6: uses numpy.linalg.norm", "line 8: uses np.cross"]
+
+
+# moduli decides sides of and nearness to its dividing circles on the sines
+# p.c themselves, compared with the sine of a tolerance; arcsin on every
+# dot product would add cost and nothing else
+ANGLE_FREE_MODULES = ("moduli.py",)
+_NUMPY_ANGLE_OPS = ("numpy.arcsin",)
+
+
+def test_circle_tests_avoid_arcsin():
+    bad = {name: v for name in ANGLE_FREE_MODULES
+           if (v := _numpy_vector_ops(PACKAGE / name, _NUMPY_ANGLE_OPS))}
+    assert not bad, bad
+
+
+def test_arcsin_check_catches_each_kind(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text('"""np.arcsin in a docstring is fine."""\n'
+                   "import numpy as np\n"
+                   "from numpy import arcsin\n"
+                   "a = np.arcsin(np.clip(x, -1.0, 1.0))\n"
+                   "b = np.arccos(x) + np.sin(x) + math.asin(x)\n"
+                   "f = np.arcsin\n", encoding="utf-8")
+    found = _numpy_vector_ops(src, _NUMPY_ANGLE_OPS)
+    assert sorted(found) == ["line 3: imports numpy.arcsin", "line 4: uses np.arcsin",
+                             "line 6: uses np.arcsin"]
 
 
 def test_import_does_not_load_scipy():

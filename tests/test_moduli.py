@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -82,7 +83,7 @@ def _check_sign_regions(n, pts):
     a region; returns how many points were interior."""
     tol = sphere.DEFAULT_TOL
     interior = ((moduli._vertex_screen(n, pts, tol) < 0)
-                & (np.abs(moduli._circle_angles(n, pts)) > math.sin(tol) + 1e-15).all(axis=1))
+                & (np.abs(moduli._circle_sines(n, pts)) > math.sin(tol) + 1e-15).all(axis=1))
     circle, region = moduli._classify(n, pts)
     assert (region[interior] != 0).all()
     assert (region[~interior] == 0).all()
@@ -426,6 +427,54 @@ def test_bc_gap_report_n5_structure():
     assert rep.n == 5 and rep.samples == 256
     assert math.pi / 2 <= rep.tangency_theta <= math.pi
     assert rep.max_gap > rep.min_gap
+
+
+# sha256 prefixes of the a=c and b=c radii over 4097 angles in [0, 2 pi]
+# (misses as NaN), pinned from the scalar scan-and-bisect root finder that
+# reduction_radii replaced
+REDUCTION_DIGESTS = {
+    (3, "a=c"): "b831abfde17821b1", (3, "b=c"): "c73e15ec45652083",
+    (4, "a=c"): "46ead918875d40a4", (4, "b=c"): "66b4e701e1b4cf32",
+    (5, "a=c"): "accd90cfe0cc94d5", (5, "b=c"): "038b00260031ee78",
+}
+
+
+@pytest.mark.parametrize("kind", ("a=c", "b=c"))
+@pytest.mark.parametrize("n", SOLIDS)
+def test_reduction_radii_bits_are_pinned(n, kind):
+    radii = moduli.reduction_radii(kind, n, np.linspace(0.0, 2.0 * math.pi, 4097))
+    assert hashlib.sha256(radii.tobytes()).hexdigest()[:16] == REDUCTION_DIGESTS[n, kind]
+
+
+@pytest.mark.parametrize("kind", ("a=c", "b=c"))
+def test_reduction_radii_miss_exactly_where_reduction_point_raises(kind):
+    # every real ray meets both loci (the quartic is positive at r = 0 and
+    # negative at r = 1), so the misses here are the NaN angles
+    assert moduli.reduction_radii(kind, 4, np.array([])).shape == (0,)
+    thetas = np.array([0.0, math.nan, 1.2 * math.pi, math.nan, 5.0, -7.5])
+    for n in SOLIDS:
+        radii = moduli.reduction_radii(kind, n, thetas)
+        for t, r in zip(thetas, radii):
+            try:
+                assert moduli.reduction_point(kind, n, t).r == r
+            except NoRootInDisk:
+                assert math.isnan(r)
+        assert np.isnan(radii).tolist() == np.isnan(thetas).tolist()
+
+
+def test_reduction_radii_reject_the_ab_circle():
+    with pytest.raises(ValueError):
+        moduli.reduction_radii("a=b", 3, np.array([1.25 * math.pi]))
+
+
+def test_bc_gap_reports_are_pinned():
+    # the reports of the scalar root finder, bit for bit (the n = 5 gap is
+    # criterion 5's known red value)
+    pinned = {3: (2.0761170560490427e-14, 0.2496888977739341, 1.570796326794898),
+              4: (-2.4424906541753444e-15, 0.09532197908335094, 1.5710185289047045),
+              5: (-0.030271598285112167, 0.026098647813711406, 2.174716148554535)}
+    for n, report in pinned.items():
+        assert moduli.check_bc_below_gammaA(n) == moduli.BcGapReport(n, *report, samples=1024)
 
 
 def test_boundary_band_mask():
