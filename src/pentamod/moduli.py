@@ -15,14 +15,14 @@ three curves gamma_A, gamma_B, gamma_C.  Every curve is carried in four
 equivalent representations (polar, cartesian, complex, spherical quadratic)
 in its home chart, plus closed polar forms in the M-chart.
 
-Nearness to the division vertices comes from one screen (_vertex_screen),
-side of and nearness to the dividing circles from the sines of
-_circle_sines (never turned into angles), the curve radius from _eqd_radius,
-the spherical quadratic from _quadric and the a=c and b=c reduction loci
-from the array root finder reduction_radii.  Public entry points validate
-their points once (sphere.as_point/as_points) and hand them to private
-kernels that do not check again.  The simplicity oracle that membership is
-checked against lives in pentagon.
+Side of and nearness to the dividing circles, and with them nearness to
+the division vertices, come from the sines of _circle_sines (never turned
+into angles), the curve radius from _eqd_radius, the spherical quadratic
+from _quadric and the a=c and b=c reduction loci from the array root
+finder reduction_radii.  Public entry points validate their points once
+(sphere.as_point/as_points) and hand them to private kernels that do not
+check again.  The simplicity oracle that membership is checked against
+lives in pentagon.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 from . import charts
 from .charts import SQ2, SQ3, SQ5, ChartPoint, geometry, solid_constants
 from .errors import NoRootInDisk, OutOfRange
-from .sphere import DEFAULT_TOL, ON_CIRCLE, UNIT_NORM_EPS, VERTEX_SLACK, as_point, as_points
+from .sphere import DEFAULT_TOL, ON_CIRCLE, VERTEX_SLACK, as_point, as_points
 
 CORE_REGIONS = (1, 2, 3, 7)
 
@@ -125,28 +125,6 @@ def _polar(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return th, r
 
 
-def _vertex_screen(n: int, pts: np.ndarray, radius: float) -> np.ndarray:
-    """For (N, 3) points as_points accepts: the index into
-    Division.vertices of the first division vertex within `radius` radians
-    of each point, -1 if none, (N,).
-
-    A vertex is within the radius when the chord |p - v| is at most
-    2 sin(radius/2).  The chord is computed only where p.v clears
-    1 - chord^2/2; the extra margin of UNIT_NORM_EPS covers points off the
-    unit sphere by as much as as_points allows.
-    """
-    div = division(n)
-    chord = 2.0 * math.sin(0.5 * radius)
-    near = pts @ div.vertex_points.T >= 1.0 - 0.5 * chord * chord - UNIT_NORM_EPS
-    vertex = np.full(pts.shape[0], -1)
-    if near.any():
-        rows, k = np.nonzero(near)
-        keep = np.linalg.norm(pts[rows] - div.vertex_points[k], axis=1) <= chord
-        rows, first = np.unique(rows[keep], return_index=True)
-        vertex[rows] = k[keep][first]
-    return vertex
-
-
 def _circle_sines(n: int, pts: np.ndarray) -> np.ndarray:
     """The sine of each point's signed angle to each dividing circle, p.c
     for the circle's unit normal c, (N, n+2)."""
@@ -157,23 +135,24 @@ def _classify(n: int, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Place each point of an (N, 3) array of unit vectors in the division:
     (circle, region), each (N,).
 
-    A point within DEFAULT_TOL (radians) of a division vertex, or of two or
-    more dividing circles, gets neither a circle (-1) nor a region (0).  A
-    point within DEFAULT_TOL of exactly one circle gets that circle's index
-    into Division.circle_names.  Every other point gets its region 1..6n,
-    read from the signs of its circle sines.  The points must already be
+    A point within DEFAULT_TOL (radians) of two or more dividing circles
+    gets neither a circle (-1) nor a region (0).  So does every point within
+    DEFAULT_TOL of a division vertex: the vertex lies within 1e-15 of two
+    circles, so the point's sines to both are within ON_CIRCLE.  A point
+    within DEFAULT_TOL of exactly one circle gets that circle's index into
+    Division.circle_names.  Every other point gets its region 1..6n, read
+    from the signs of its circle sines.  The points must already be
     validated by as_points.
     """
-    near_vertex = _vertex_screen(n, pts, DEFAULT_TOL) >= 0
     sines = _circle_sines(n, pts)
     on = np.abs(sines) <= ON_CIRCLE
     # a float product sums the rows of a boolean matrix several times
     # faster than sum or argmax, so argmax runs on the rare rows it decides
     count = on @ np.ones(n + 2)
     circle = np.full(len(pts), -1)
-    single = np.flatnonzero(~near_vertex & (count == 1.0))
+    single = np.flatnonzero(count == 1.0)
     circle[single] = on[single].argmax(axis=1)
-    region = np.where(~near_vertex & (count == 0.0), _sign_region(n, sines), 0)
+    region = np.where(count == 0.0, _sign_region(n, sines), 0)
     return circle, region
 
 
@@ -187,33 +166,33 @@ def _sign_region(n: int, sines: np.ndarray) -> np.ndarray:
 def region_of(n: int, p: np.ndarray, tol: float = DEFAULT_TOL):
     """Classify a sphere point into its region, or a Boundary descriptor.
 
-    Points within tol (radians) of a dividing circle report the adjacent
-    regions; points near two or more circles are vertices.
+    A point within tol (radians) of no dividing circle gets its region.  Any
+    other point is a Boundary: a vertex when it is within tol of two or more
+    circles or within max(tol, VERTEX_SLACK) of a division vertex (the first
+    of Division.vertices names it), an arc otherwise.  Its regions are those
+    of every sign pattern on the circles within tol of it, and at a named
+    vertex on every circle through the vertex, with its other signs kept.
     """
     solid_constants(n)
     div = division(n)
     p = as_point(p)
-    sines = _circle_sines(n, p[None])
-    on = np.flatnonzero(np.abs(sines[0]) <= math.sin(tol) + 1e-15)
-    if len(on) == 0:
+    sines = _circle_sines(n, p[None])[0]
+    on = np.abs(sines) <= math.sin(tol) + 1e-15
+    if not on.any():
         # every division vertex lies on two circles (within 1e-15), so for
         # tol >= 0 a point on no circle is no vertex either
-        return int(_sign_region(n, sines)[0])
-    vertex = _vertex_screen(n, p[None], max(tol, VERTEX_SLACK))[0]
-    vertex_name = list(div.vertices)[vertex] if vertex >= 0 else None
-    kind = "vertex" if (len(on) >= 2 or vertex_name) else "arc"
-    # probe a small circle around p for the adjacent regions
-    radius = max(200.0 * tol, 1e-6)
-    e1 = div.normals[on[0]]
-    e2 = np.cross(p, e1)
-    e2 /= np.linalg.norm(e2)
-    e1 = np.cross(e2, p)
-    ang = 2.0 * math.pi * (np.arange(16) + 0.31) / 16.0
-    q = p + radius * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2)
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    sines = _circle_sines(n, q)
-    clear = np.min(np.abs(sines), axis=1) > math.sin(0.2 * radius)
-    neighbours = _sign_region(n, sines[clear])
+        return int(_sign_region(n, sines[None])[0])
+    chords = np.linalg.norm(p - div.vertex_points, axis=1)
+    near = np.flatnonzero(chords <= 2.0 * math.sin(0.5 * max(tol, VERTEX_SLACK)))
+    vertex_name = list(div.vertices)[near[0]] if near.size else None
+    kind = "vertex" if (np.count_nonzero(on) >= 2 or vertex_name) else "arc"
+    if near.size:
+        on |= np.abs(div.normals @ div.vertex_points[near[0]]) <= ON_CIRCLE
+    k = np.flatnonzero(on)
+    flip = (np.arange(1 << k.size)[:, None] >> np.arange(k.size)) & 1
+    patterns = np.tile(sines, (len(flip), 1))
+    patterns[:, k] = 1.0 - 2.0 * flip
+    neighbours = _sign_region(n, patterns)
     return Boundary(kind=kind, regions=tuple(sorted({int(m) for m in neighbours})),
                     vertex=vertex_name)
 
@@ -604,9 +583,10 @@ def boundary_band_mask(n: int, pts: np.ndarray, band: float) -> np.ndarray:
     sines = np.abs(_circle_sines(n, pts))
     near = (sines <= math.sin(min(band, 0.5 * math.pi))) @ np.ones(n + 2) > 0.0
     geo = geometry(n)
+    coords = {"A": pts @ geo.frame_a.T, "B": pts @ geo.frame_b.T}
     for which in CURVE_NAMES:
         spec = curve_spec(which, n)
-        xi = pts @ geo.frame(spec.chart).T
+        xi = coords[spec.chart]
         q, grad = _quadric(spec, xi[:, 0], xi[:, 1], xi[:, 2])
         g = np.column_stack(grad)
         g -= (np.einsum("ij,ij->i", g, xi))[:, None] * xi

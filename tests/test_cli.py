@@ -47,6 +47,14 @@ def test_check_vertex_point(capsys):
     assert data["region"]["vertex"] == "M"
 
 
+def test_check_reports_every_region_around_b(capsys):
+    # the n circles through B cut 2n regions around it
+    code, out = run_cli(capsys, "check", "--solid", "5", "--chart", "B", "--point", "0")
+    assert code == 0
+    assert json.loads(out)["region"] == {"boundary": "vertex", "vertex": "B",
+                                         "regions": [1, 2, 7, 8, 13, 14, 19, 20, 25, 26]}
+
+
 def test_check_far_point(capsys):
     code, out = run_cli(capsys, "check", "--solid", "5", "--chart", "M",
                         "--point", "0.9+0.9i")

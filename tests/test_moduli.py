@@ -47,6 +47,37 @@ def test_region_of_division_vertex_m():
     assert {1, 3, 7} <= set(b.regions)
 
 
+@pytest.mark.parametrize("n", SOLIDS)
+def test_region_of_vertex_regions_are_those_around_it(n):
+    # at every division vertex and its antipode, the regions region_of
+    # reports are those _classify finds on a ring 1e-6 rad around it
+    ang = 2.0 * math.pi * np.arange(3600) / 3600.0
+    for name, v in moduli.division(n).vertices.items():
+        for w in (v, -v):
+            e1 = np.cross(w, (0.3, 0.5, 0.7))
+            e1 /= np.linalg.norm(e1)
+            e2 = np.cross(w, e1)
+            ring = (math.cos(1e-6) * w
+                    + math.sin(1e-6) * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2))
+            _, region = moduli._classify(n, ring)
+            want = tuple(sorted(set(region[region != 0].tolist())))
+            assert moduli.region_of(n, w).regions == want, (n, name, w @ v)
+
+
+@pytest.mark.parametrize("n", SOLIDS)
+def test_region_of_names_the_vertex_along_one_circle(n):
+    # 5e-8 rad from a vertex along one circle through it: within
+    # VERTEX_SLACK of the vertex but within tol of that circle alone, the
+    # point still reports every region around the vertex
+    div = moduli.division(n)
+    for name, v in div.vertices.items():
+        nrm = div.normals[np.flatnonzero(np.abs(div.normals @ v) < 1e-12)[0]]
+        d = np.cross(nrm, v)
+        p = math.cos(5e-8) * v + math.sin(5e-8) * d / np.linalg.norm(d)
+        assert np.count_nonzero(np.abs(div.normals @ p) <= 1e-9) == 1, (n, name)
+        assert moduli.region_of(n, p) == moduli.region_of(n, v), (n, name)
+
+
 def test_region_of_boundary_arc():
     # midpoint of arc AB separates Omega_1 from Omega_2
     geo = charts.geometry(4)
@@ -77,12 +108,22 @@ def _chart_regions(n, pts):
     return moduli._sector_region(n, *sectors)
 
 
+def _full_chord_screen(n, pts, radius):
+    """The index into Division.vertices of the first division vertex within
+    `radius` radians of each point (chord |p - v| <= 2 sin(radius/2)), -1
+    if none."""
+    div = moduli.division(n)
+    chord = 2.0 * math.sin(0.5 * radius)
+    near = np.column_stack([np.linalg.norm(pts - v, axis=1) <= chord for v in div.vertex_points])
+    return np.where(near.any(axis=1), near.argmax(axis=1), -1)
+
+
 def _check_sign_regions(n, pts):
-    """_classify gives every interior point (clear of the vertex screen and
-    of every circle) the region its chart sectors name, and no other point
+    """_classify gives every interior point (clear of every division vertex
+    and every circle) the region its chart sectors name, and no other point
     a region; returns how many points were interior."""
     tol = sphere.DEFAULT_TOL
-    interior = ((moduli._vertex_screen(n, pts, tol) < 0)
+    interior = ((_full_chord_screen(n, pts, tol) < 0)
                 & (np.abs(moduli._circle_sines(n, pts)) > math.sin(tol) + 1e-15).all(axis=1))
     circle, region = moduli._classify(n, pts)
     assert (region[interior] != 0).all()
@@ -129,6 +170,29 @@ _UNIT = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: 1e-3 < sum(x * x
 def test_sign_regions_match_chart_sectors_hypothesis(v, n):
     p = np.array(v) / np.linalg.norm(v)
     _check_sign_regions(n, p[None])
+
+
+def _check_region_of_matches_classify(n, pts):
+    """region_of at the default tolerance is the int region _classify gives
+    a point wherever it gives one, and a Boundary everywhere else."""
+    _, region = moduli._classify(n, pts)
+    for p, m in zip(pts, region.tolist()):
+        got = moduli.region_of(n, p)
+        if m:
+            assert type(got) is int and got == m, (n, p, m, got)
+        else:
+            assert isinstance(got, moduli.Boundary), (n, p, got)
+
+
+@pytest.mark.parametrize("n", SOLIDS)
+def test_region_of_matches_classify_near_the_division(n):
+    _check_region_of_matches_classify(n, _near_division(n, np.random.default_rng(70 + n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_UNIT, st.sampled_from(SOLIDS))
+def test_region_of_matches_classify_hypothesis(v, n):
+    _check_region_of_matches_classify(n, (np.array(v) / np.linalg.norm(v))[None])
 
 
 # ---------------------------------------------------------------------------
@@ -509,14 +573,6 @@ def test_band_mask_covers_every_vertex_disc():
                 assert moduli.boundary_band_mask(n, pts, band).all(), (n, v, band)
 
 
-def _full_chord_screen(n, pts, radius):
-    """Reference for moduli._vertex_screen: every chord |p - v| computed."""
-    div = moduli.division(n)
-    chord = 2.0 * math.sin(0.5 * radius)
-    near = np.column_stack([np.linalg.norm(pts - v, axis=1) <= chord for v in div.vertex_points])
-    return np.where(near.any(axis=1), near.argmax(axis=1), -1)
-
-
 def _around_vertices(n, radius, rng):
     """Points just inside, at and just outside `radius` from every division
     vertex, along each dividing circle through it and in random directions,
@@ -533,25 +589,17 @@ def _around_vertices(n, radius, rng):
     return np.array(pts) * rng.choice([1.0 - 4.9e-10, 1.0, 1.0 + 4.9e-10], size=(len(pts), 1))
 
 
-def test_vertex_screen_matches_full_chords(monkeypatch):
-    # the screen computes chords only where p.v clears the radius; its margin
-    # must hold at every radius a caller passes, for points off the unit
-    # sphere by up to the allowed slack
+def test_points_near_a_vertex_are_on_two_circles():
+    # so _classify needs no vertex screen: a point within DEFAULT_TOL of a
+    # division vertex, even off the unit sphere by nearly the slack that
+    # as_points allows, is within ON_CIRCLE of two circles through it
     rng = np.random.default_rng(17)
-    bands, tols = (1e-9, 1e-6, 1e-3, 0.05), (1e-9, 1e-3)
     for n in SOLIDS:
-        around = {r: _around_vertices(n, r, rng) for r in bands + (1e-7,)}
-        pts = np.vstack(list(around.values()) + [sphere.sample_sphere(500, n)])
-        naming = {tol: around[max(tol, 1e-7)] for tol in tols}
-        for r in bands + (1e-7, 0.0):
-            assert np.array_equal(moduli._vertex_screen(n, pts, r),
-                                  _full_chord_screen(n, pts, r)), (n, r)
-        regions = [[moduli.region_of(n, p, tol) for p in naming[tol]] for tol in tols]
-        assert any(isinstance(b, moduli.Boundary) and b.vertex for b in regions[0])
-        with monkeypatch.context() as m:
-            m.setattr(moduli, "_vertex_screen", _full_chord_screen)
-            for tol, got in zip(tols, regions):
-                assert [moduli.region_of(n, p, tol) for p in naming[tol]] == got, (n, tol)
+        pts = _around_vertices(n, sphere.DEFAULT_TOL, rng)
+        near = _full_chord_screen(n, pts, sphere.DEFAULT_TOL) >= 0
+        assert near.any(), n
+        circle, region = moduli._classify(n, pts[near])
+        assert (circle == -1).all() and (region == 0).all(), n
 
 
 def test_near_curve_agreement_outside_band():
