@@ -18,11 +18,13 @@ in its home chart, plus closed polar forms in the M-chart.
 Side of and nearness to the dividing circles, and with them nearness to
 the division vertices, come from the sines of _circle_sines (never turned
 into angles), the curve radius from _eqd_radius, the spherical quadratic
-from _quadric and the a=c and b=c reduction loci from the array root
-finder reduction_radii.  Public entry points validate their points once
-(sphere.as_point/as_points) and hand them to private kernels that do not
-check again.  The simplicity oracle that membership is checked against
-lives in pentagon.
+from _quadric_coeffs and the a=c and b=c reduction loci from the array root
+finder reduction_radii.  boundary_band_mask is a filtered test too: a
+curve's quadric value, against a bound on its gradient over the sphere,
+rules out most rows, and the gradient rule runs on the rest.  Public entry
+points validate their points once (sphere.as_point/as_points) and hand
+them to private kernels that do not check again.  The simplicity oracle
+that membership is checked against lives in pentagon.
 """
 
 from __future__ import annotations
@@ -166,7 +168,8 @@ def _sign_region(n: int, sines: np.ndarray) -> np.ndarray:
 def region_of(n: int, p: np.ndarray, tol: float = DEFAULT_TOL):
     """Classify a sphere point into its region, or a Boundary descriptor.
 
-    A point within tol (radians) of no dividing circle gets its region.  Any
+    A point within tol (radians) of no dividing circle and within
+    max(tol, VERTEX_SLACK) of no division vertex gets its region.  Any
     other point is a Boundary: a vertex when it is within tol of two or more
     circles or within max(tol, VERTEX_SLACK) of a division vertex (the first
     of Division.vertices names it), an arc otherwise.  Its regions are those
@@ -177,13 +180,16 @@ def region_of(n: int, p: np.ndarray, tol: float = DEFAULT_TOL):
     div = division(n)
     p = as_point(p)
     sines = _circle_sines(n, p[None])[0]
-    on = np.abs(sines) <= math.sin(tol) + 1e-15
-    if not on.any():
-        # every division vertex lies on two circles (within 1e-15), so for
-        # tol >= 0 a point on no circle is no vertex either
+    slack = max(tol, VERTEX_SLACK)
+    if not (np.abs(sines) <= math.sin(slack) + 1e-15).any():
+        # every division vertex lies on two circles (within 1e-15), so a
+        # point within slack of no circle is within slack of no vertex
         return int(_sign_region(n, sines[None])[0])
+    on = np.abs(sines) <= math.sin(tol) + 1e-15
     chords = np.linalg.norm(p - div.vertex_points, axis=1)
-    near = np.flatnonzero(chords <= 2.0 * math.sin(0.5 * max(tol, VERTEX_SLACK)))
+    near = np.flatnonzero(chords <= 2.0 * math.sin(0.5 * slack))
+    if not (near.size or on.any()):
+        return int(_sign_region(n, sines[None])[0])
     vertex_name = list(div.vertices)[near[0]] if near.size else None
     kind = "vertex" if (np.count_nonzero(on) >= 2 or vertex_name) else "arc"
     if near.size:
@@ -280,17 +286,15 @@ def _sample(theta: float, r: float, chart: str, n: int, line_locus: bool = False
     return CurveSample(theta=theta, r=r, z=z, xi=charts.to_sphere(z), line_locus=line_locus)
 
 
-def _quadric(spec: CurveSpec, x1, x2, x3):
-    """The curve's spherical quadratic Q = L (x1^2 + x2^2) + (c1 x1 + c2 x2) x3
-    and grad Q at chart-frame (x1, x2, x3); floats or arrays alike."""
+def _quadric_coeffs(spec: CurveSpec) -> tuple[float, float, float]:
+    """(L, c1, c2) of the curve's spherical quadratic
+    Q = L (x1^2 + x2^2) + (c1 x1 + c2 x2) x3 in chart-frame coordinates."""
     if spec.which == "gamma_A":
-        L, c1, c2 = 2.0 * spec.lam, 1.0, SQ3
-    elif spec.which == "gamma_B":
-        L, c1, c2 = spec.lam, -math.cos(math.pi / spec.n), math.sin(math.pi / spec.n)
-    else:   # gamma_C_A, gamma_C_B
-        L, c1, c2 = spec.lam, (1.0 if spec.which == "gamma_C_A" else -1.0), 0.0
-    return (L * (x1 * x1 + x2 * x2) + (c1 * x1 + c2 * x2) * x3,
-            (2.0 * L * x1 + c1 * x3, 2.0 * L * x2 + c2 * x3, c1 * x1 + c2 * x2))
+        return 2.0 * spec.lam, 1.0, SQ3
+    if spec.which == "gamma_B":
+        return spec.lam, -math.cos(math.pi / spec.n), math.sin(math.pi / spec.n)
+    # gamma_C_A, gamma_C_B
+    return spec.lam, (1.0 if spec.which == "gamma_C_A" else -1.0), 0.0
 
 
 def gamma_residual(spec: CurveSpec, p: np.ndarray) -> float:
@@ -298,8 +302,9 @@ def gamma_residual(spec: CurveSpec, p: np.ndarray) -> float:
 
     Zero exactly on the curve's supporting quadric.
     """
-    xi = geometry(spec.n).frame(spec.chart) @ np.asarray(p, dtype=float)
-    return _quadric(spec, *xi.tolist())[0]
+    x1, x2, x3 = (geometry(spec.n).frame(spec.chart) @ np.asarray(p, dtype=float)).tolist()
+    L, c1, c2 = _quadric_coeffs(spec)
+    return L * (x1 * x1 + x2 * x2) + (c1 * x1 + c2 * x2) * x3
 
 
 def gamma_cartesian_residual(spec: CurveSpec, z: complex) -> float:
@@ -573,7 +578,11 @@ def boundary_band_mask(n: int, pts: np.ndarray, band: float) -> np.ndarray:
     lies on two circles, so a point within `band` of a vertex is within
     `band` of one of them), and the supporting quadrics of the three curves;
     curve distance is the first-order estimate |Q| / |grad Q| (exact to
-    O(band^2)).
+    O(band^2)), with grad Q taken tangent to the sphere.  Q alone screens
+    the rows: grad Q = H x for the symmetric matrix H of the quadratic, so
+    on the sphere |grad Q| <= G, the Frobenius norm of H, and a row with
+    |Q| > band G cannot be near the curve.  The gradient is formed only on
+    the rows the screen keeps.
     """
     pts = as_points(pts)
     if band <= 0.0:
@@ -583,15 +592,28 @@ def boundary_band_mask(n: int, pts: np.ndarray, band: float) -> np.ndarray:
     sines = np.abs(_circle_sines(n, pts))
     near = (sines <= math.sin(min(band, 0.5 * math.pi))) @ np.ones(n + 2) > 0.0
     geo = geometry(n)
-    coords = {"A": pts @ geo.frame_a.T, "B": pts @ geo.frame_b.T}
+    coords = {}
+    for chart, frame in (("A", geo.frame_a), ("B", geo.frame_b)):
+        xi = pts @ frame.T
+        coords[chart] = xi, xi[:, 0] * xi[:, 0] + xi[:, 1] * xi[:, 1]
     for which in CURVE_NAMES:
         spec = curve_spec(which, n)
-        xi = coords[spec.chart]
-        q, grad = _quadric(spec, xi[:, 0], xi[:, 1], xi[:, 2])
-        g = np.column_stack(grad)
-        g -= (np.einsum("ij,ij->i", g, xi))[:, None] * xi
+        L, c1, c2 = _quadric_coeffs(spec)
+        xi, rr = coords[spec.chart]
+        x1, x2, x3 = xi[:, 0], xi[:, 1], xi[:, 2]
+        q = np.abs(L * rr + (c1 * x1 + c2 * x2) * x3)
+        # G >= 0.7 for every curve, above the rule's 1e-12 floor; the factor
+        # 1 + 1e-6 covers |x| <= 1 + 5e-10 (as_points) and the rounding of gn
+        G = math.sqrt(8.0 * L * L + 2.0 * c1 * c1 + 2.0 * c2 * c2) * (1.0 + 1e-6)
+        rows = np.flatnonzero(q <= band * G)
+        if not rows.size:
+            continue
+        x = xi.take(rows, 0)
+        x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2]
+        g = np.column_stack((2.0 * L * x1 + c1 * x3, 2.0 * L * x2 + c2 * x3, c1 * x1 + c2 * x2))
+        g -= (np.einsum("ij,ij->i", g, x))[:, None] * x
         gn = np.linalg.norm(g, axis=1)
-        near |= np.abs(q) <= band * np.maximum(gn, 1e-12)
+        near[rows] |= q.take(rows) <= band * np.maximum(gn, 1e-12)
     return near
 
 

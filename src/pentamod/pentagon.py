@@ -14,6 +14,15 @@ those rows only, and drops the rows the pair rules out.  An anchor's answer
 is the AND over the pairs and each row is computed on its own, so neither
 the compaction nor the order of the pairs changes an answer.  It skips the
 three adjacent pairs that cannot fail (see _PAIRS).
+
+Each pair is a filtered predicate: the signs of the four products of one
+arc's normal with the other arc's endpoints decide it on every row where
+each product clears a margin (see _CLEAR): one that covers the DEFAULT_TOL
+windows of the exact path and the rounding of both.  On such a row the
+exact path, _pair_hits, would give the same answer.  The rows inside a
+margin (near-touches, coplanar arcs, short arcs, the shared vertex of
+adjacent arcs) go through _pair_hits, which forms the arc tangents and
+lengths on those rows only.
 """
 
 from __future__ import annotations
@@ -206,24 +215,71 @@ def _norm(a):
 
 # the arc pairs (i, j), i < j, with the index in the boundary of the vertex
 # that adjacent arcs share (-1 for non-adjacent arcs).  Pairs that rule out
-# the most uniform anchors come first; the order does not change any answer.
-# Three adjacent pairs never fail and are left out (is_simple keeps them).
-# c1/c2: E is the half-turn of W about C (to_e to_w^T = 2 C C^T - I), so the
-# arcs leave C in opposite directions along one circle.  a1/a2 and b2/b1
-# leave A and B in different directions, so they could meet again only at
-# -A or -B, which no minor arc reaches.
+# the most uniform anchors come first and the adjacent pairs, which the
+# filter never rules a row out on, last; the order does not change any
+# answer.  Three adjacent pairs never fail and are left out (is_simple keeps
+# them).  c1/c2: E is the half-turn of W about C (to_e to_w^T = 2 C C^T - I),
+# so the arcs leave C in opposite directions along one circle.  a1/a2 and
+# b2/b1 leave A and B in different directions, so they could meet again only
+# at -A or -B, which no minor arc reaches.
 _PAIRS = tuple((i, j, j if j == i + 1 else (0 if (i, j) == (0, 5) else -1))
                for i, j in ((0, 3), (2, 5), (3, 5), (0, 4), (1, 4), (1, 5), (0, 2),
-                            (0, 5), (1, 2), (1, 3), (2, 4), (3, 4)))
+                            (1, 3), (2, 4), (0, 5), (1, 2), (3, 4)))
+
+# Margins of the batch filter.  Take arcs i and j with unit normals n_i, n_j
+# (NH), m = n_i x n_j, s = n_i.P for an endpoint P of arc j and t = n_j.P
+# for one of arc i.  P lies on circle j, so |s| <= |m|; the circles meet at
+# +-m/|m| at angle arcsin|m|, and the distance d along circle j from P to
+# the nearer of them has sin d = |s| / |m| >= |s|.
+#
+# Rounding.  The products are exact to a few ulps, except through the normal
+# of an arc of chord cn (CN): its cross product is exact to a few ulps, so
+# its direction only to a few ulps / cn, and the circle _pair_hits measures
+# the arc on (from its start along n x P) is tilted from n's by as much.
+# With slop = _ROUND / (the row's smallest cn), every value of the row is
+# good to slop and every crossing _pair_hits places is good to slop / |m|
+# along its arc.  _ROUND, 64 ulps of 1, is over ten times the bound this
+# needs.
+#
+# A non-adjacent pair is decided where the values clear
+# _CLEAR + slop = tan(DEFAULT_TOL) + slop:
+# - both ends of arc j on one side of circle i: s along arc j is a sinusoid,
+#   of period 2 pi, over an arc shorter than pi - 2 DEFAULT_TOL (|s1 + s2| <=
+#   |P_j + P_j+1| = 2 cos(L_j / 2)), so the arc and its DEFAULT_TOL windows
+#   stay on that side, and both candidates +-m/|m| (on circle i) miss the
+#   windows by (|s| - tan(DEFAULT_TOL) |m|) / |m| > slop / |m|.  The same
+#   holds with i and j swapped.
+# - both arcs straddling the other's circle: arc j crosses circle i at
+#   -sign(s1) m/|m| and arc i crosses circle j at sign(t1) m/|m|, each at
+#   least |s| / |m| or |t| / |m| inside its arc.  The arcs cross where the
+#   two points agree (s1 t1 < 0) and miss where they are antipodal.
+# A decided row has |m| >= |s| > DEFAULT_TOL + slop, so it is no coplanar
+# row of _pair_hits either.
+#
+# Adjacent arcs share a vertex S and their circles meet only at +-S (to
+# rounding).  Where the far end of each arc clears _CLEAR_ADJ + 4 slop /
+# _SLACK_CHORD off the other arc's circle, neither candidate counts:
+# - |m| >= |s| > 4 slop / _SLACK_CHORD, so the candidate near S lies within
+#   2 slop / |m| < _SLACK_CHORD / 2 of S, plus the 5e-10 by which an anchor
+#   may be off the unit sphere (as_points): inside _SLACK_CHORD;
+# - arc i's far end lies at least |t| > DEFAULT_TOL + 2 _SLACK_CHORD from -S,
+#   which is on circle j, so the window of arc i misses the candidate near
+#   -S, which is within 1.6 _SLACK_CHORD of -S.
+# Rows inside a margin go through _pair_hits.
+_ROUND = 2.0 ** -46
+_CLEAR = math.tan(DEFAULT_TOL)
+_CLEAR_ADJ = DEFAULT_TOL + 2.0 * _SLACK_CHORD
 
 
-def oracle_in_moduli_batch(n: int, pts: np.ndarray) -> np.ndarray:
-    """oracle_in_moduli over an (N, 3) array of unit vectors.
+def _arcs(n: int, V: np.ndarray):
+    """The six boundary arcs of every anchor of a validated (N, 3) array.
 
-    Builds every anchor's six arcs at once and tests the arc pairs with
-    the same tolerances as is_simple, each pair on the rows still live.
+    Returns (rows, P, NH, CN, live): rows indexes the anchors away from A
+    and B; P holds the six vertices V, A, W, C, E, B on those rows (A, C, B
+    broadcast), arc a runs from P[a] to P[a + 1] with unit normal NH[a] and
+    chord |P[a] x P[a + 1]| CN[a]; live indexes the rows whose arcs are all
+    constructible.
     """
-    V = as_points(pts)
     geo = charts.geometry(n)
     to_w, to_e = _rotations(n)
     rows = np.flatnonzero((_norm(V - geo.A) > _TOL_CHORD) & (_norm(V - geo.B) > _TOL_CHORD))
@@ -235,58 +291,110 @@ def oracle_in_moduli_batch(n: int, pts: np.ndarray) -> np.ndarray:
          np.broadcast_to(geo.C, (k, 3)), (V @ to_e.T).take(rows, 0),
          np.broadcast_to(geo.B, (k, 3))]
     ok = np.ones(k, dtype=bool)
-    NH, E2, L = [], [], []
+    NH, CN = [], []
     for a in range(6):
         u, v = P[a], P[(a + 1) % 6]
         cr = _cross(u, v)
         cn = _norm(cr)
         ok &= (cn > DEGENERATE_EPS) & (_norm(u + v) > ANTIPODAL_EPS)
-        nh = cr / np.maximum(cn, _TINY)[:, None]
-        NH.append(nh)
-        E2.append(_cross(nh, u))
-        L.append(np.arctan2(cn, _rowdot(u, v)))
-    live = np.flatnonzero(ok)
+        NH.append(cr / np.maximum(cn, _TINY)[:, None])
+        CN.append(cn)
+    return rows, P, NH, CN, np.flatnonzero(ok)
+
+
+def _frame(P, NH, CN, a, at):
+    """Arc a on rows at: its start, the unit tangent there, its length."""
+    u, v = _take(P[a], at), _take(P[(a + 1) % 6], at)
+    return u, _cross(_take(NH[a], at), u), np.arctan2(CN[a].take(at), _rowdot(u, v))
+
+
+def _pair_hits(i, j, adj, P, NH, CN, at):
+    """Whether arcs i and j meet on the rows at of _arcs, as is_simple
+    decides it: a candidate +-m/|m| within DEFAULT_TOL of both arcs and
+    (adjacent arcs) beyond VERTEX_SLACK of the shared vertex, or one circle
+    on which the arcs overlap by more than DEFAULT_TOL."""
+    ui, e2i, li = _frame(P, NH, CN, i, at)
+    uj, e2j, lj = _frame(P, NH, CN, j, at)
+    m = _cross(_take(NH[i], at), _take(NH[j], at))
+    nm = _norm(m)
+    cop = nm < DEFAULT_TOL
+    out = np.zeros(at.size, dtype=bool)
+    tr = np.flatnonzero(~cop)
+    if tr.size:
+        # the candidates +-m/|m|, first on arc i, then on arc j, away
+        # from the vertex the arcs share
+        mh = m.take(tr, 0) / np.maximum(nm.take(tr), _TINY)[:, None]
+        xi, yi = _rowdot(mh, _take(ui, tr)), _rowdot(mh, e2i.take(tr, 0))
+        lt = li.take(tr)
+        for sgn in (1.0, -1.0):
+            ai = np.arctan2(sgn * yi, sgn * xi)
+            h = np.flatnonzero((ai >= -DEFAULT_TOL) & (ai <= lt + DEFAULT_TOL))
+            if not h.size:
+                continue
+            cand, ah = sgn * mh.take(h, 0), tr.take(h)
+            aj = np.arctan2(_rowdot(cand, e2j.take(ah, 0)), _rowdot(cand, _take(uj, ah)))
+            hit = (aj >= -DEFAULT_TOL) & (aj <= lj.take(ah) + DEFAULT_TOL)
+            if adj >= 0:
+                hit &= _norm(cand - _take(ui if adj == i else uj, ah)) > _SLACK_CHORD
+            out[ah] |= hit
+    cp = np.flatnonzero(cop)
+    if cp.size:
+        # one circle: arc j's span in arc i's frame may overlap arc i by
+        # at most DEFAULT_TOL
+        u, e2, lc = _take(ui, cp), e2i.take(cp, 0), li.take(cp)
+        a0 = np.arctan2(_rowdot(_take(uj, cp), e2), _rowdot(_take(uj, cp), u))
+        vj = _take(P[(j + 1) % 6], at.take(cp))
+        a1 = np.arctan2(_rowdot(vj, e2), _rowdot(vj, u))
+        lo, hi = np.minimum(a0, a1), np.maximum(a0, a1)
+        wrap = hi - lo > math.pi
+        lo, hi = np.where(wrap, hi, lo), np.where(wrap, lo + 2.0 * math.pi, hi)
+        ova = np.minimum(lc, hi) - np.maximum(0.0, lo)
+        ovb = np.minimum(lc, hi - 2.0 * math.pi) - np.maximum(0.0, lo - 2.0 * math.pi)
+        out[cp] = np.maximum(ova, ovb) > DEFAULT_TOL
+    return out
+
+
+def _dots(nh, p):
+    """Row-wise nh.p, p possibly one point broadcast to (N, 3)."""
+    return nh @ p[0] if p.strides[0] == 0 else _rowdot(nh, p)
+
+
+def oracle_in_moduli_batch(n: int, pts: np.ndarray) -> np.ndarray:
+    """oracle_in_moduli over an (N, 3) array of unit vectors.
+
+    Builds every anchor's six arcs at once and tests the arc pairs, each on
+    the rows still live.  Signs decide a pair on the rows clear of the
+    margins above; _pair_hits, with the tolerances of is_simple, decides the
+    rest.
+    """
+    V = as_points(pts)
+    rows, P, NH, CN, live = _arcs(n, V)
+    slop = _ROUND / np.maximum(np.minimum.reduce(CN), DEGENERATE_EPS)
+    clear, clear_adj = _CLEAR + slop, _CLEAR_ADJ + (4.0 / _SLACK_CHORD) * slop
     for i, j, adj in _PAIRS:
         if not live.size:
             break
-        m = _cross(_take(NH[i], live), _take(NH[j], live))
-        nm = _norm(m)
-        cop = nm < DEFAULT_TOL
-        out = np.zeros(live.size, dtype=bool)
-        tr = np.flatnonzero(~cop)
-        if tr.size:
-            # the candidates +-m/|m|, first on arc i, then on arc j, away
-            # from the vertex the arcs share
-            at = live.take(tr)
-            mh = _take(m, tr) / np.maximum(nm.take(tr), _TINY)[:, None]
-            xi, yi = _rowdot(mh, _take(P[i], at)), _rowdot(mh, _take(E2[i], at))
-            li = L[i].take(at)
-            for sgn in (1.0, -1.0):
-                ai = np.arctan2(sgn * yi, sgn * xi)
-                h = np.flatnonzero((ai >= -DEFAULT_TOL) & (ai <= li + DEFAULT_TOL))
-                if not h.size:
-                    continue
-                cand, ah = sgn * _take(mh, h), at.take(h)
-                aj = np.arctan2(_rowdot(cand, _take(E2[j], ah)), _rowdot(cand, _take(P[j], ah)))
-                hit = (aj >= -DEFAULT_TOL) & (aj <= L[j].take(ah) + DEFAULT_TOL)
-                if adj >= 0:
-                    hit &= _norm(cand - _take(P[adj], ah)) > _SLACK_CHORD
-                out[tr.take(h)] |= hit
-        cp = np.flatnonzero(cop)
-        if cp.size:
-            # one circle: arc j's span in arc i's frame may overlap arc i by
-            # at most DEFAULT_TOL
-            at = live.take(cp)
-            ui, e2i, li = _take(P[i], at), _take(E2[i], at), L[i].take(at)
-            uj, vj = _take(P[j], at), _take(P[(j + 1) % 6], at)
-            a0 = np.arctan2(_rowdot(uj, e2i), _rowdot(uj, ui))
-            a1 = np.arctan2(_rowdot(vj, e2i), _rowdot(vj, ui))
-            lo, hi = np.minimum(a0, a1), np.maximum(a0, a1)
-            wrap = hi - lo > math.pi
-            lo, hi = np.where(wrap, hi, lo), np.where(wrap, lo + 2.0 * math.pi, hi)
-            ova = np.minimum(li, hi) - np.maximum(0.0, lo)
-            ovb = np.minimum(li, hi - 2.0 * math.pi) - np.maximum(0.0, lo - 2.0 * math.pi)
-            out[cp] = np.maximum(ova, ovb) > DEFAULT_TOL
+        ni, nj = _take(NH[i], live), _take(NH[j], live)
+        if adj < 0:
+            c = clear.take(live)
+            s1, s2 = _dots(ni, _take(P[j], live)), _dots(ni, _take(P[(j + 1) % 6], live))
+            t1, t2 = _dots(nj, _take(P[i], live)), _dots(nj, _take(P[i + 1], live))
+            side_s, side_t = s1 * s2 > 0.0, t1 * t2 > 0.0
+            clear_s = np.minimum(np.abs(s1), np.abs(s2)) > c
+            clear_t = np.minimum(np.abs(t1), np.abs(t2)) > c
+            decided = clear_s & (side_s | clear_t) | clear_t & side_t
+            out = decided & ~(side_s | side_t) & (s1 * t1 < 0.0)
+        else:
+            # the ends of arcs i and j away from the shared vertex
+            qi = P[i] if adj != i else P[i + 1]
+            qj = P[(j + 1) % 6] if adj == j else P[j]
+            c = clear_adj.take(live)
+            decided = ((np.abs(_dots(ni, _take(qj, live))) > c)
+                       & (np.abs(_dots(nj, _take(qi, live))) > c))
+            out = np.zeros(live.size, dtype=bool)
+        slow = np.flatnonzero(~decided)
+        if slow.size:
+            out[slow] = _pair_hits(i, j, adj, P, NH, CN, live.take(slow))
         live = live[~out]
     simple = np.zeros(V.shape[0], dtype=bool)
     simple[rows.take(live)] = True

@@ -1,5 +1,6 @@
 """The batch kernels and the scalar reference paths must agree."""
 
+import cmath
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from pentamod import (analytic_in_moduli, analytic_in_moduli_batch, anchor_pentagon,
                       boundary_band_mask, charts, moduli, oracle_in_moduli,
-                      oracle_in_moduli_batch, region_of, sphere)
+                      oracle_in_moduli_batch, pentagon, region_of, sphere)
+from pentamod.charts import SQ3, ChartPoint
 from pentamod.sphere import sample_sphere
 from pentamod.errors import InvalidPoints
 from pentamod.render import circle_points
@@ -102,6 +104,103 @@ def test_oracle_rows_are_independent(n):
 def test_oracles_agree_at_known_defect():
     V = np.array([0.5755406512314724, -9.999999038521016e-10, -0.8177731707387157])
     assert oracle_in_moduli_batch(3, V[None])[0] == oracle_in_moduli(3, V)
+
+
+def _off(q, d, offsets):
+    """Unit vectors q (N, 3) moved by each offset (rad) both ways along the
+    unit directions d, q itself included."""
+    out = [q]
+    for delta in offsets:
+        for side in (1.0, -1.0):
+            out.append(math.cos(delta) * q + side * math.sin(delta) * d)
+    pts = np.vstack(out)
+    return pts / np.linalg.norm(pts, axis=1)[:, None]
+
+
+def _off_loci(n, offsets):
+    """Anchors on 16 samples of each of gamma_A, gamma_B, gamma_C (M-chart
+    forms) and of the a=c and b=c loci, and moved off them along the normal
+    by each offset, on both sides."""
+    def m_chart(r, t):
+        return np.array([charts.to_sphere(ChartPoint(cmath.rect(ri, ti), "M", n))
+                         for ri, ti in zip(r, t)])
+
+    loci = [lambda t, w=which: m_chart([moduli.gamma_m_chart(w, n, x).r for x in t], t)
+            for which in moduli.M_THETA_RANGE]
+    loci += [lambda t, k=kind: m_chart(moduli.reduction_radii(k, n, t), t)
+             for kind in ("a=c", "b=c")]
+    ranges = list(moduli.M_THETA_RANGE.values()) + [(-math.pi, math.pi)] * 2
+    pts = []
+    for locus, (lo, hi) in zip(loci, ranges):
+        t = np.linspace(lo, hi, 18)[1:-1]
+        h = 1e-6 * (hi - lo)
+        q, ahead, behind = locus(t), locus(t + h), locus(t - h)
+        keep = np.isfinite(np.hstack([q, ahead, behind])).all(axis=1)
+        q = q[keep]
+        d = np.cross(q, ahead[keep] - behind[keep])
+        pts.append(_off(q, d / np.linalg.norm(d, axis=1)[:, None], offsets))
+    return np.vstack(pts)
+
+
+def _exact_oracle(n, pts):
+    """oracle_in_moduli_batch with every pair on every live row decided by
+    the exact path behind the sign filter, pentagon._pair_hits."""
+    rows, P, NH, CN, live = pentagon._arcs(n, sphere.as_points(pts))
+    for i, j, adj in pentagon._PAIRS:
+        live = live[~pentagon._pair_hits(i, j, adj, P, NH, CN, live)]
+    simple = np.zeros(len(pts), dtype=bool)
+    simple[rows[live]] = True
+    return simple
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_oracle_filter_agrees_with_exact_path(n):
+    # anchors near every locus, and near the anchors that send W or E to C,
+    # where the arcs c1 and c2 are short and their normals least certain
+    offsets = (1e-12, 1e-10, 1e-9, 2e-9, 1e-8, 1e-7, 1e-6)
+    geo = charts.geometry(n)
+    to_w, to_e = pentagon._rotations(n)
+    rng = np.random.default_rng(60 + n)
+    short_c = []
+    for c in (to_w.T @ geo.C, to_e.T @ geo.C):
+        d = np.cross(c, rng.normal(size=(16, 3)))
+        short_c.append(_off(c[None], d / np.linalg.norm(d, axis=1)[:, None], offsets))
+    pts = np.vstack([_oracle_mix(n, 50 + n), _off_loci(n, offsets)] + short_c)
+    assert np.array_equal(oracle_in_moduli_batch(n, pts), _exact_oracle(n, pts))
+
+
+def _band_mask_full_gradient(n, pts, band):
+    """boundary_band_mask's rule with the tangential gradient of every curve
+    quadric formed on every row."""
+    near = (np.abs(pts @ moduli.division(n).normals.T)
+            <= math.sin(min(band, 0.5 * math.pi))).any(axis=1)
+    geo = charts.geometry(n)
+    for which in moduli.CURVE_NAMES:
+        spec = moduli.curve_spec(which, n)
+        if which == "gamma_A":
+            L, c1, c2 = 2.0 * spec.lam, 1.0, SQ3
+        elif which == "gamma_B":
+            L, c1, c2 = spec.lam, -math.cos(math.pi / n), math.sin(math.pi / n)
+        else:
+            L, c1, c2 = spec.lam, (1.0 if which == "gamma_C_A" else -1.0), 0.0
+        xi = pts @ (geo.frame_a if spec.chart == "A" else geo.frame_b).T
+        x1, x2, x3 = xi[:, 0], xi[:, 1], xi[:, 2]
+        q = L * (x1 * x1 + x2 * x2) + (c1 * x1 + c2 * x2) * x3
+        g = np.column_stack((2.0 * L * x1 + c1 * x3, 2.0 * L * x2 + c2 * x3, c1 * x1 + c2 * x2))
+        g -= (np.einsum("ij,ij->i", g, xi))[:, None] * xi
+        near |= np.abs(q) <= band * np.maximum(np.linalg.norm(g, axis=1), 1e-12)
+    return near
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_band_mask_screen_keeps_the_full_gradient_rule(n):
+    # the mask forms grad Q only where |Q| <= band G; no row it skips could
+    # pass the rule on the whole gradient
+    offsets = tuple(10.0 ** -k for k in range(12, 2, -1))
+    pts = np.vstack([sample_sphere(3000, 20 + n), _off_loci(n, offsets)])
+    for band in (1e-9, 1e-6, 1e-3, 0.05, 0.5 * math.pi, 4.0):
+        want = _band_mask_full_gradient(n, pts, band)
+        assert np.array_equal(boundary_band_mask(n, pts, band), want), band
 
 
 def _band_mask(n, pts):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -224,6 +225,34 @@ def test_verify_output_deterministic(capsys):
     d1, d2 = json.loads(out1), json.loads(out2)
     d1.pop("elapsed"), d2.pop("elapsed")
     assert d1 == d2
+
+
+# sha256 of the verify JSON without "elapsed" (json.dumps, sorted keys) at
+# 20000 samples, by (solid, seed, band)
+_VERIFY_SHA256 = {
+    (3, 0, "1e-06"): "88bac6240abae67595eb147a24f41916146c4bc25578326e51e3b55788e71b78",
+    (3, 0, "0"): "aa7f10f519638c87560ef40147bbc735c9bc4646a6ce880188a7fd4b8e51c470",
+    (3, 7, "1e-06"): "d2c09e349b174fb625f157ce5ef73adabdfbeae357805ff4f327d108c93519f9",
+    (3, 7, "0"): "8521879e7c59856fcf60e77c872053e9f7f0ce985601e64cb7ff31909ea54ce4",
+    (4, 0, "1e-06"): "6a7b3d2380f5fa8e3b13975d5f11bb30afeca1b143f096058fd2f5640777bad0",
+    (4, 0, "0"): "ec3a28ad20ef41fb8f8b576d1ab3fb2c93c0345f89ce03ebecac5a1fe707e7a1",
+    (4, 7, "1e-06"): "1a260f3a6090162b7973f3ce409e3328d54b64881d523201cd60b3d780049a38",
+    (4, 7, "0"): "8f8b44f76a1ea77b75905274c63859540261b5736fb2c11bbd7bcfd704ea1618",
+    (5, 0, "1e-06"): "1c868e187da2eced8a414188b85fe703baa0fc04e5ecbad251eb3b12f249bcb2",
+    (5, 0, "0"): "da81ffd2a8b899ba005d185dd8f142e23f5f4f2faa840eb59ee90d495c7d69e9",
+    (5, 7, "1e-06"): "b98ee7079733d940660e44847b95648cbba6077f8f0dcead2213525f18b427b8",
+    (5, 7, "0"): "a77fe71d2118714fdda91ffd05a8f67b7835c858bffe46a5b96874661ca28bef",
+}
+
+
+@pytest.mark.parametrize("n, seed, band", sorted(_VERIFY_SHA256))
+def test_verify_output_pinned(capsys, n, seed, band):
+    _, out = run_cli(capsys, "verify", "--solid", str(n), "--samples", "20000",
+                     "--seed", str(seed), "--band", band)
+    data = json.loads(out)
+    data.pop("elapsed")
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+    assert digest == _VERIFY_SHA256[n, seed, band]
 
 
 def test_curve_gamma_c_all_charts(capsys):

@@ -78,6 +78,36 @@ def test_region_of_names_the_vertex_along_one_circle(n):
         assert moduli.region_of(n, p) == moduli.region_of(n, v), (n, name)
 
 
+@pytest.mark.parametrize("n", SOLIDS)
+def test_region_of_names_the_vertex_between_circles(n):
+    # 5e-8 rad from a division vertex, halfway between two circles through
+    # it: within tol of no circle, but within VERTEX_SLACK of the vertex, so
+    # the point is that vertex.  Its antipode is no named vertex, and there
+    # the point gets the region of its sector.
+    div = moduli.division(n)
+    for name, v in div.vertices.items():
+        for w in (v, -v):
+            e1 = np.cross(w, (0.3, 0.5, 0.7))
+            e1 /= np.linalg.norm(e1)
+            e2 = np.cross(w, e1)
+            # each circle through w leaves it along the angle of its tangent
+            # (mod pi); the bisectors between consecutive ones, both ways
+            t = np.cross(div.normals[np.abs(div.normals @ w) < 1e-12], w)
+            ang = np.sort(np.arctan2(t @ e2, t @ e1) % math.pi)
+            mid = 0.5 * (ang + np.append(ang[1:], ang[0] + math.pi))
+            for phi in np.concatenate([mid, mid + math.pi]):
+                d = math.cos(phi) * e1 + math.sin(phi) * e2
+                p = math.cos(5e-8) * w + math.sin(5e-8) * d
+                assert np.abs(div.normals @ p).min() > 1e-9, (n, name)
+                got = moduli.region_of(n, p)
+                if w is v:
+                    assert got == moduli.region_of(n, v), (n, name, got)
+                    assert got.vertex == name
+                else:
+                    far = math.cos(1e-3) * w + math.sin(1e-3) * d
+                    assert type(got) is int and got == moduli.region_of(n, far), (n, name, got)
+
+
 def test_region_of_boundary_arc():
     # midpoint of arc AB separates Omega_1 from Omega_2
     geo = charts.geometry(4)
@@ -174,14 +204,20 @@ def test_sign_regions_match_chart_sectors_hypothesis(v, n):
 
 def _check_region_of_matches_classify(n, pts):
     """region_of at the default tolerance is the int region _classify gives
-    a point wherever it gives one, and a Boundary everywhere else."""
+    a point wherever it gives one, except within VERTEX_SLACK of a named
+    division vertex, and a Boundary everywhere else (naming the vertex when
+    there is one)."""
     _, region = moduli._classify(n, pts)
+    div = moduli.division(n)
+    slack_chord = 2.0 * math.sin(0.5 * sphere.VERTEX_SLACK)
     for p, m in zip(pts, region.tolist()):
         got = moduli.region_of(n, p)
-        if m:
+        at_vertex = (np.linalg.norm(p - div.vertex_points, axis=1) <= slack_chord).any()
+        if m and not at_vertex:
             assert type(got) is int and got == m, (n, p, m, got)
         else:
             assert isinstance(got, moduli.Boundary), (n, p, got)
+            assert (got.vertex is not None) == at_vertex, (n, p, got)
 
 
 @pytest.mark.parametrize("n", SOLIDS)
