@@ -8,16 +8,16 @@ with Carlson's R_F in closed form by the duplication algorithm (DLMF 19.36.1;
 Carlson, Numer. Algorithms 10, 1995).  The independent route integrates each
 fan with one fixed 32-node Gauss-Legendre rule; its integrand is smooth.
 
-Monte Carlo streams its sample in near-equal pieces of at most _CHUNK rows,
-counted on every available core.  Each piece regenerates only its own rows
-of the counter-based sample, so the hits depend on (seed, samples) alone,
-never on the piece size or the worker count, and memory stays bounded.
+Monte Carlo counts its sample through sphere.map_sample, the one streaming
+owner it shares with the `verify` command: near-equal pieces of bounded size,
+each regenerated on its own from the counter-based sample and counted on
+every available core.  So the hits depend on (seed, samples) alone, never on
+the piece size or the worker count, and memory stays bounded.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -25,12 +25,7 @@ import numpy as np
 
 from .charts import solid_constants
 from .moduli import analytic_in_moduli_batch, curve_radius, fan_parts
-from .sphere import sample_sphere
-
-# rows per Monte Carlo piece, picked by timing 2^12 .. 2^16 on 2 cores:
-# smaller pieces pay more per-call overhead, larger ones push their
-# (rows, n + 2) temporaries out of cache
-_CHUNK = 1 << 14
+from .sphere import map_sample
 
 
 def _carlson_rf(x: float, y: float, z: float) -> float:
@@ -140,42 +135,19 @@ class MonteCarloEstimate:
     stderr: float
 
 
-def _cores() -> int:
-    """The cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def monte_carlo_area(n: int, samples: int, seed: int) -> MonteCarloEstimate:
     """Area estimate from uniform sphere sampling of the analytic predicate.
 
-    The sample_sphere(samples, seed) points are counted in ceil(samples /
-    _CHUNK) near-equal pieces (never one row cut from a larger batch, which
-    BLAS would round apart), on a thread pool of one worker per available
-    core, at most one per piece.  A one-piece call runs inline.  The hits
-    are a sum of integer counts of rows each piece regenerates bit for bit,
-    so they depend only on (seed, samples), not on scheduling.
+    The hits sum integer counts of the pieces map_sample streams, so they
+    depend only on (seed, samples), not on scheduling.
     """
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
-    pieces = -(-samples // _CHUNK)
-    cuts = [samples * k // pieces for k in range(pieces + 1)]
 
-    def hits(k: int) -> int:
-        pts = sample_sphere(samples, seed, cuts[k], cuts[k + 1])
+    def hits(pts: np.ndarray) -> int:
         return int(np.count_nonzero(analytic_in_moduli_batch(n, pts)))
 
-    if pieces == 1:
-        total = hits(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # fill the per-n cached tables here, not in racing workers
-        analytic_in_moduli_batch(n, np.empty((0, 3)))
-        workers = min(_cores(), pieces)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            total = sum(pool.map(hits, range(pieces)))
+    total = sum(map_sample(samples, seed, hits))
     p = total / samples
     area = 4.0 * math.pi * p
     err = 4.0 * math.pi * math.sqrt(max(p * (1.0 - p), 0.0) / samples)

@@ -18,7 +18,7 @@ import numpy as np
 from . import areas, charts, moduli, pentagon, render
 from .charts import ChartPoint
 from .errors import DegenerateAnchor, AntipodalConstruction, PentamodError
-from .sphere import sample_sphere
+from .sphere import map_sample
 
 SCHEMA = 1
 
@@ -203,31 +203,32 @@ def cmd_render(args) -> int:
 def cmd_verify(args) -> int:
     n = args.solid
     t0 = time.perf_counter()
-    pts = sample_sphere(args.samples, args.seed)
-    skip = moduli.boundary_band_mask(n, pts, args.band)
-    kept = pts[~skip]
-    analytic = moduli.analytic_in_moduli_batch(n, kept)
-    oracle = pentagon.oracle_in_moduli_batch(n, kept)
-    bad = np.flatnonzero(analytic != oracle)
-    disagreements = [
-        {"point": [float(x) for x in kept[i]],
-         "analytic": bool(analytic[i]), "oracle": bool(oracle[i])}
-        for i in bad[:50]
-    ]
+
+    def check(pts):
+        """(checked, bad, the first <= 50 disagreements) of one piece."""
+        kept = pts[~moduli.boundary_band_mask(n, pts, args.band)]
+        analytic = moduli.analytic_in_moduli_batch(n, kept)
+        oracle = pentagon.oracle_in_moduli_batch(n, kept)
+        bad = np.flatnonzero(analytic != oracle)
+        return len(kept), len(bad), [{"point": kept[i].tolist(), "analytic": bool(analytic[i]),
+                                      "oracle": bool(oracle[i])} for i in bad[:50]]
+
+    checked, bad, found = zip(*map_sample(args.samples, args.seed, check))
+    checked, bad = sum(checked), sum(bad)
     payload = {
         "schema": SCHEMA,
         "solid": n,
         "samples": args.samples,
         "seed": args.seed,
         "boundary_exclusion_band": args.band,
-        "checked": int(kept.shape[0]),
-        "skipped": int(skip.sum()),
-        "agree": not len(bad),
-        "disagreements": disagreements,
+        "checked": checked,
+        "skipped": args.samples - checked,
+        "agree": not bad,
+        "disagreements": [d for piece in found for d in piece][:50],
         "elapsed": time.perf_counter() - t0,
     }
     _emit(args, payload)
-    return 0 if not len(bad) else 5
+    return 0 if not bad else 5
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,7 +306,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PentamodError as exc:
+    except (PentamodError, ValueError) as exc:   # ValueError: a rejected argument
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -39,7 +39,7 @@ import numpy as np
 from . import charts
 from .charts import SQ2, SQ3, SQ5, ChartPoint, geometry, solid_constants
 from .errors import NoRootInDisk, OutOfRange
-from .sphere import DEFAULT_TOL, ON_CIRCLE, VERTEX_SLACK, as_point, as_points
+from .sphere import ON_CIRCLE, VERTEX_SLACK, as_point, as_points
 
 CORE_REGIONS = (1, 2, 3, 7)
 
@@ -165,29 +165,28 @@ def _sign_region(n: int, sines: np.ndarray) -> np.ndarray:
     return t.sign_region[((sines < 0.0) @ t.sign_weights).astype(np.intp)]
 
 
-def region_of(n: int, p: np.ndarray, tol: float = DEFAULT_TOL):
+def region_of(n: int, p: np.ndarray):
     """Classify a sphere point into its region, or a Boundary descriptor.
 
-    A point within tol (radians) of no dividing circle and within
-    max(tol, VERTEX_SLACK) of no division vertex gets its region.  Any
-    other point is a Boundary: a vertex when it is within tol of two or more
-    circles or within max(tol, VERTEX_SLACK) of a division vertex (the first
-    of Division.vertices names it), an arc otherwise.  Its regions are those
-    of every sign pattern on the circles within tol of it, and at a named
-    vertex on every circle through the vertex, with its other signs kept.
+    A point within DEFAULT_TOL (radians) of no dividing circle and within
+    VERTEX_SLACK of no division vertex gets its region.  Any other point is a
+    Boundary: a vertex when it is within DEFAULT_TOL of two or more circles
+    or within VERTEX_SLACK of a division vertex (the first of
+    Division.vertices names it), an arc otherwise.  Its regions are those of
+    every sign pattern on the circles within DEFAULT_TOL of it, and at a
+    named vertex on every circle through the vertex, its other signs kept.
     """
     solid_constants(n)
     div = division(n)
     p = as_point(p)
     sines = _circle_sines(n, p[None])[0]
-    slack = max(tol, VERTEX_SLACK)
-    if not (np.abs(sines) <= math.sin(slack) + 1e-15).any():
+    if not (np.abs(sines) <= math.sin(VERTEX_SLACK) + 1e-15).any():
         # every division vertex lies on two circles (within 1e-15), so a
-        # point within slack of no circle is within slack of no vertex
+        # point within VERTEX_SLACK of no circle is within it of no vertex
         return int(_sign_region(n, sines[None])[0])
-    on = np.abs(sines) <= math.sin(tol) + 1e-15
+    on = np.abs(sines) <= ON_CIRCLE
     chords = np.linalg.norm(p - div.vertex_points, axis=1)
-    near = np.flatnonzero(chords <= 2.0 * math.sin(0.5 * slack))
+    near = np.flatnonzero(chords <= 2.0 * math.sin(0.5 * VERTEX_SLACK))
     if not (near.size or on.any()):
         return int(_sign_region(n, sines[None])[0])
     vertex_name = list(div.vertices)[near[0]] if near.size else None
@@ -585,6 +584,8 @@ def boundary_band_mask(n: int, pts: np.ndarray, band: float) -> np.ndarray:
     the rows the screen keeps.
     """
     pts = as_points(pts)
+    if not math.isfinite(band):   # NaN would fail every test below, skipping nothing
+        raise ValueError(f"band must be finite, got {band}")
     if band <= 0.0:
         return np.zeros(pts.shape[0], dtype=bool)
     # no angle to a circle exceeds pi/2, so a wider band covers everything;

@@ -1,5 +1,6 @@
 """Floating-point spherical primitives: unit vectors, rotations, minor arcs,
-input validation (as_point/as_points) and the uniform sampler sample_sphere.
+input validation (as_point/as_points), the uniform sampler sample_sphere and
+map_sample, which streams that sample through a function in bounded pieces.
 
 Points on the sphere are plain numpy arrays of shape (3,), kept unit length.
 All angles are radians.  Distances are computed with atan2 of cross-norm and
@@ -20,6 +21,7 @@ its tangent normal x u, computed once.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import AntipodalEndpoints, DegenerateArc, InvalidPoints
 
-# Angular tolerance of the incidence predicates (and region_of's default).
+# Angular tolerance of the incidence predicates and region_of.
 # Closed-form constants leave ~1e-12 of double noise; 1e-9 gives three
 # decades of margin.
 DEFAULT_TOL = 1e-9
@@ -46,8 +48,8 @@ DEGENERATE_EPS = 1e-12
 UNIT_NORM_EPS = 1e-9
 
 # Smallest neighbourhood of a vertex that counts as the vertex itself: a
-# point within max(tol, VERTEX_SLACK) of it is taken to be at the vertex, so
-# a touch found within tol of a vertex is not reported a second time.
+# point within VERTEX_SLACK of it is taken to be at the vertex, so a touch
+# found within DEFAULT_TOL of a vertex is not reported a second time.
 VERTEX_SLACK = 1e-7
 
 
@@ -107,25 +109,58 @@ def _uniform(seed: int, draw: int, count: int, low: float, high: float) -> np.nd
     return np.random.Generator(bits).uniform(low, high, count)
 
 
-def sample_sphere(samples: int, seed: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Rows start .. stop - 1 (default: all) of `samples` uniform points on
-    the sphere, deterministic given (seed, samples).
-
-    One Philox(seed) stream holds all `samples` z values, then all
-    azimuths; z uniform in [-1, 1] spreads the points uniformly by area.
-    Row i takes draws i and samples + i.  The counter-based generator jumps
-    straight to them, so any row range is bit-identical to the same slice
-    of the whole draw and costs only its own rows.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    stop = samples if stop is None else stop
-    if not 0 <= start <= stop <= samples:
-        raise ValueError(f"rows [{start}, {stop}) are not a range of the {samples} samples")
+def _sample_rows(samples: int, seed: int, start: int, stop: int) -> np.ndarray:
+    """Rows start .. stop - 1 of sample_sphere(samples, seed), bit for bit:
+    one Philox(seed) stream holds all z values, uniform in [-1, 1] so the
+    points spread uniformly by area, then all azimuths.  Row i takes draws i
+    and samples + i, which the counter-based generator jumps straight to."""
     z = _uniform(seed, start, stop - start, -1.0, 1.0)
     az = _uniform(seed, samples + start, stop - start, 0.0, 2.0 * math.pi)
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     return np.column_stack([s * np.cos(az), s * np.sin(az), z])
+
+
+def sample_sphere(samples: int, seed: int) -> np.ndarray:
+    """`samples` uniform points on the sphere, deterministic given (seed, samples)."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    return _sample_rows(samples, seed, 0, samples)
+
+
+# rows per piece of map_sample, picked by timing 2^12 .. 2^16 on 2 cores:
+# smaller pieces pay more per-call overhead, larger ones push their
+# (rows, n + 2) temporaries out of cache
+_CHUNK = 1 << 14
+
+
+def _cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def map_sample(samples: int, seed: int, fn) -> list:
+    """fn of each piece of sample_sphere(samples, seed), in row order.
+
+    The pieces are ceil(samples / _CHUNK) near-equal row ranges (never one
+    row cut from a larger batch, which BLAS would round apart), each drawn
+    on its own, so memory stays bounded.  One zero-row call of fn fills its
+    caches, then a thread pool of one worker per available core, at most one
+    per piece, maps them.  A one-piece call runs inline on the whole sample.
+    """
+    pieces = -(-samples // _CHUNK)
+    if pieces <= 1:   # sample_sphere rejects samples < 1
+        return [fn(sample_sphere(samples, seed))]
+    cuts = [samples * k // pieces for k in range(pieces + 1)]
+
+    def piece(k: int):
+        return fn(_sample_rows(samples, seed, cuts[k], cuts[k + 1]))
+
+    from concurrent.futures import ThreadPoolExecutor
+    fn(np.empty((0, 3)))
+    with ThreadPoolExecutor(max_workers=min(_cores(), pieces)) as pool:
+        return list(pool.map(piece, range(pieces)))
 
 
 def angular_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -162,8 +162,8 @@ def test_elliptic_input_validation():
 @pytest.mark.parametrize("chunk, cores", [(997, 1), (997, 2), (4096, 2), (7001, 1),
                                           (7001, 2), (20_000, 2)])
 def test_monte_carlo_hits_do_not_depend_on_pieces_or_workers(monkeypatch, chunk, cores):
-    monkeypatch.setattr(areas, "_CHUNK", chunk)
-    monkeypatch.setattr(areas, "_cores", lambda: cores)
+    monkeypatch.setattr(sphere, "_CHUNK", chunk)
+    monkeypatch.setattr(sphere, "_cores", lambda: cores)
     pts = sphere.sample_sphere(20_000, 7)
     for n in SOLIDS:
         want = int(np.count_nonzero(moduli.analytic_in_moduli_batch(n, pts)))
@@ -180,16 +180,16 @@ def test_monte_carlo_streams_bounded_pieces(monkeypatch):
             return out
         return call
 
-    monkeypatch.setattr(areas, "sample_sphere", recorded("sampler", areas.sample_sphere))
+    monkeypatch.setattr(sphere, "_sample_rows", recorded("sampler", sphere._sample_rows))
     monkeypatch.setattr(areas, "analytic_in_moduli_batch",
                         recorded("membership", areas.analytic_in_moduli_batch))
     # the pinned hits of the benchmark's baseline call
     assert areas.monte_carlo_area(4, 1_000_000, 42).hits == 114897
     assert sum(seen["sampler"]) == 1_000_000
     for rows in seen.values():
-        assert max(rows) <= areas._CHUNK
+        assert max(rows) <= sphere._CHUNK
     # near-equal pieces: never a lone row cut from a larger batch
-    assert min(seen["sampler"]) >= areas._CHUNK // 2
+    assert min(seen["sampler"]) >= sphere._CHUNK // 2
     assert sorted(r for r in seen["membership"] if r) == sorted(seen["sampler"])
 
 
@@ -198,4 +198,4 @@ def test_one_piece_monte_carlo_starts_no_thread(monkeypatch):
         raise AssertionError("a one-piece call started a thread")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    assert areas.monte_carlo_area(3, areas._CHUNK, 5).samples == areas._CHUNK
+    assert areas.monte_carlo_area(3, sphere._CHUNK, 5).samples == sphere._CHUNK

@@ -1,13 +1,15 @@
 import hashlib
 import json
 import math
+import os
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pentamod import charts, cli, moduli
+from pentamod import charts, cli, moduli, pentagon, sphere
 from pentamod.charts import ChartPoint
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -247,12 +249,7 @@ _VERIFY_SHA256 = {
 
 @pytest.mark.parametrize("n, seed, band", sorted(_VERIFY_SHA256))
 def test_verify_output_pinned(capsys, n, seed, band):
-    _, out = run_cli(capsys, "verify", "--solid", str(n), "--samples", "20000",
-                     "--seed", str(seed), "--band", band)
-    data = json.loads(out)
-    data.pop("elapsed")
-    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
-    assert digest == _VERIFY_SHA256[n, seed, band]
+    assert _verify_digest(capsys, n, seed, band) == _VERIFY_SHA256[n, seed, band]
 
 
 def test_curve_gamma_c_all_charts(capsys):
@@ -278,3 +275,85 @@ def test_verify_band_zero_runs(capsys):
                         "--seed", "2", "--band", "0")
     data = json.loads(out)
     assert code == 0 and data["skipped"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--solid", "3", "--samples", "0"),
+    ("verify", "--solid", "3", "--samples", "1500", "--band", "nan"),
+    ("area", "--solid", "3", "--mc", "10", "42"),
+    ("render", "--solid", "3", "--out", os.devnull, "--samples", "4"),
+])
+def test_rejected_arguments_exit_2(capsys, argv):
+    # usage errors print one line, not a traceback, and write nothing
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _verify_digest(capsys, n, seed, band):
+    _, out = run_cli(capsys, "verify", "--solid", str(n), "--samples", "20000",
+                     "--seed", str(seed), "--band", band)
+    data = json.loads(out)
+    data.pop("elapsed")
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("chunk", [997, 4096, 7001, 20_000])
+@pytest.mark.parametrize("cores", [1, 2])
+def test_verify_does_not_depend_on_pieces_or_workers(capsys, monkeypatch, chunk, cores):
+    monkeypatch.setattr(sphere, "_CHUNK", chunk)
+    monkeypatch.setattr(sphere, "_cores", lambda: cores)
+    for n in (3, 4, 5):
+        assert _verify_digest(capsys, n, 7, "1e-06") == _VERIFY_SHA256[n, 7, "1e-06"]
+
+
+def test_verify_streams_bounded_pieces(capsys, monkeypatch):
+    seen = {}
+
+    def recorded(module, name):
+        f = getattr(module, name)
+
+        def call(n, pts, *rest):
+            seen.setdefault(name, []).append(len(pts))
+            return f(n, pts, *rest)
+        monkeypatch.setattr(module, name, call)
+
+    for module, name in ((moduli, "boundary_band_mask"), (moduli, "analytic_in_moduli_batch"),
+                         (pentagon, "oracle_in_moduli_batch")):
+        recorded(module, name)
+    samples = 3 * sphere._CHUNK + 5
+    code, out = run_cli(capsys, "verify", "--solid", "4", "--samples", str(samples))
+    assert code == 0 and json.loads(out)["agree"]
+    assert sorted(seen) == ["analytic_in_moduli_batch", "boundary_band_mask",
+                            "oracle_in_moduli_batch"]
+    for name, rows in seen.items():
+        assert max(rows) <= sphere._CHUNK, name
+    # four near-equal pieces after one zero-row call that fills the caches
+    assert sorted(seen["boundary_band_mask"]) == [0] + [samples // 4] * 3 + [samples // 4 + 1]
+
+
+def test_one_piece_verify_starts_no_thread(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a one-piece call started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    code, out = run_cli(capsys, "verify", "--solid", "5", "--samples", str(sphere._CHUNK))
+    assert code == 0 and json.loads(out)["samples"] == sphere._CHUNK
+
+
+def test_verify_merges_disagreements_in_row_order(capsys, monkeypatch):
+    # an oracle that flips its answer on a cap of points makes disagreements
+    # in every piece; the merged report is that of the whole sample
+    oracle = pentagon.oracle_in_moduli_batch
+    monkeypatch.setattr(pentagon, "oracle_in_moduli_batch",
+                        lambda n, pts: oracle(n, pts) ^ (pts[:, 0] > 0.9))
+    monkeypatch.setattr(sphere, "_CHUNK", 997)
+    pts = sphere.sample_sphere(20_000, 3)
+    kept = pts[~moduli.boundary_band_mask(4, pts, 1e-6)]
+    flipped = kept[kept[:, 0] > 0.9]
+    code, out = run_cli(capsys, "verify", "--solid", "4", "--samples", "20000", "--seed", "3")
+    data = json.loads(out)
+    assert code == 5 and not data["agree"] and len(flipped) > 50
+    assert [d["point"] for d in data["disagreements"]] == flipped[:50].tolist()
+    assert all(d["oracle"] != d["analytic"] for d in data["disagreements"])

@@ -1,8 +1,8 @@
 """Layering rules: no module of the package reaches into another's privates,
 the scalar geometry stays off numpy's 3-vector cross and norm, the circle
-tests of moduli stay off arcsin, importing the package loads neither scipy
-nor what only some calls need and starts no thread, and every command runs
-with scipy blocked."""
+tests of moduli stay off arcsin, only sphere builds a thread pool, importing
+the package loads neither scipy nor what only some calls need and starts no
+thread, and every command runs with scipy blocked."""
 
 import ast
 import os
@@ -145,10 +145,45 @@ def test_arcsin_check_catches_each_kind(tmp_path):
                              "line 6: uses np.arcsin"]
 
 
+# sphere.map_sample is the one owner of the cut points, the row ranges and
+# the thread pool; every sampling caller goes through it
+POOL_OWNER = "sphere.py"
+
+
+def _pool_uses(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [f"line {node.lineno}: imports {a.name}" for a in node.names
+                      if a.name.rpartition(".")[2] == "ThreadPoolExecutor"]
+        elif isinstance(node, ast.Attribute) and node.attr == "ThreadPoolExecutor":
+            found.append(f"line {node.lineno}: uses {_dotted(node)}")
+    return found
+
+
+def test_only_sphere_builds_a_thread_pool():
+    bad = {p.name: v for p in sorted(PACKAGE.glob("*.py"))
+           if p.name != POOL_OWNER and (v := _pool_uses(p))}
+    assert not bad, bad
+    assert _pool_uses(PACKAGE / POOL_OWNER)
+
+
+def test_pool_check_catches_each_kind(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text('"""A ThreadPoolExecutor in a docstring is fine."""\n'
+                   "import concurrent.futures as cf\n"
+                   "from concurrent.futures import ThreadPoolExecutor as Pool\n"
+                   "pool = cf.ThreadPoolExecutor(2)\n"
+                   "other = cf.ProcessPoolExecutor\n", encoding="utf-8")
+    assert _pool_uses(src) == ["line 3: imports ThreadPoolExecutor",
+                               "line 4: uses cf.ThreadPoolExecutor"]
+
+
 def test_import_does_not_load_scipy():
     # scipy is a test-only dependency: the package runs on numpy alone, and
     # importing it must not pull scipy in through another package either.
-    # The thread pool of Monte Carlo and the quadrature rule load on first
+    # The thread pool of map_sample and the quadrature rule load on first
     # use, so importing starts no thread and pays for neither.
     code = ("import sys, threading, pentamod, pentamod.cli; "
             "print(sorted(m for m in sys.modules "

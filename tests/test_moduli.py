@@ -588,6 +588,15 @@ def test_boundary_band_mask():
         assert mask[0] and mask[1] and not mask[2]
 
 
+def test_boundary_band_mask_rejects_a_non_finite_band():
+    # a NaN band fails every comparison and would silently skip nothing
+    pts = sphere.sample_sphere(10, 3)
+    for band in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            moduli.boundary_band_mask(3, pts, band)
+    assert not moduli.boundary_band_mask(3, pts, -1.0).any()
+
+
 def test_every_division_vertex_lies_on_two_circles():
     # so a point within `band` of a vertex is within `band` of a circle
     # through it, and boundary_band_mask needs no vertex term
@@ -687,17 +696,3 @@ def test_bc_quartic_decimal_sanity():
         rd = root((0.568158, -3.242102, 0.080701), theta)
         assert re_ is not None and rd is not None
         assert abs(re_ - rd) < 1e-3
-
-
-def test_region_of_respects_tolerance():
-    # a point 5e-7 off the AB circle is interior at the default tolerance but
-    # boundary at a 1e-6 tolerance
-    geo = charts.geometry(3)
-    div = moduli.division(3)
-    mid = sphere.minor_arc(geo.A, geo.B).point_at(0.5)
-    side = div.normals[0] if div.normals[0] @ geo.M > 0 else -div.normals[0]
-    p = mid + 5e-7 * side
-    p /= np.linalg.norm(p)
-    assert moduli.region_of(3, p) == 1
-    b = moduli.region_of(3, p, tol=1e-6)
-    assert isinstance(b, moduli.Boundary)

@@ -178,22 +178,15 @@ def test_sample_sphere_whole_range_is_one_stream():
 
 
 @pytest.mark.parametrize("size", [1, 3, 4, 1000, 16384])
-def test_sample_sphere_rows_equal_slice_of_whole_draw(size):
+def test_sample_sphere_rows_equal_slice_of_whole_draw(size, monkeypatch):
     samples, seed = 40_003, 11
     whole = _whole_draw(samples, seed)
     for start in (0, 1, 2, 3, 5, 4097, 20_001, samples - size):
         stop = min(start + size, samples)
-        rows = sphere.sample_sphere(samples, seed, start, stop)
+        rows = sphere._sample_rows(samples, seed, start, stop)
         assert rows.tobytes() == whole[start:stop].tobytes(), (start, stop)
-    # the pieces of a tiling put together give the whole draw
-    step = max(size, 997)
-    pieces = [sphere.sample_sphere(samples, seed, a, min(a + step, samples))
-              for a in range(0, samples, step)]
-    assert np.vstack(pieces).tobytes() == whole.tobytes()
-
-
-def test_sample_sphere_rejects_rows_outside_the_draw():
-    assert sphere.sample_sphere(10, 1, 4, 4).shape == (0, 3)
-    for start, stop in ((-1, 3), (5, 4), (0, 11)):
-        with pytest.raises(ValueError):
-            sphere.sample_sphere(10, 1, start, stop)
+    # the pieces map_sample streams, put together, give the whole draw
+    monkeypatch.setattr(sphere, "_CHUNK", max(size, 997))
+    pieces = sphere.map_sample(samples, seed, lambda pts: pts)
+    assert max(len(p) for p in pieces) <= sphere._CHUNK
+    assert np.vstack(pieces).tobytes() == sphere.sample_sphere(samples, seed).tobytes()
