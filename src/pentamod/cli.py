@@ -120,9 +120,6 @@ def _curve_rows(which: str, n: int, chart: str, samples: int):
 
 def cmd_curve(args) -> int:
     which = args.which
-    if which not in _CURVE_CHARTS:
-        print(f"error: unknown curve {which!r}", file=sys.stderr)
-        return 2
     chart = args.chart or _CURVE_CHARTS[which][0]
     if chart not in _CURVE_CHARTS[which]:
         print(f"error: curve {which!r} has no {chart}-chart parameterization",
@@ -160,8 +157,7 @@ def cmd_area(args) -> int:
     payload = {
         "schema": SCHEMA,
         "solid": n,
-        "parts": {k: getattr(rep, k) for k in
-                  ("A1", "A2", "A3", "A7", "A4", "A5", "A8", "A13")},
+        "parts": {k: getattr(rep, k) for k in moduli.part_regions(n)},
         "total": rep.total,
         "total_over_pi": rep.total / math.pi,
         "fraction_of_sphere": rep.fraction_of_sphere,

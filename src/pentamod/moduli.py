@@ -23,8 +23,9 @@ finder reduction_radii.  boundary_band_mask is a filtered test too: a
 curve's quadric value, against a bound on its gradient over the sphere,
 rules out most rows, and the gradient rule runs on the rest.  Public entry
 points validate their points once (sphere.as_point/as_points) and hand
-them to private kernels that do not check again.  The simplicity oracle
-that membership is checked against lives in pentagon.
+them to private kernels that do not check again.  Their point products go
+through sphere.rows_matmul: one-point calls are exact batch rows.  The
+simplicity oracle that membership is checked against lives in pentagon.
 """
 
 from __future__ import annotations
@@ -39,9 +40,7 @@ import numpy as np
 from . import charts
 from .charts import SQ2, SQ3, SQ5, ChartPoint, geometry, solid_constants
 from .errors import NoRootInDisk, OutOfRange
-from .sphere import ON_CIRCLE, VERTEX_SLACK, as_point, as_points
-
-CORE_REGIONS = (1, 2, 3, 7)
+from .sphere import ON_CIRCLE, VERTEX_CHORD, VERTEX_SLACK, as_point, as_points, rows_matmul
 
 # clamp width at the sec-singular curve endpoints (eqD blows up there; the
 # limiting radius 0 is substituted inside this band)
@@ -118,9 +117,11 @@ def region_pair(n: int, m: int) -> tuple[int, int]:
     return 5 - r // 2, n + k
 
 
-def _polar(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Chart polar coordinates (theta, r) of an (N, 3) array of chart-frame
-    coordinates."""
+def _polar(n: int, pts: np.ndarray, in_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Chart polar coordinates (theta, r) of an (N, 3) array of unit vectors,
+    in the B-chart on the rows where in_b and in the A-chart on the rest."""
+    geo = geometry(n)
+    xi = np.where(in_b[:, None], rows_matmul(pts, geo.frame_b.T), rows_matmul(pts, geo.frame_a.T))
     th = np.arctan2(xi[:, 1], xi[:, 0])
     denom = np.maximum(1.0 - xi[:, 2], 1e-15)
     r = np.sqrt(np.maximum((1.0 + xi[:, 2]) / denom, 0.0))
@@ -130,7 +131,7 @@ def _polar(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _circle_sines(n: int, pts: np.ndarray) -> np.ndarray:
     """The sine of each point's signed angle to each dividing circle, p.c
     for the circle's unit normal c, (N, n+2)."""
-    return pts @ division(n).normals.T
+    return rows_matmul(pts, division(n).normals.T)
 
 
 def _classify(n: int, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +187,7 @@ def region_of(n: int, p: np.ndarray):
         return int(_sign_region(n, sines[None])[0])
     on = np.abs(sines) <= ON_CIRCLE
     chords = np.linalg.norm(p - div.vertex_points, axis=1)
-    near = np.flatnonzero(chords <= 2.0 * math.sin(0.5 * VERTEX_SLACK))
+    near = np.flatnonzero(chords <= VERTEX_CHORD)
     if not (near.size or on.any()):
         return int(_sign_region(n, sines[None])[0])
     vertex_name = list(div.vertices)[near[0]] if near.size else None
@@ -429,6 +430,14 @@ def _fan_ray_radii(n: int) -> tuple[float, float]:
     return (rb, rc)
 
 
+def part_regions(n: int) -> dict[str, tuple[int, ...]]:
+    """The regions of each moduli part (the n=5 fans A8 and A13 span two), by
+    part name as in areas.AreaReport and in the order of the area JSON."""
+    wide = n == 5
+    return {"A1": (1,), "A2": (2,), "A3": (3,), "A7": (7,), "A4": (4,), "A5": (5,),
+            "A8": (8, 14) if wide else (8,), "A13": (13, 19) if wide else (13,)}
+
+
 def fan_parts(n: int) -> dict[str, tuple[CurveSpec, float, float]]:
     """The moduli's four curve fans, by part name as in areas.AreaReport:
     each fan's curve and the chart-angle interval it spans.  gamma_C's
@@ -494,22 +503,21 @@ def _tables(n: int) -> _Tables:
         circles[f"B{k}"] = ("B", k * math.pi / n, front, back)
     chart, angle, front, back = zip(*(circles[name] for name in div.circle_names))
 
-    # fan region -> its part; the n=5 fans A13 and A8 span two regions each
-    fan_part = {5: "A5", 13: "A13", 4: "A4", 8: "A8"}
-    if n == 5:
-        fan_part.update({19: "A13", 14: "A8"})
-    parts = fan_parts(n)
+    fans = fan_parts(n)
     size = 6 * n + 1
     core = np.zeros(size, dtype=bool)
-    core[list(CORE_REGIONS)] = True
     fan = np.zeros(size, dtype=bool)
     fan_b = np.zeros(size, dtype=bool)
     params = np.full((6, size), np.nan)
-    for m, part in fan_part.items():
-        spec, lo, hi = parts[part]
-        fan[m] = True
-        fan_b[m] = spec.chart == "B"
-        params[:, m] = (spec.lam, spec.alpha, spec.phi_const, spec.phi_sign, lo, hi)
+    for part, regions in part_regions(n).items():
+        if part not in fans:
+            core[list(regions)] = True
+            continue
+        spec, lo, hi = fans[part]
+        for m in regions:
+            fan[m] = True
+            fan_b[m] = spec.chart == "B"
+            params[:, m] = (spec.lam, spec.alpha, spec.phi_const, spec.phi_sign, lo, hi)
     # signs to regions.  Circle k of a fan of m circles through one center
     # lies at chart angle k pi/m, and a negative angle to it means
     # sin(theta - k pi/m) > 0.  Let s be 1 where the angle to circle AB
@@ -542,22 +550,16 @@ def _membership(n: int, pts: np.ndarray) -> np.ndarray:
     inside = t.core[region]
     on = np.flatnonzero(circle >= 0)
     fan = np.flatnonzero(t.fan[region])
-    if not (on.size or fan.size):
-        return inside
-    # chart coordinates of all N rows, then of the rows needed: BLAS rounds
-    # a product with fewer rows differently
-    geo = geometry(n)
-    xa, xb = pts @ geo.frame_a.T, pts @ geo.frame_b.T
 
     if on.size:
         c = circle[on]
-        th, r = _polar(np.where(t.circle_b[c][:, None], xb.take(on, 0), xa.take(on, 0)))
+        th, r = _polar(n, pts.take(on, 0), t.circle_b[c])
         front = np.cos(th - t.angle[c]) > 0.0
         inside[on] = r < np.where(front, t.front[c], t.back[c])
 
     if fan.size:
         m = region[fan]
-        th, r = _polar(np.where(t.fan_b[m][:, None], xb.take(fan, 0), xa.take(fan, 0)))
+        th, r = _polar(n, pts.take(fan, 0), t.fan_b[m])
         sel = (th > t.lo[m]) & (th < t.hi[m])
         m, th = m[sel], th[sel]
         curve_r = _eqd_radius(t.lam[m], t.alpha[m], t.phi_const[m] + t.phi_sign[m] * th)
@@ -595,7 +597,7 @@ def boundary_band_mask(n: int, pts: np.ndarray, band: float) -> np.ndarray:
     geo = geometry(n)
     coords = {}
     for chart, frame in (("A", geo.frame_a), ("B", geo.frame_b)):
-        xi = pts @ frame.T
+        xi = rows_matmul(pts, frame.T)
         coords[chart] = xi, xi[:, 0] * xi[:, 0] + xi[:, 1] * xi[:, 1]
     for which in CURVE_NAMES:
         spec = curve_spec(which, n)
@@ -688,6 +690,8 @@ def _reduction_quartic(kind: str, n: int) -> tuple[float, float, float]:
 # reduction_radii brackets roots on this grid of (0, 1), then bisects to _ROOT_TOL
 _ROOT_GRID = np.linspace(1e-9, 1.0 - 1e-9, 65)
 _ROOT_TOL = 1e-13
+# check_bc_below_gammaA samples the b=c gap on this many angles
+_BC_GRID = 1024
 
 
 def reduction_radii(kind: str, n: int, thetas) -> np.ndarray:
@@ -779,7 +783,7 @@ class BcGapReport:
     samples: int
 
 
-def check_bc_below_gammaA(n: int, samples: int = 1024) -> BcGapReport:
+def check_bc_below_gammaA(n: int) -> BcGapReport:
     """Sample gap(theta) = r_gammaA - r_bc over the gamma_A angular range.
 
     A nonnegative gap means the b=c locus is on the moduli side of gamma_A.
@@ -791,11 +795,11 @@ def check_bc_below_gammaA(n: int, samples: int = 1024) -> BcGapReport:
         return gamma_m_chart("gamma_A", n, t).r - reduction_point("b=c", n, t).r
 
     lo, hi = M_THETA_RANGE["gamma_A"]
-    thetas = np.linspace(lo, hi, samples)
+    thetas = np.linspace(lo, hi, _BC_GRID)
     gaps = (np.array([gamma_m_chart("gamma_A", n, t).r for t in thetas])
             - reduction_radii("b=c", n, thetas))
     i = int(np.argmin(gaps))
-    a, b = thetas[max(0, i - 1)], thetas[min(samples - 1, i + 1)]
+    a, b = thetas[max(0, i - 1)], thetas[min(_BC_GRID - 1, i + 1)]
     phi = 0.5 * (math.sqrt(5.0) - 1.0)
     x1, x2 = b - phi * (b - a), a + phi * (b - a)
     f1, f2 = gap(x1), gap(x2)
@@ -812,4 +816,4 @@ def check_bc_below_gammaA(n: int, samples: int = 1024) -> BcGapReport:
     g_star = gap(t_star)
     return BcGapReport(n=n, min_gap=min(float(gaps.min()), g_star),
                        max_gap=float(gaps.max()), tangency_theta=float(t_star),
-                       samples=samples)
+                       samples=_BC_GRID)

@@ -13,7 +13,8 @@ that are constructible and not yet ruled out, evaluates each arc pair on
 those rows only, and drops the rows the pair rules out.  An anchor's answer
 is the AND over the pairs and each row is computed on its own, so neither
 the compaction nor the order of the pairs changes an answer.  It skips the
-three adjacent pairs that cannot fail (see _PAIRS).
+three adjacent pairs that cannot fail (see _PAIRS).  Its products go through
+sphere.rows_matmul, so one anchor gets the answer of its row in any batch.
 
 Each pair is a filtered predicate: the signs of the four products of one
 arc's normal with the other arc's endpoints decide it on every row where
@@ -35,8 +36,8 @@ import numpy as np
 
 from . import charts
 from .errors import AntipodalConstruction, AntipodalEndpoints, DegenerateAnchor, DegenerateArc
-from .sphere import (ANTIPODAL_EPS, DEFAULT_TOL, DEGENERATE_EPS, VERTEX_SLACK, GreatArc,
-                     arc_intersect, as_point, as_points, minor_arc, norm3)
+from .sphere import (ANTIPODAL_EPS, DEFAULT_TOL, DEGENERATE_EPS, VERTEX_CHORD, GreatArc,
+                     arc_intersect, as_point, as_points, minor_arc, norm3, rows_matmul)
 
 EDGE_NAMES = ("a1", "a2", "c1", "c2", "b2", "b1")
 
@@ -47,10 +48,8 @@ _SHARED_VERTEX = {
 
 _TINY = 1e-300
 
-# chords of DEFAULT_TOL and VERTEX_SLACK: a point within that chord of a
-# construction point or of a vertex counts as that point
+# chord of DEFAULT_TOL: an anchor within it of A or B counts as that point
 _TOL_CHORD = 2.0 * math.sin(0.5 * DEFAULT_TOL)
-_SLACK_CHORD = 2.0 * math.sin(0.5 * VERTEX_SLACK)
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,7 @@ def anchor_pentagon(n: int, V: np.ndarray) -> Pentagon:
 
 def _near(p: np.ndarray, q: np.ndarray) -> bool:
     """p within VERTEX_SLACK of q."""
-    return norm3(p - q) <= _SLACK_CHORD + 1e-15
+    return norm3(p - q) <= VERTEX_CHORD + 1e-15
 
 
 def is_simple(p: Pentagon) -> SimplicityReport:
@@ -258,17 +257,17 @@ _PAIRS = tuple((i, j, j if j == i + 1 else (0 if (i, j) == (0, 5) else -1))
 #
 # Adjacent arcs share a vertex S and their circles meet only at +-S (to
 # rounding).  Where the far end of each arc clears _CLEAR_ADJ + 4 slop /
-# _SLACK_CHORD off the other arc's circle, neither candidate counts:
-# - |m| >= |s| > 4 slop / _SLACK_CHORD, so the candidate near S lies within
-#   2 slop / |m| < _SLACK_CHORD / 2 of S, plus the 5e-10 by which an anchor
-#   may be off the unit sphere (as_points): inside _SLACK_CHORD;
-# - arc i's far end lies at least |t| > DEFAULT_TOL + 2 _SLACK_CHORD from -S,
+# VERTEX_CHORD off the other arc's circle, neither candidate counts:
+# - |m| >= |s| > 4 slop / VERTEX_CHORD, so the candidate near S lies within
+#   2 slop / |m| < VERTEX_CHORD / 2 of S, plus the 5e-10 by which an anchor
+#   may be off the unit sphere (as_points): inside VERTEX_CHORD;
+# - arc i's far end lies at least |t| > DEFAULT_TOL + 2 VERTEX_CHORD from -S,
 #   which is on circle j, so the window of arc i misses the candidate near
-#   -S, which is within 1.6 _SLACK_CHORD of -S.
+#   -S, which is within 1.6 VERTEX_CHORD of -S.
 # Rows inside a margin go through _pair_hits.
 _ROUND = 2.0 ** -46
 _CLEAR = math.tan(DEFAULT_TOL)
-_CLEAR_ADJ = DEFAULT_TOL + 2.0 * _SLACK_CHORD
+_CLEAR_ADJ = DEFAULT_TOL + 2.0 * VERTEX_CHORD
 
 
 def _arcs(n: int, V: np.ndarray):
@@ -284,11 +283,9 @@ def _arcs(n: int, V: np.ndarray):
     to_w, to_e = _rotations(n)
     rows = np.flatnonzero((_norm(V - geo.A) > _TOL_CHORD) & (_norm(V - geo.B) > _TOL_CHORD))
     k = rows.size
-    # W and E are rotated on all N rows, then compacted: BLAS rounds a product
-    # with one row differently, so rotating the kept rows alone could flip
-    # answers at the edges
-    P = [V.take(rows, 0), np.broadcast_to(geo.A, (k, 3)), (V @ to_w.T).take(rows, 0),
-         np.broadcast_to(geo.C, (k, 3)), (V @ to_e.T).take(rows, 0),
+    V = V.take(rows, 0)
+    P = [V, np.broadcast_to(geo.A, (k, 3)), rows_matmul(V, to_w.T),
+         np.broadcast_to(geo.C, (k, 3)), rows_matmul(V, to_e.T),
          np.broadcast_to(geo.B, (k, 3))]
     ok = np.ones(k, dtype=bool)
     NH, CN = [], []
@@ -335,7 +332,7 @@ def _pair_hits(i, j, adj, P, NH, CN, at):
             aj = np.arctan2(_rowdot(cand, e2j.take(ah, 0)), _rowdot(cand, _take(uj, ah)))
             hit = (aj >= -DEFAULT_TOL) & (aj <= lj.take(ah) + DEFAULT_TOL)
             if adj >= 0:
-                hit &= _norm(cand - _take(ui if adj == i else uj, ah)) > _SLACK_CHORD
+                hit &= _norm(cand - _take(ui if adj == i else uj, ah)) > VERTEX_CHORD
             out[ah] |= hit
     cp = np.flatnonzero(cop)
     if cp.size:
@@ -356,7 +353,7 @@ def _pair_hits(i, j, adj, P, NH, CN, at):
 
 def _dots(nh, p):
     """Row-wise nh.p, p possibly one point broadcast to (N, 3)."""
-    return nh @ p[0] if p.strides[0] == 0 else _rowdot(nh, p)
+    return rows_matmul(nh, p[0]) if p.strides[0] == 0 else _rowdot(nh, p)
 
 
 def oracle_in_moduli_batch(n: int, pts: np.ndarray) -> np.ndarray:
@@ -370,7 +367,7 @@ def oracle_in_moduli_batch(n: int, pts: np.ndarray) -> np.ndarray:
     V = as_points(pts)
     rows, P, NH, CN, live = _arcs(n, V)
     slop = _ROUND / np.maximum(np.minimum.reduce(CN), DEGENERATE_EPS)
-    clear, clear_adj = _CLEAR + slop, _CLEAR_ADJ + (4.0 / _SLACK_CHORD) * slop
+    clear, clear_adj = _CLEAR + slop, _CLEAR_ADJ + (4.0 / VERTEX_CHORD) * slop
     for i, j, adj in _PAIRS:
         if not live.size:
             break

@@ -1,6 +1,7 @@
 """Floating-point spherical primitives: unit vectors, rotations, minor arcs,
-input validation (as_point/as_points), the uniform sampler sample_sphere and
-map_sample, which streams that sample through a function in bounded pieces.
+input validation (as_point/as_points), rows_matmul, whose rows never depend
+on their batch, the uniform sampler sample_sphere and map_sample, which
+streams that sample through a function in bounded pieces.
 
 Points on the sphere are plain numpy arrays of shape (3,), kept unit length.
 All angles are radians.  Distances are computed with atan2 of cross-norm and
@@ -48,9 +49,10 @@ DEGENERATE_EPS = 1e-12
 UNIT_NORM_EPS = 1e-9
 
 # Smallest neighbourhood of a vertex that counts as the vertex itself: a
-# point within VERTEX_SLACK of it is taken to be at the vertex, so a touch
-# found within DEFAULT_TOL of a vertex is not reported a second time.
+# point within VERTEX_SLACK, chord VERTEX_CHORD, of it is at the vertex, so
+# a touch found within DEFAULT_TOL of a vertex is not reported twice.
 VERTEX_SLACK = 1e-7
+VERTEX_CHORD = 2.0 * math.sin(0.5 * VERTEX_SLACK)
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -62,6 +64,13 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def norm3(a: np.ndarray) -> float:
     """|a| of a float array of shape (3,), bit-identical to np.linalg.norm."""
     return math.sqrt(a.dot(a))
+
+
+def rows_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a float array a of rows, each row rounded as in any batch:
+    numpy runs a one-row product through BLAS gemv or dot, which round apart
+    from the gemm or gemv of two or more rows, so it doubles a lone row."""
+    return (a.repeat(2, 0) @ b)[:1] if len(a) == 1 else a @ b
 
 
 def unit(v) -> np.ndarray:
@@ -143,8 +152,7 @@ def _cores() -> int:
 def map_sample(samples: int, seed: int, fn) -> list:
     """fn of each piece of sample_sphere(samples, seed), in row order.
 
-    The pieces are ceil(samples / _CHUNK) near-equal row ranges (never one
-    row cut from a larger batch, which BLAS would round apart), each drawn
+    The pieces are ceil(samples / _CHUNK) near-equal row ranges, each drawn
     on its own, so memory stays bounded.  One zero-row call of fn fills its
     caches, then a thread pool of one worker per available core, at most one
     per piece, maps them.  A one-piece call runs inline on the whole sample.

@@ -142,6 +142,46 @@ def _off_loci(n, offsets):
     return np.vstack(pts)
 
 
+# 1e-9 rad off the vertex M (n = 3): V @ to_w.T rounded apart on a one-row
+# batch, and the oracle answered True there but False in any larger batch
+_ONE_ROW_ANCHOR = np.array([-9.998436862591224e-10, -1.7680583920492703e-11, -1.0])
+
+
+def _off_division(n, offsets):
+    """Anchors on 8 points of each division circle and moved off it along
+    its normal, and on each division vertex and moved off it along 4 random
+    tangents, by each offset on both sides."""
+    div = moduli.division(n)
+    rng = np.random.default_rng(70 + n)
+    pts = []
+    for nrm in div.normals:
+        ring = circle_points(nrm, 9)[:-1]
+        pts.append(_off(ring, np.broadcast_to(nrm, ring.shape), offsets))
+    for v in div.vertices.values():
+        t = np.cross(v, rng.normal(size=(4, 3)))
+        pts.append(_off(np.broadcast_to(v, t.shape), t / np.linalg.norm(t, axis=1)[:, None],
+                        offsets))
+    return np.vstack(pts)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_one_point_calls_are_batch_rows(n):
+    # a row's answer never depends on its batch, so a one-point call gives
+    # the bits of that point's row in the whole batch
+    offsets = tuple(10.0 ** -k for k in range(12, 4, -1))
+    pts = np.vstack([_off_division(n, offsets), _off_loci(n, offsets), _ONE_ROW_ANCHOR])
+    # one-point calls on every third anchor, the slow one-row oracle on every
+    # twelfth, and all of them on the last
+    for stride, name, f in (
+            (3, "membership", analytic_in_moduli_batch),
+            (3, "band 1e-9", lambda n, p: boundary_band_mask(n, p, 1e-9)),
+            (3, "band 1e-6", lambda n, p: boundary_band_mask(n, p, 1e-6)),
+            (12, "oracle", oracle_in_moduli_batch)):
+        rows = np.r_[0:len(pts) - 1:stride, len(pts) - 1]
+        ones = np.array([f(n, pts[i][None])[0] for i in rows])
+        assert np.array_equal(ones, f(n, pts)[rows]), (name, pts[rows[ones != f(n, pts)[rows]]])
+
+
 def _exact_oracle(n, pts):
     """oracle_in_moduli_batch with every pair on every live row decided by
     the exact path behind the sign filter, pentagon._pair_hits."""

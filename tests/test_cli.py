@@ -357,3 +357,30 @@ def test_verify_merges_disagreements_in_row_order(capsys, monkeypatch):
     assert code == 5 and not data["agree"] and len(flipped) > 50
     assert [d["point"] for d in data["disagreements"]] == flipped[:50].tolist()
     assert all(d["oracle"] != d["analytic"] for d in data["disagreements"])
+
+
+@pytest.mark.parametrize("which", ["a=c", "b=c"])
+def test_curve_reduction_rows_lie_on_the_locus(capsys, which):
+    # one row per angle whose ray meets the locus, each row on the locus
+    thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    for n in (3, 4, 5):
+        code, out = run_cli(capsys, "curve", which, "--solid", str(n), "--samples", "64",
+                            "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == np.count_nonzero(~np.isnan(moduli.reduction_radii(which, n, thetas)))
+        for row in rows:
+            xi = np.array([row["xi1"], row["xi2"], row["xi3"]])
+            assert abs(moduli.reduction_residual(which, n, xi)) <= 1e-9
+
+
+def test_render_region_arcs(tmp_path, capsys):
+    # one path per dividing circle
+    for n in (3, 4, 5):
+        out = tmp_path / f"regions{n}.svg"
+        code, _ = run_cli(capsys, "render", "--solid", str(n), "--out", str(out),
+                          "--include", "region-arcs")
+        assert code == 0
+        ids = re.findall(r'id="(circle-[^"]*)"', out.read_text())
+        assert len(ids) == n + 2
+        assert ids == [f"circle-{name}" for name in moduli.division(n).circle_names]

@@ -523,8 +523,8 @@ def test_bc_gap_report_tangency_n3_n4():
 def test_bc_gap_report_n5_structure():
     # the full spec-level assertion for n=5 lives in the acceptance suite;
     # here only the report plumbing is exercised
-    rep = moduli.check_bc_below_gammaA(5, samples=256)
-    assert rep.n == 5 and rep.samples == 256
+    rep = moduli.check_bc_below_gammaA(5)
+    assert rep.n == 5 and rep.samples == 1024
     assert math.pi / 2 <= rep.tangency_theta <= math.pi
     assert rep.max_gap > rep.min_gap
 
