@@ -8,6 +8,9 @@ iff the six-arc boundary V-A-W-C-E-B-V is a simple closed curve.
 
 The oracle has two forms: is_simple (behind oracle_in_moduli), the reference
 that reports every violation, and its vectorized form oracle_in_moduli_batch.
+Both filter each arc pair by the same sign rules (_pair_rule, _adjacent_rule):
+is_simple runs sphere.arc_intersect only on the pairs the signs cannot clear
+of a violation, so its report is the one the exhaustive 15-pair loop gives.
 The batch form compacts its live rows: it keeps the indices of the anchors
 that are constructible and not yet ruled out, evaluates each arc pair on
 those rows only, and drops the rows the pair rules out.  An anchor's answer
@@ -20,10 +23,10 @@ Each pair is a filtered predicate: the signs of the four products of one
 arc's normal with the other arc's endpoints decide it on every row where
 each product clears a margin (see _CLEAR): one that covers the DEFAULT_TOL
 windows of the exact path and the rounding of both.  On such a row the
-exact path, _pair_hits, would give the same answer.  The rows inside a
-margin (near-touches, coplanar arcs, short arcs, the shared vertex of
-adjacent arcs) go through _pair_hits, which forms the arc tangents and
-lengths on those rows only.
+exact path, _pair_hits in the batch and arc_intersect in is_simple, would
+give the same answer.  The rows inside a margin (near-touches, coplanar
+arcs, short arcs, the shared vertex of adjacent arcs) go through the exact
+path; _pair_hits forms the arc tangents and lengths on those rows only.
 """
 
 from __future__ import annotations
@@ -131,25 +134,50 @@ def anchor_pentagon(n: int, V: np.ndarray) -> Pentagon:
                     a1=a1, a2=a2, c1=c1, c2=c2, b2=b2, b1=b1)
 
 
+def _dot3(a: list, b: list) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
 def _near(p: np.ndarray, q: np.ndarray) -> bool:
     """p within VERTEX_SLACK of q."""
     return norm3(p - q) <= VERTEX_CHORD + 1e-15
 
 
 def is_simple(p: Pentagon) -> SimplicityReport:
-    """Test all 15 unordered arc pairs of the boundary.
+    """Test all 15 unordered arc pairs of the boundary; those the signs clear
+    skip arc_intersect.
 
     Adjacent arcs may meet only at their shared vertex; non-adjacent arcs may
     not meet at all; coplanar overlaps of positive length are violations.  No
-    early exit, so the violation list is complete.
+    early exit, so the violation list is complete.  A pair whose products
+    clear the margins of the sign filter (see _CLEAR) meets nowhere it would
+    be reported, and is skipped; every other pair, the ones the signs decide
+    as crossing included, goes through arc_intersect for its kind and
+    witness.  c1/c2 lie on one circle, so they never clear.
     """
     arcs = p.arcs
+    nrm = [a.normal.tolist() for a in arcs]
+    ends = [(a.u.tolist(), a.v.tolist()) for a in arcs]
+    # sin(length) is the chord |u x v| of _arcs
+    slop = _ROUND / max(min(math.sin(a.length) for a in arcs), DEGENERATE_EPS)
+    clear, clear_adj = _CLEAR + slop, _CLEAR_ADJ + (4.0 / VERTEX_CHORD) * slop
     violations: list[Violation] = []
     # _near's VERTEX_SLACK is wider than DEFAULT_TOL, so a transversal
     # crossing within DEFAULT_TOL of the shared vertex is not re-reported
     for i in range(6):
         for j in range(i + 1, 6):
             shared_name = _SHARED_VERTEX.get((i, j))
+            if shared_name is None:
+                decided, crosses = _pair_rule(
+                    _dot3(nrm[i], ends[j][0]), _dot3(nrm[i], ends[j][1]),
+                    _dot3(nrm[j], ends[i][0]), _dot3(nrm[j], ends[i][1]), clear)
+                if decided and not crosses:
+                    continue
+            else:
+                # the ends away from the shared vertex
+                qi, qj = (ends[i][0], ends[j][1]) if j == i + 1 else (ends[i][1], ends[j][0])
+                if _adjacent_rule(_dot3(nrm[i], qj), _dot3(nrm[j], qi), clear_adj):
+                    continue
             res = arc_intersect(arcs[i], arcs[j])
             if res.overlap:
                 if res.shared and len(res.shared) == 2:
@@ -225,11 +253,11 @@ _PAIRS = tuple((i, j, j if j == i + 1 else (0 if (i, j) == (0, 5) else -1))
                for i, j in ((0, 3), (2, 5), (3, 5), (0, 4), (1, 4), (1, 5), (0, 2),
                             (1, 3), (2, 4), (0, 5), (1, 2), (3, 4)))
 
-# Margins of the batch filter.  Take arcs i and j with unit normals n_i, n_j
-# (NH), m = n_i x n_j, s = n_i.P for an endpoint P of arc j and t = n_j.P
-# for one of arc i.  P lies on circle j, so |s| <= |m|; the circles meet at
-# +-m/|m| at angle arcsin|m|, and the distance d along circle j from P to
-# the nearer of them has sin d = |s| / |m| >= |s|.
+# Margins of the sign filter of both oracles.  Take arcs i and j with unit
+# normals n_i, n_j (NH), m = n_i x n_j, s = n_i.P for an endpoint P of arc j
+# and t = n_j.P for one of arc i.  P lies on circle j, so |s| <= |m|; the
+# circles meet at +-m/|m| at angle arcsin|m|, and the distance d along
+# circle j from P to the nearer of them has sin d = |s| / |m| >= |s|.
 #
 # Rounding.  The products are exact to a few ulps, except through the normal
 # of an arc of chord cn (CN): its cross product is exact to a few ulps, so
@@ -238,7 +266,12 @@ _PAIRS = tuple((i, j, j if j == i + 1 else (0 if (i, j) == (0, 5) else -1))
 # With slop = _ROUND / (the row's smallest cn), every value of the row is
 # good to slop and every crossing _pair_hits places is good to slop / |m|
 # along its arc.  _ROUND, 64 ulps of 1, is over ten times the bound this
-# needs.
+# needs.  The proof holds for either exact path.  is_simple's, arc_intersect,
+# tests the same candidates against the same DEFAULT_TOL windows, and its
+# ON_CIRCLE test and _near's extra 1e-15 can only drop a hit.  A GreatArc's
+# normal is cross3(u, v) / norm3 of it, which rounds within the same few ulps
+# as _cross and _norm, and is_simple takes the chord as sin(length), the
+# |u x v| of _arcs to within the 5e-10 an anchor may be off the sphere.
 #
 # A non-adjacent pair is decided where the values clear
 # _CLEAR + slop = tan(DEFAULT_TOL) + slop:
@@ -264,10 +297,33 @@ _PAIRS = tuple((i, j, j if j == i + 1 else (0 if (i, j) == (0, 5) else -1))
 # - arc i's far end lies at least |t| > DEFAULT_TOL + 2 VERTEX_CHORD from -S,
 #   which is on circle j, so the window of arc i misses the candidate near
 #   -S, which is within 1.6 VERTEX_CHORD of -S.
-# Rows inside a margin go through _pair_hits.
+# Rows inside a margin go through the exact path, as do the pairs decided as
+# crossing in is_simple, which reports their kind and witness.
 _ROUND = 2.0 ** -46
 _CLEAR = math.tan(DEFAULT_TOL)
 _CLEAR_ADJ = DEFAULT_TOL + 2.0 * VERTEX_CHORD
+
+
+def _pair_rule(s1, s2, t1, t2, clear):
+    """(decided, crosses) of a non-adjacent pair from its products s = n_i.P
+    at the ends of arc j and t = n_j.P at the ends of arc i (see the margins
+    above).  Decided where both ends of one arc clear the other's circle on
+    one side, or where each arc straddles the other's circle with all four
+    ends clear; crosses where such straddling arcs meet.  Only comparisons,
+    abs, & and |, so it runs on floats and arrays alike."""
+    cs = (abs(s1) > clear) & (abs(s2) > clear)
+    ct = (abs(t1) > clear) & (abs(t2) > clear)
+    ps1, ps2, pt1, pt2 = s1 > 0.0, s2 > 0.0, t1 > 0.0, t2 > 0.0
+    straddle = cs & ct & (ps1 != ps2) & (pt1 != pt2)
+    decided = cs & (ps1 == ps2) | ct & (pt1 == pt2) | straddle
+    return decided, straddle & (ps1 != pt1)
+
+
+def _adjacent_rule(s, t, clear):
+    """Whether an adjacent pair is decided from its products s = n_i.Q_j and
+    t = n_j.Q_i with the ends Q away from the shared vertex: where both clear,
+    the arcs meet only there (see the margins above).  Floats or arrays."""
+    return (abs(s) > clear) & (abs(t) > clear)
 
 
 def _arcs(n: int, V: np.ndarray):
@@ -373,21 +429,16 @@ def oracle_in_moduli_batch(n: int, pts: np.ndarray) -> np.ndarray:
             break
         ni, nj = _take(NH[i], live), _take(NH[j], live)
         if adj < 0:
-            c = clear.take(live)
-            s1, s2 = _dots(ni, _take(P[j], live)), _dots(ni, _take(P[(j + 1) % 6], live))
-            t1, t2 = _dots(nj, _take(P[i], live)), _dots(nj, _take(P[i + 1], live))
-            side_s, side_t = s1 * s2 > 0.0, t1 * t2 > 0.0
-            clear_s = np.minimum(np.abs(s1), np.abs(s2)) > c
-            clear_t = np.minimum(np.abs(t1), np.abs(t2)) > c
-            decided = clear_s & (side_s | clear_t) | clear_t & side_t
-            out = decided & ~(side_s | side_t) & (s1 * t1 < 0.0)
+            decided, out = _pair_rule(
+                _dots(ni, _take(P[j], live)), _dots(ni, _take(P[(j + 1) % 6], live)),
+                _dots(nj, _take(P[i], live)), _dots(nj, _take(P[i + 1], live)),
+                clear.take(live))
         else:
             # the ends of arcs i and j away from the shared vertex
             qi = P[i] if adj != i else P[i + 1]
             qj = P[(j + 1) % 6] if adj == j else P[j]
-            c = clear_adj.take(live)
-            decided = ((np.abs(_dots(ni, _take(qj, live))) > c)
-                       & (np.abs(_dots(nj, _take(qi, live))) > c))
+            decided = _adjacent_rule(_dots(ni, _take(qj, live)), _dots(nj, _take(qi, live)),
+                                     clear_adj.take(live))
             out = np.zeros(live.size, dtype=bool)
         slow = np.flatnonzero(~decided)
         if slow.size:

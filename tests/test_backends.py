@@ -11,8 +11,9 @@ from pentamod import (analytic_in_moduli, analytic_in_moduli_batch, anchor_penta
                       oracle_in_moduli_batch, pentagon, region_of, sphere)
 from pentamod.charts import SQ3, ChartPoint
 from pentamod.sphere import sample_sphere
-from pentamod.errors import InvalidPoints
+from pentamod.errors import AntipodalConstruction, DegenerateAnchor, InvalidPoints
 from pentamod.render import circle_points
+from test_pentagon import _antipodal_edge_anchors
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -91,7 +92,7 @@ def test_oracle_rows_are_independent(n):
         cuts = np.sort(rng.choice(np.arange(1, len(pts)), size=3, replace=False))
         parts = [oracle_in_moduli_batch(n, pts[idx]) for idx in np.split(perm, cuts)]
         assert np.array_equal(np.concatenate(parts), whole[perm])
-    # known defect (ROADMAP.md, item 4): 1e-9 rad off a locus the scalar
+    # known defect (ROADMAP.md, item 2): 1e-9 rad off a locus the scalar
     # oracle finds endpoint-degenerate touches that the batch oracle misses,
     # here c1-b2 at two anchors near the vertex M (n = 3) and c2-b1 at one
     # anchor off a circle (n = 4)
@@ -99,10 +100,14 @@ def test_oracle_rows_are_independent(n):
     assert np.count_nonzero(whole != scalar) == {3: 2, 4: 1, 5: 0}[n]
 
 
+# n = 3: the batch oracle finds a2 and c1 meeting away from W; is_simple does not
+_DEFECT_ANCHOR = np.array([0.5755406512314724, -9.999999038521016e-10, -0.8177731707387157])
+
+
 @pytest.mark.xfail(strict=True, reason="batch and scalar oracle differ at this anchor "
-                                       "(ROADMAP.md, item 4)")
+                                       "(ROADMAP.md, item 2)")
 def test_oracles_agree_at_known_defect():
-    V = np.array([0.5755406512314724, -9.999999038521016e-10, -0.8177731707387157])
+    V = _DEFECT_ANCHOR
     assert oracle_in_moduli_batch(3, V[None])[0] == oracle_in_moduli(3, V)
 
 
@@ -193,20 +198,78 @@ def _exact_oracle(n, pts):
     return simple
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_oracle_filter_agrees_with_exact_path(n):
-    # anchors near every locus, and near the anchors that send W or E to C,
-    # where the arcs c1 and c2 are short and their normals least certain
-    offsets = (1e-12, 1e-10, 1e-9, 2e-9, 1e-8, 1e-7, 1e-6)
+_FILTER_OFFSETS = (1e-12, 1e-10, 1e-9, 2e-9, 1e-8, 1e-7, 1e-6)
+
+
+def _short_c(n, offsets):
+    """Anchors near the two that send W or E to C, where the arcs c1 and c2
+    are short and their normals least certain, moved along 16 random
+    tangents by each offset."""
     geo = charts.geometry(n)
     to_w, to_e = pentagon._rotations(n)
     rng = np.random.default_rng(60 + n)
-    short_c = []
+    out = []
     for c in (to_w.T @ geo.C, to_e.T @ geo.C):
         d = np.cross(c, rng.normal(size=(16, 3)))
-        short_c.append(_off(c[None], d / np.linalg.norm(d, axis=1)[:, None], offsets))
-    pts = np.vstack([_oracle_mix(n, 50 + n), _off_loci(n, offsets)] + short_c)
+        out.append(_off(c[None], d / np.linalg.norm(d, axis=1)[:, None], offsets))
+    return np.vstack(out)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_oracle_filter_agrees_with_exact_path(n):
+    # anchors near every locus, and near the anchors that make c1 or c2 short
+    pts = np.vstack([_oracle_mix(n, 50 + n), _off_loci(n, _FILTER_OFFSETS),
+                     _short_c(n, _FILTER_OFFSETS)])
     assert np.array_equal(oracle_in_moduli_batch(n, pts), _exact_oracle(n, pts))
+
+
+def _exhaustive_report(p):
+    """is_simple with arc_intersect on all 15 pairs, no sign filter."""
+    arcs = p.arcs
+    out = []
+    for i in range(6):
+        for j in range(i + 1, 6):
+            shared = pentagon._SHARED_VERTEX.get((i, j))
+            pair = (pentagon.EDGE_NAMES[i], pentagon.EDGE_NAMES[j])
+            res = sphere.arc_intersect(arcs[i], arcs[j])
+            if res.overlap:
+                if res.shared and len(res.shared) == 2:
+                    out.append((pair, "overlap", res.shared[0].tobytes()))
+                elif res.points and shared is None:
+                    out.append((pair, "crossing", res.points[0].tobytes()))
+                continue
+            for q in res.points:
+                if shared is not None and pentagon._near(q, p.vertex(shared)):
+                    continue
+                kind = "crossing"
+                for a in (arcs[i], arcs[j]):
+                    if pentagon._near(q, a.u) or pentagon._near(q, a.v):
+                        kind = "endpoint-degenerate"
+                out.append((pair, kind, q.tobytes()))
+    return not out, out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_is_simple_filter_keeps_every_report(n):
+    # is_simple skips arc_intersect on the pairs its signs clear; every report
+    # (answer, pairs, kinds, witness bits) must be the exhaustive loop's.
+    # Every fourth anchor of the sets keeps the test near a second; it still
+    # fails with the slop or the margins of the filter taken out.
+    pts = np.vstack([_oracle_mix(n, 50 + n), _off_loci(n, _FILTER_OFFSETS),
+                     _off_division(n, _FILTER_OFFSETS), _short_c(n, _FILTER_OFFSETS),
+                     _antipodal_edge_anchors(n)])[::4]
+    pts = np.vstack([pts, _ONE_ROW_ANCHOR, _DEFECT_ANCHOR])
+    built = 0
+    for V in pts:
+        try:
+            pent = anchor_pentagon(n, V)
+        except (DegenerateAnchor, AntipodalConstruction):
+            continue
+        built += 1
+        report = pentagon.is_simple(pent)
+        got = [(v.pair, v.kind, v.witness.tobytes()) for v in report.violations]
+        assert (report.simple, got) == _exhaustive_report(pent), V
+    assert built > len(pts) // 2
 
 
 def _band_mask_full_gradient(n, pts, band):

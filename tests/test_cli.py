@@ -67,6 +67,37 @@ def test_check_far_point(capsys):
     assert data["simplicity_violations"]
 
 
+# check queries in the three charts: inside and far points, chart origins
+# (a construction failure at A, B and M), and points whose reports carry
+# crossing, endpoint-degenerate and overlap violations
+_CHECK_POINTS = (
+    ("M", "-0.17-0.17i"), ("M", "0"), ("M", "0.05@0"), ("M", "0.05@30"), ("M", "0.2@0"),
+    ("M", "0.6@0"), ("M", "0.9+0.9i"), ("M", "0.31@-97.5"), ("M", "1.4@200"),
+    ("A", "0"), ("A", "0.05@150"), ("A", "0.05@180"), ("A", "0.2@300"), ("A", "0.4@60"),
+    ("A", "0.6@120"), ("A", "0.8@120"), ("A", "0.33@17"),
+    ("B", "0"), ("B", "0.05@0"), ("B", "0.05@30"), ("B", "0.6@90"), ("B", "0.6@240"),
+    ("B", "0.8@60"), ("B", "3@90"), ("B", "0.27@-41"),
+)
+
+# sha256 of the exit codes and check JSON over _CHECK_POINTS, by solid
+_CHECK_SHA256 = {
+    3: "cc79d8ed5c5870c602345939ddb917c465a3daedcfa10ff98ee544614d8da2b0",
+    4: "b20443e2e82180370c53a62cca8dbea4f823dca20d56f2b14581664b74930e17",
+    5: "c421473e9fa2141d966ca36b577e9a9ddc785e36e43f0bd0cff283d52c414c02",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_CHECK_SHA256))
+def test_check_output_pinned(capsys, n):
+    # the violation lists, witnesses included, end to end through the CLI
+    h = hashlib.sha256()
+    for chart, point in _CHECK_POINTS:
+        code, out = run_cli(capsys, "check", "--solid", str(n), "--chart", chart,
+                            "--point", point)
+        h.update(f"{code}\n{out}".encode())
+    assert h.hexdigest() == _CHECK_SHA256[n]
+
+
 def test_check_bad_point_exit_2(capsys):
     code, _ = run_cli(capsys, "check", "--solid", "3", "--point", "zzz")
     assert code == 2
