@@ -93,7 +93,13 @@ def solid_constants(n: int) -> SolidConstants:
 
 
 def _sphere_from_z(z: complex) -> np.ndarray:
-    r2 = abs(z) ** 2
+    try:
+        r2 = abs(z) ** 2
+    except OverflowError:
+        # the same point from w = 1/z, whose |w|^2 cannot overflow
+        w = 1.0 / z
+        s = abs(w) ** 2
+        return np.array([2.0 * w.real, -2.0 * w.imag, 1.0 - s]) / (1.0 + s)
     return np.array([2.0 * z.real, 2.0 * z.imag, r2 - 1.0]) / (r2 + 1.0)
 
 

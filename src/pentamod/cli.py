@@ -33,12 +33,16 @@ _CURVE_CHARTS = {"gammaA": ("A", "M"), "gammaB": ("B", "M"), "gammaC": ("M", "A"
 
 
 def parse_point(text: str) -> complex:
-    """Parse 'x+yi' or polar 'r@thetadeg'."""
+    """Parse 'x+yi' or polar 'r@thetadeg' into a finite complex number."""
     s = text.strip().replace(" ", "")
     if "@" in s:
         r_str, th_str = s.split("@", 1)
-        return cmath.rect(float(r_str), math.radians(float(th_str)))
-    return complex(s.replace("i", "j"))
+        z = cmath.rect(float(r_str), math.radians(float(th_str)))
+    else:
+        z = complex(s.replace("i", "j"))
+    if not cmath.isfinite(z):
+        raise ValueError(f"point {text!r} is not finite")
+    return z
 
 
 def _emit(args, payload: dict) -> None:

@@ -260,8 +260,9 @@ def curve_spec(which: str, n: int) -> CurveSpec:
 def _eqd_radius(lam, alpha, phi):
     # rationalized form of sqrt(1 + (lam*sec)^2) - lam*sec: no cancellation
     # as sec grows toward the r -> 0 endpoint (sec > 0 over every admissible
-    # range); floats or arrays alike
-    s = 1.0 / np.cos(phi - alpha)
+    # range, but cos may round to a tiny negative at that end, where |sec|
+    # gives the limit 0); floats or arrays alike
+    s = 1.0 / np.abs(np.cos(phi - alpha))
     return 1.0 / (np.sqrt(1.0 + lam * lam * s * s) + lam * s)
 
 

@@ -8,16 +8,17 @@ iff the six-arc boundary V-A-W-C-E-B-V is a simple closed curve.
 
 The oracle has two forms: is_simple (behind oracle_in_moduli), the reference
 that reports every violation, and its vectorized form oracle_in_moduli_batch.
-Both filter each arc pair by the same sign rules (_pair_rule, _adjacent_rule):
-is_simple runs sphere.arc_intersect only on the pairs the signs cannot clear
-of a violation, so its report is the one the exhaustive 15-pair loop gives.
-The batch form compacts its live rows: it keeps the indices of the anchors
-that are constructible and not yet ruled out, evaluates each arc pair on
-those rows only, and drops the rows the pair rules out.  An anchor's answer
-is the AND over the pairs and each row is computed on its own, so neither
-the compaction nor the order of the pairs changes an answer.  It skips the
-three adjacent pairs that cannot fail (see _PAIRS).  Its products go through
-sphere.rows_matmul, so one anchor gets the answer of its row in any batch.
+Both test the 12 arc pairs of _PAIRS, leaving out the three adjacent pairs
+that cannot fail, and filter each pair by the same sign rules (_pair_rule,
+_adjacent_rule): is_simple runs sphere.arc_intersect only on the pairs the
+signs cannot clear of a violation, so its report is the one the exhaustive
+15-pair loop gives.  The batch form compacts its live rows: it keeps the
+indices of the anchors that are constructible and not yet ruled out,
+evaluates each arc pair on those rows only, and drops the rows the pair
+rules out.  An anchor's answer is the AND over the pairs and each row is
+computed on its own, so neither the compaction nor the order of the pairs
+changes an answer.  Its products go through sphere.rows_matmul, so one
+anchor gets the answer of its row in any batch.
 
 Each pair is a filtered predicate: the signs of the four products of one
 arc's normal with the other arc's endpoints decide it on every row where
@@ -43,11 +44,6 @@ from .sphere import (ANTIPODAL_EPS, DEFAULT_TOL, DEGENERATE_EPS, VERTEX_CHORD, G
                      arc_intersect, as_point, as_points, minor_arc, norm3, rows_matmul)
 
 EDGE_NAMES = ("a1", "a2", "c1", "c2", "b2", "b1")
-
-# boundary order of the arcs; consecutive entries share one vertex
-_SHARED_VERTEX = {
-    (0, 1): "A", (1, 2): "W", (2, 3): "C", (3, 4): "E", (4, 5): "B", (0, 5): "V",
-}
 
 _TINY = 1e-300
 
@@ -77,9 +73,6 @@ class Pentagon:
     def arcs(self) -> tuple[GreatArc, ...]:
         """Boundary arcs in traversal order a1, a2, c1, c2, b2, b1."""
         return (self.a1, self.a2, self.c1, self.c2, self.b2, self.b1)
-
-    def vertex(self, name: str) -> np.ndarray:
-        return getattr(self, name)
 
 
 @dataclass(frozen=True)
@@ -134,18 +127,14 @@ def anchor_pentagon(n: int, V: np.ndarray) -> Pentagon:
                     a1=a1, a2=a2, c1=c1, c2=c2, b2=b2, b1=b1)
 
 
-def _dot3(a: list, b: list) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
 def _near(p: np.ndarray, q: np.ndarray) -> bool:
     """p within VERTEX_SLACK of q."""
     return norm3(p - q) <= VERTEX_CHORD + 1e-15
 
 
 def is_simple(p: Pentagon) -> SimplicityReport:
-    """Test all 15 unordered arc pairs of the boundary; those the signs clear
-    skip arc_intersect.
+    """Test the 12 arc pairs of _PAIRS, in (i, j) order; those the signs
+    clear skip arc_intersect.
 
     Adjacent arcs may meet only at their shared vertex; non-adjacent arcs may
     not meet at all; coplanar overlaps of positive length are violations.  No
@@ -153,48 +142,44 @@ def is_simple(p: Pentagon) -> SimplicityReport:
     clear the margins of the sign filter (see _CLEAR) meets nowhere it would
     be reported, and is skipped; every other pair, the ones the signs decide
     as crossing included, goes through arc_intersect for its kind and
-    witness.  c1/c2 lie on one circle, so they never clear.
+    witness.  The three adjacent pairs _PAIRS leaves out never report one.
     """
     arcs = p.arcs
-    nrm = [a.normal.tolist() for a in arcs]
-    ends = [(a.u.tolist(), a.v.tolist()) for a in arcs]
+    P = (p.V, p.A, p.W, p.C, p.E, p.B)
+    # dots[a][k] = n_a.P_k for the arc normals and the vertices
+    dots = (np.array([a.normal for a in arcs]) @ np.array(P).T).tolist()
     # sin(length) is the chord |u x v| of _arcs
     slop = _ROUND / max(min(math.sin(a.length) for a in arcs), DEGENERATE_EPS)
     clear, clear_adj = _CLEAR + slop, _CLEAR_ADJ + (4.0 / VERTEX_CHORD) * slop
     violations: list[Violation] = []
     # _near's VERTEX_SLACK is wider than DEFAULT_TOL, so a transversal
     # crossing within DEFAULT_TOL of the shared vertex is not re-reported
-    for i in range(6):
-        for j in range(i + 1, 6):
-            shared_name = _SHARED_VERTEX.get((i, j))
-            if shared_name is None:
-                decided, crosses = _pair_rule(
-                    _dot3(nrm[i], ends[j][0]), _dot3(nrm[i], ends[j][1]),
-                    _dot3(nrm[j], ends[i][0]), _dot3(nrm[j], ends[i][1]), clear)
-                if decided and not crosses:
-                    continue
-            else:
-                # the ends away from the shared vertex
-                qi, qj = (ends[i][0], ends[j][1]) if j == i + 1 else (ends[i][1], ends[j][0])
-                if _adjacent_rule(_dot3(nrm[i], qj), _dot3(nrm[j], qi), clear_adj):
-                    continue
-            res = arc_intersect(arcs[i], arcs[j])
-            if res.overlap:
-                if res.shared and len(res.shared) == 2:
-                    violations.append(Violation((EDGE_NAMES[i], EDGE_NAMES[j]),
-                                                "overlap", res.shared[0]))
-                elif res.points and shared_name is None:
-                    violations.append(Violation((EDGE_NAMES[i], EDGE_NAMES[j]),
-                                                "crossing", res.points[0]))
+    for i, j, adj in _REPORT_PAIRS:
+        di, dj = dots[i], dots[j]
+        if adj < 0:
+            decided, crosses = _pair_rule(di[j], di[(j + 1) % 6], dj[i], dj[i + 1], clear)
+            if decided and not crosses:
                 continue
-            for q in res.points:
-                if shared_name is not None and _near(q, p.vertex(shared_name)):
-                    continue
-                kind = "crossing"
-                for a in (arcs[i], arcs[j]):
-                    if _near(q, a.u) or _near(q, a.v):
-                        kind = "endpoint-degenerate"
-                violations.append(Violation((EDGE_NAMES[i], EDGE_NAMES[j]), kind, q))
+        else:
+            fi, fj = _far_ends(i, j, adj)
+            if _adjacent_rule(di[fj], dj[fi], clear_adj):
+                continue
+        pair = (EDGE_NAMES[i], EDGE_NAMES[j])
+        res = arc_intersect(arcs[i], arcs[j])
+        if res.overlap:
+            if res.shared and len(res.shared) == 2:
+                violations.append(Violation(pair, "overlap", res.shared[0]))
+            elif res.points and adj < 0:
+                violations.append(Violation(pair, "crossing", res.points[0]))
+            continue
+        for q in res.points:
+            if adj >= 0 and _near(q, P[adj]):
+                continue
+            kind = "crossing"
+            for a in (arcs[i], arcs[j]):
+                if _near(q, a.u) or _near(q, a.v):
+                    kind = "endpoint-degenerate"
+            violations.append(Violation(pair, kind, q))
     return SimplicityReport(simple=not violations, violations=tuple(violations))
 
 
@@ -240,18 +225,27 @@ def _norm(a):
     return np.sqrt(s, out=s)
 
 
-# the arc pairs (i, j), i < j, with the index in the boundary of the vertex
-# that adjacent arcs share (-1 for non-adjacent arcs).  Pairs that rule out
-# the most uniform anchors come first and the adjacent pairs, which the
-# filter never rules a row out on, last; the order does not change any
-# answer.  Three adjacent pairs never fail and are left out (is_simple keeps
-# them).  c1/c2: E is the half-turn of W about C (to_e to_w^T = 2 C C^T - I),
-# so the arcs leave C in opposite directions along one circle.  a1/a2 and
-# b2/b1 leave A and B in different directions, so they could meet again only
-# at -A or -B, which no minor arc reaches.
+# the arc pairs (i, j), i < j, with the index in V, A, W, C, E, B of the
+# vertex that adjacent arcs share (-1 for non-adjacent arcs).  In the batch,
+# pairs that rule out the most uniform anchors come first and the adjacent
+# pairs, which the filter never rules a row out on, last; the order does not
+# change any answer.  is_simple reports in (i, j) order.  Three adjacent pairs
+# never fail, and both oracles leave them out.  c1/c2: E is the half-turn of W
+# about C (to_e to_w^T = 2 C C^T - I), so the arcs leave C in opposite
+# directions along one circle.  a1/a2 and b2/b1 leave A and B in different
+# directions, so they could meet again only at -A or -B, which no minor arc
+# reaches.
 _PAIRS = tuple((i, j, j if j == i + 1 else (0 if (i, j) == (0, 5) else -1))
                for i, j in ((0, 3), (2, 5), (3, 5), (0, 4), (1, 4), (1, 5), (0, 2),
                             (1, 3), (2, 4), (0, 5), (1, 2), (3, 4)))
+_REPORT_PAIRS = tuple(sorted(_PAIRS))
+
+
+def _far_ends(i, j, adj):
+    """The indices in V, A, W, C, E, B of the ends of adjacent arcs i and j
+    away from their shared vertex adj (arc a runs from vertex a to a + 1)."""
+    return (i + 1 if adj == i else i), ((j + 1) % 6 if adj == j else j)
+
 
 # Margins of the sign filter of both oracles.  Take arcs i and j with unit
 # normals n_i, n_j (NH), m = n_i x n_j, s = n_i.P for an endpoint P of arc j
@@ -266,7 +260,10 @@ _PAIRS = tuple((i, j, j if j == i + 1 else (0 if (i, j) == (0, 5) else -1))
 # With slop = _ROUND / (the row's smallest cn), every value of the row is
 # good to slop and every crossing _pair_hits places is good to slop / |m|
 # along its arc.  _ROUND, 64 ulps of 1, is over ten times the bound this
-# needs.  The proof holds for either exact path.  is_simple's, arc_intersect,
+# needs, so it also covers the few ulps by which the kernels that form the
+# products round apart: the batch's dots and rows_matmul, and is_simple's
+# one (6, 3) @ (3, 6) gemm, in which BLAS may fuse a multiply and an add.
+# The proof holds for either exact path.  is_simple's, arc_intersect,
 # tests the same candidates against the same DEFAULT_TOL windows, and its
 # ON_CIRCLE test and _near's extra 1e-15 can only drop a hit.  A GreatArc's
 # normal is cross3(u, v) / norm3 of it, which rounds within the same few ulps
@@ -434,11 +431,9 @@ def oracle_in_moduli_batch(n: int, pts: np.ndarray) -> np.ndarray:
                 _dots(nj, _take(P[i], live)), _dots(nj, _take(P[i + 1], live)),
                 clear.take(live))
         else:
-            # the ends of arcs i and j away from the shared vertex
-            qi = P[i] if adj != i else P[i + 1]
-            qj = P[(j + 1) % 6] if adj == j else P[j]
-            decided = _adjacent_rule(_dots(ni, _take(qj, live)), _dots(nj, _take(qi, live)),
-                                     clear_adj.take(live))
+            fi, fj = _far_ends(i, j, adj)
+            decided = _adjacent_rule(_dots(ni, _take(P[fj], live)),
+                                     _dots(nj, _take(P[fi], live)), clear_adj.take(live))
             out = np.zeros(live.size, dtype=bool)
         slow = np.flatnonzero(~decided)
         if slow.size:

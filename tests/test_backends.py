@@ -13,7 +13,7 @@ from pentamod.charts import SQ3, ChartPoint
 from pentamod.sphere import sample_sphere
 from pentamod.errors import AntipodalConstruction, DegenerateAnchor, InvalidPoints
 from pentamod.render import circle_points
-from test_pentagon import _antipodal_edge_anchors
+from test_pentagon import _antipodal_edge_anchors, _exhaustive_report
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -221,32 +221,6 @@ def test_oracle_filter_agrees_with_exact_path(n):
     pts = np.vstack([_oracle_mix(n, 50 + n), _off_loci(n, _FILTER_OFFSETS),
                      _short_c(n, _FILTER_OFFSETS)])
     assert np.array_equal(oracle_in_moduli_batch(n, pts), _exact_oracle(n, pts))
-
-
-def _exhaustive_report(p):
-    """is_simple with arc_intersect on all 15 pairs, no sign filter."""
-    arcs = p.arcs
-    out = []
-    for i in range(6):
-        for j in range(i + 1, 6):
-            shared = pentagon._SHARED_VERTEX.get((i, j))
-            pair = (pentagon.EDGE_NAMES[i], pentagon.EDGE_NAMES[j])
-            res = sphere.arc_intersect(arcs[i], arcs[j])
-            if res.overlap:
-                if res.shared and len(res.shared) == 2:
-                    out.append((pair, "overlap", res.shared[0].tobytes()))
-                elif res.points and shared is None:
-                    out.append((pair, "crossing", res.points[0].tobytes()))
-                continue
-            for q in res.points:
-                if shared is not None and pentagon._near(q, p.vertex(shared)):
-                    continue
-                kind = "crossing"
-                for a in (arcs[i], arcs[j]):
-                    if pentagon._near(q, a.u) or pentagon._near(q, a.v):
-                        kind = "endpoint-degenerate"
-                out.append((pair, kind, q.tobytes()))
-    return not out, out
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

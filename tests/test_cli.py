@@ -103,6 +103,37 @@ def test_check_bad_point_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_check_at_the_sec_singular_fan_end(capsys, n):
+    # B-chart angle 270 deg is the r -> 0 end of a fan curve, where cos rounds
+    # to a tiny negative: the curve radius is its limit 0, with no warning
+    for point in ("0.4@269.9", "0.4@270", "0.4@270.1"):
+        code, out = run_cli(capsys, "check", "--solid", str(n), "--chart", "B",
+                            "--point", point)
+        data = json.loads(out)
+        assert code == 0, point
+        assert not data["in_moduli_analytic"] and not data["in_moduli_oracle"], point
+
+
+def test_check_large_chart_point(capsys):
+    # |z|^2 overflows a float: the point is still the unit vector near the
+    # chart origin's antipode
+    for z in (1e155, 1e308 + 1e308j, -3e200j):
+        xi = charts.to_sphere(ChartPoint(z, "M", 3))
+        assert abs(np.linalg.norm(xi) - 1.0) < 1e-15 and xi[2] > 1.0 - 1e-15
+    code, out = run_cli(capsys, "check", "--solid", "3", "--point", "1e155+0i")
+    assert code == 0
+    assert not json.loads(out)["in_moduli_oracle"]
+
+
+@pytest.mark.parametrize("point", ["1e400+0i", "1e400@0", "nan", "inf+1i"])
+def test_check_non_finite_point_exit_2(capsys, point):
+    code = cli.main(["check", "--solid", "3", "--point", point])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert "cannot parse point" in captured.err
+
+
 def test_curve_unknown_chart_combo_exit_2(capsys):
     code, _ = run_cli(capsys, "curve", "a=b", "--solid", "3", "--chart", "A")
     assert code == 2
