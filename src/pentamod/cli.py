@@ -101,6 +101,8 @@ def cmd_check(args) -> int:
 
 def _curve_rows(which: str, n: int, chart: str, samples: int):
     """(theta, r) pairs over the curve's admissible range in the chart."""
+    if samples < 1:   # a negative count would slice rows off the end
+        raise ValueError(f"samples must be >= 1, got {samples}")
     if which.startswith("gamma"):
         name = "gamma_" + which[-1]
         if chart == "M":

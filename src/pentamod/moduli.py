@@ -23,9 +23,12 @@ finder reduction_radii.  boundary_band_mask is a filtered test too: a
 curve's quadric value, against a bound on its gradient over the sphere,
 rules out most rows, and the gradient rule runs on the rest.  Public entry
 points validate their points once (sphere.as_point/as_points) and hand
-them to private kernels that do not check again.  Their point products go
-through sphere.rows_matmul: one-point calls are exact batch rows.  The
-simplicity oracle that membership is checked against lives in pentagon.
+them to private kernels that do not check again; the batch entry points go
+through sphere.map_rows, in pieces of at most sphere._CHUNK rows, and the
+kernels write their large temporaries into sphere.scratch.  Their point
+products go through sphere.rows_matmul: one-point calls are exact batch
+rows.  The simplicity oracle that membership is checked against lives in
+pentagon.
 """
 
 from __future__ import annotations
@@ -33,14 +36,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import charts
 from .charts import SQ2, SQ3, SQ5, ChartPoint, geometry, solid_constants
 from .errors import NoRootInDisk, OutOfRange
-from .sphere import ON_CIRCLE, VERTEX_CHORD, VERTEX_SLACK, as_point, as_points, rows_matmul
+from .sphere import (ON_CIRCLE, VERTEX_CHORD, VERTEX_SLACK, as_point, map_rows, rows_matmul,
+                     scratch)
 
 # clamp width at the sec-singular curve endpoints (eqD blows up there; the
 # limiting radius 0 is substituted inside this band)
@@ -50,6 +54,9 @@ _SINGULAR_CLAMP = 1e-9
 # radius leave this margin so an exactly-on-curve sample lands outside
 # deterministically (the oracle's own transition sits a few 1e-10 inside)
 CURVE_EXCLUSION = 1e-11
+
+# the sine of VERTEX_SLACK, with the margin of ON_CIRCLE
+_SLACK_SINE = math.sin(VERTEX_SLACK) + 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -117,26 +124,33 @@ def region_pair(n: int, m: int) -> tuple[int, int]:
     return 5 - r // 2, n + k
 
 
-def _polar(n: int, pts: np.ndarray, in_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _polar(n: int, pts: np.ndarray, in_b: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
     """Chart polar coordinates (theta, r) of an (N, 3) array of unit vectors,
-    in the B-chart on the rows where in_b and in the A-chart on the rest."""
+    in the B-chart on the rows where in_b and in the A-chart on the rest;
+    arrays from the scratch frame s."""
     geo = geometry(n)
-    xi = np.where(in_b[:, None], rows_matmul(pts, geo.frame_b.T), rows_matmul(pts, geo.frame_a.T))
-    th = np.arctan2(xi[:, 1], xi[:, 0])
-    denom = np.maximum(1.0 - xi[:, 2], 1e-15)
-    r = np.sqrt(np.maximum((1.0 + xi[:, 2]) / denom, 0.0))
+    k = len(pts)
+    xi = rows_matmul(pts, geo.frame_b.T, s.out((k, 3)))
+    np.copyto(xi, rows_matmul(pts, geo.frame_a.T, s.out((k, 3))), where=~in_b[:, None])
+    th = np.arctan2(xi[:, 1], xi[:, 0], out=s.out(k))
+    # max(1 - x3, 1e-15), then sqrt(max((1 + x3) / that, 0)), each on one buffer
+    db, rb = s.out(k), s.out(k)
+    denom = np.maximum(np.subtract(1.0, xi[:, 2], out=db), 1e-15, out=db)
+    r = np.sqrt(np.maximum(np.divide(np.add(1.0, xi[:, 2], out=rb), denom, out=rb), 0.0, out=rb),
+                out=rb)
     return th, r
 
 
-def _circle_sines(n: int, pts: np.ndarray) -> np.ndarray:
+def _circle_sines(n: int, pts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The sine of each point's signed angle to each dividing circle, p.c
-    for the circle's unit normal c, (N, n+2)."""
-    return rows_matmul(pts, division(n).normals.T)
+    for the circle's unit normal c, (N, n+2), written into out when pts has
+    two or more rows."""
+    return rows_matmul(pts, division(n).normals.T, out)
 
 
-def _classify(n: int, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _classify(n: int, pts: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
     """Place each point of an (N, 3) array of unit vectors in the division:
-    (circle, region), each (N,).
+    (circle, region), each (N,), from the scratch frame s.
 
     A point within DEFAULT_TOL (radians) of two or more dividing circles
     gets neither a circle (-1) nor a region (0).  So does every point within
@@ -147,23 +161,34 @@ def _classify(n: int, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     from the signs of its circle sines.  The points must already be
     validated by as_points.
     """
-    sines = _circle_sines(n, pts)
-    on = np.abs(sines) <= ON_CIRCLE
-    # a float product sums the rows of a boolean matrix several times
-    # faster than sum or argmax, so argmax runs on the rare rows it decides
-    count = on @ np.ones(n + 2)
-    circle = np.full(len(pts), -1)
+    k = len(pts)
+    sines = _circle_sines(n, pts, s.out((k, n + 2)))
+    # 1.0 (or True) on the circles a point is on: a float product sums the
+    # rows of such a matrix several times faster than sum or argmax, so
+    # argmax runs on the rare rows it decides
+    flags = s.out((k, n + 2))
+    on = np.less_equal(np.abs(sines, out=flags), ON_CIRCLE, out=flags)
+    count = np.matmul(on, _tables(n).ones, out=s.out(k))
+    circle = s.empty(k, np.intp)
+    circle.fill(-1)
     single = np.flatnonzero(count == 1.0)
     circle[single] = on[single].argmax(axis=1)
-    region = np.where(count == 0.0, _sign_region(n, sines), 0)
+    # then where the sines are negative, in the same buffer
+    region = _sign_region(n, np.less(sines, 0.0, out=flags), s.out(k, np.intp))
+    region[count != 0.0] = 0
     return circle, region
 
 
-def _sign_region(n: int, sines: np.ndarray) -> np.ndarray:
-    """The region of each point off every dividing circle, read from the
-    signs of its (N, n+2) circle sines (see _tables)."""
+def _sign_region(n: int, negative: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The region of each point off every dividing circle, read from its
+    (N, n+2) flags (True or 1.0) of negative circle sines (see _tables),
+    written into out when given."""
     t = _tables(n)
-    return t.sign_region[((sines < 0.0) @ t.sign_weights).astype(np.intp)]
+    # the product sums the weights of the flagged circles exactly; every
+    # code is below 6n, the table's length, so "clip", which spares take a
+    # buffered copy of out, clips none
+    code = (negative @ t.sign_weights).astype(np.intp)
+    return t.sign_region.take(code, 0, out, "clip")
 
 
 def region_of(n: int, p: np.ndarray):
@@ -181,15 +206,15 @@ def region_of(n: int, p: np.ndarray):
     div = division(n)
     p = as_point(p)
     sines = _circle_sines(n, p[None])[0]
-    if not (np.abs(sines) <= math.sin(VERTEX_SLACK) + 1e-15).any():
+    if not (np.abs(sines) <= _SLACK_SINE).any():
         # every division vertex lies on two circles (within 1e-15), so a
         # point within VERTEX_SLACK of no circle is within it of no vertex
-        return int(_sign_region(n, sines[None])[0])
+        return int(_sign_region(n, sines[None] < 0.0)[0])
     on = np.abs(sines) <= ON_CIRCLE
     chords = np.linalg.norm(p - div.vertex_points, axis=1)
     near = np.flatnonzero(chords <= VERTEX_CHORD)
     if not (near.size or on.any()):
-        return int(_sign_region(n, sines[None])[0])
+        return int(_sign_region(n, sines[None] < 0.0)[0])
     vertex_name = list(div.vertices)[near[0]] if near.size else None
     kind = "vertex" if (np.count_nonzero(on) >= 2 or vertex_name) else "arc"
     if near.size:
@@ -198,7 +223,7 @@ def region_of(n: int, p: np.ndarray):
     flip = (np.arange(1 << k.size)[:, None] >> np.arange(k.size)) & 1
     patterns = np.tile(sines, (len(flip), 1))
     patterns[:, k] = 1.0 - 2.0 * flip
-    neighbours = _sign_region(n, patterns)
+    neighbours = _sign_region(n, patterns < 0.0)
     return Boundary(kind=kind, regions=tuple(sorted({int(m) for m in neighbours})),
                     vertex=vertex_name)
 
@@ -454,7 +479,8 @@ class _Tables:
     """One family's division and membership rules as tables.
 
     A point off the division circles has sign code (sines < 0) @
-    sign_weights and lies in region sign_region[code].
+    sign_weights and lies in region sign_region[code]; (|sines| <=
+    ON_CIRCLE) @ ones counts the circles a point is on.
 
     Division circle c is a pair of opposite rays from the origin of its
     chart (the A-chart, or the B-chart where circle_b[c]).  A point on the
@@ -468,6 +494,7 @@ class _Tables:
     """
 
     sign_weights: np.ndarray
+    ones: np.ndarray
     sign_region: np.ndarray
     circle_b: np.ndarray
     angle: np.ndarray
@@ -529,8 +556,8 @@ def _tables(n: int) -> _Tables:
     sign_weights = np.array([3.0 * n, n, n] + [1.0] * (n - 1))
     s, a, b = np.meshgrid(np.arange(2), np.arange(3), np.arange(n), indexing="ij")
     sign_region = _sector_region(n, np.where(s, a, 5 - a), np.where(s, b, 2 * n - 1 - b)).ravel()
-    return _Tables(sign_weights, sign_region, np.array(chart) == "B", np.array(angle),
-                   np.array(front), np.array(back), core, fan, fan_b, *params)
+    return _Tables(sign_weights, np.ones(n + 2), sign_region, np.array(chart) == "B",
+                   np.array(angle), np.array(front), np.array(back), core, fan, fan_b, *params)
 
 
 def analytic_in_moduli_batch(n: int, pts: np.ndarray) -> np.ndarray:
@@ -541,30 +568,31 @@ def analytic_in_moduli_batch(n: int, pts: np.ndarray) -> np.ndarray:
     the open fan regions between the curves and the core; False on the
     curves, the excluded arcs and all division vertices.
     """
-    return _membership(n, as_points(pts))
+    return map_rows(partial(_membership, n), pts)
 
 
 def _membership(n: int, pts: np.ndarray) -> np.ndarray:
     """analytic_in_moduli_batch for points already validated by as_points."""
     t = _tables(n)
-    circle, region = _classify(n, pts)
-    inside = t.core[region]
-    on = np.flatnonzero(circle >= 0)
-    fan = np.flatnonzero(t.fan[region])
+    with scratch(len(pts)) as s:
+        circle, region = _classify(n, pts, s)
+        inside = t.core[region]
+        on = np.flatnonzero(circle >= 0)
+        fan = np.flatnonzero(t.fan[region])
 
-    if on.size:
-        c = circle[on]
-        th, r = _polar(n, pts.take(on, 0), t.circle_b[c])
-        front = np.cos(th - t.angle[c]) > 0.0
-        inside[on] = r < np.where(front, t.front[c], t.back[c])
+        if on.size:
+            c = circle[on]
+            th, r = _polar(n, pts.take(on, 0), t.circle_b[c], s)
+            front = np.cos(th - t.angle[c]) > 0.0
+            inside[on] = r < np.where(front, t.front[c], t.back[c])
 
-    if fan.size:
-        m = region[fan]
-        th, r = _polar(n, pts.take(fan, 0), t.fan_b[m])
-        sel = (th > t.lo[m]) & (th < t.hi[m])
-        m, th = m[sel], th[sel]
-        curve_r = _eqd_radius(t.lam[m], t.alpha[m], t.phi_const[m] + t.phi_sign[m] * th)
-        inside[fan[sel]] = r[sel] < curve_r - CURVE_EXCLUSION
+        if fan.size:
+            m = region[fan]
+            th, r = _polar(n, pts.take(fan, 0, s.out((fan.size, 3)), "clip"), t.fan_b[m], s)
+            sel = (th > t.lo[m]) & (th < t.hi[m])
+            m, th = m[sel], th[sel]
+            curve_r = _eqd_radius(t.lam[m], t.alpha[m], t.phi_const[m] + t.phi_sign[m] * th)
+            inside[fan[sel]] = r[sel] < curve_r - CURVE_EXCLUSION
     return inside
 
 
@@ -586,38 +614,54 @@ def boundary_band_mask(n: int, pts: np.ndarray, band: float) -> np.ndarray:
     |Q| > band G cannot be near the curve.  The gradient is formed only on
     the rows the screen keeps.
     """
-    pts = as_points(pts)
+    return map_rows(partial(_band_mask, n, band=band), pts)
+
+
+def _band_mask(n: int, pts: np.ndarray, band: float) -> np.ndarray:
+    """boundary_band_mask for points already validated by as_points."""
     if not math.isfinite(band):   # NaN would fail every test below, skipping nothing
         raise ValueError(f"band must be finite, got {band}")
     if band <= 0.0:
         return np.zeros(pts.shape[0], dtype=bool)
-    # no angle to a circle exceeds pi/2, so a wider band covers everything;
-    # a float product counts each row's hits faster than any(axis=1)
-    sines = np.abs(_circle_sines(n, pts))
-    near = (sines <= math.sin(min(band, 0.5 * math.pi))) @ np.ones(n + 2) > 0.0
-    geo = geometry(n)
-    coords = {}
-    for chart, frame in (("A", geo.frame_a), ("B", geo.frame_b)):
-        xi = rows_matmul(pts, frame.T)
-        coords[chart] = xi, xi[:, 0] * xi[:, 0] + xi[:, 1] * xi[:, 1]
-    for which in CURVE_NAMES:
-        spec = curve_spec(which, n)
-        L, c1, c2 = _quadric_coeffs(spec)
-        xi, rr = coords[spec.chart]
-        x1, x2, x3 = xi[:, 0], xi[:, 1], xi[:, 2]
-        q = np.abs(L * rr + (c1 * x1 + c2 * x2) * x3)
-        # G >= 0.7 for every curve, above the rule's 1e-12 floor; the factor
-        # 1 + 1e-6 covers |x| <= 1 + 5e-10 (as_points) and the rounding of gn
-        G = math.sqrt(8.0 * L * L + 2.0 * c1 * c1 + 2.0 * c2 * c2) * (1.0 + 1e-6)
-        rows = np.flatnonzero(q <= band * G)
-        if not rows.size:
-            continue
-        x = xi.take(rows, 0)
-        x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2]
-        g = np.column_stack((2.0 * L * x1 + c1 * x3, 2.0 * L * x2 + c2 * x3, c1 * x1 + c2 * x2))
-        g -= (np.einsum("ij,ij->i", g, x))[:, None] * x
-        gn = np.linalg.norm(g, axis=1)
-        near[rows] |= q.take(rows) <= band * np.maximum(gn, 1e-12)
+    k = len(pts)
+    with scratch(k) as s:
+        # no angle to a circle exceeds pi/2, so a wider band covers
+        # everything; a float product counts each row's hits (1.0 each)
+        # faster than any(axis=1)
+        sb = s.out((k, n + 2))
+        hits = np.less_equal(np.abs(_circle_sines(n, pts, sb), out=sb),
+                             math.sin(min(band, 0.5 * math.pi)), out=sb)
+        near = np.matmul(hits, _tables(n).ones, out=s.out(k)) > 0.0
+        qb, ub, vb = s.out(k), s.out(k), s.out(k)
+        geo = geometry(n)
+        coords = {}
+        for chart, frame in (("A", geo.frame_a), ("B", geo.frame_b)):
+            xi = rows_matmul(pts, frame.T, s.out((k, 3)))
+            rb = s.out(k)
+            rr = np.add(np.multiply(xi[:, 0], xi[:, 0], out=rb),
+                        np.multiply(xi[:, 1], xi[:, 1], out=vb), out=rb)
+            coords[chart] = xi, rr
+        for which in CURVE_NAMES:
+            spec = curve_spec(which, n)
+            L, c1, c2 = _quadric_coeffs(spec)
+            xi, rr = coords[spec.chart]
+            x1, x2, x3 = xi[:, 0], xi[:, 1], xi[:, 2]
+            # q = |L rr + (c1 x1 + c2 x2) x3|, on the buffers qb, ub and vb
+            u = np.add(np.multiply(c1, x1, out=ub), np.multiply(c2, x2, out=vb), out=ub)
+            u = np.multiply(u, x3, out=ub)
+            q = np.abs(np.add(np.multiply(L, rr, out=qb), u, out=qb), out=qb)
+            # G >= 0.7 for every curve, above the rule's 1e-12 floor; the factor
+            # 1 + 1e-6 covers |x| <= 1 + 5e-10 (as_points) and the rounding of gn
+            G = math.sqrt(8.0 * L * L + 2.0 * c1 * c1 + 2.0 * c2 * c2) * (1.0 + 1e-6)
+            rows = np.flatnonzero(q <= band * G)
+            if not rows.size:
+                continue
+            x = xi.take(rows, 0)
+            x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2]
+            g = np.column_stack((2.0 * L * x1 + c1 * x3, 2.0 * L * x2 + c2 * x3, c1 * x1 + c2 * x2))
+            g -= (np.einsum("ij,ij->i", g, x))[:, None] * x
+            gn = np.linalg.norm(g, axis=1)
+            near[rows] |= q.take(rows) <= band * np.maximum(gn, 1e-12)
     return near
 
 

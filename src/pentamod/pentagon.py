@@ -18,7 +18,9 @@ evaluates each arc pair on those rows only, and drops the rows the pair
 rules out.  An anchor's answer is the AND over the pairs and each row is
 computed on its own, so neither the compaction nor the order of the pairs
 changes an answer.  Its products go through sphere.rows_matmul, so one
-anchor gets the answer of its row in any batch.
+anchor gets the answer of its row in any batch, and sphere.map_rows takes a
+long input in pieces; the arcs and each pair's operands live on the thread's
+sphere.scratch.
 
 Each pair is a filtered predicate: the signs of the four products of one
 arc's normal with the other arc's endpoints decide it on every row where
@@ -34,14 +36,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import charts
 from .errors import AntipodalConstruction, AntipodalEndpoints, DegenerateAnchor, DegenerateArc
 from .sphere import (ANTIPODAL_EPS, DEFAULT_TOL, DEGENERATE_EPS, VERTEX_CHORD, GreatArc,
-                     arc_intersect, as_point, as_points, minor_arc, norm3, rows_matmul)
+                     arc_intersect, as_point, map_rows, minor_arc, norm3, rows_matmul, scratch)
 
 EDGE_NAMES = ("a1", "a2", "c1", "c2", "b2", "b1")
 
@@ -196,33 +198,47 @@ def oracle_in_moduli(n: int, V: np.ndarray) -> bool:
     return is_simple(pent).simple
 
 
-def _rowdot(a, b):
-    return np.einsum("ij,ij->i", a, b)
+def _rowdot(a, b, out=None):
+    return np.einsum("ij,ij->i", a, b, out=out)
 
 
-def _cross(a, b):
+# The helpers below take the arrays they return from a scratch frame s (see
+# sphere.scratch) and their own temporaries from an inner frame.
+
+
+def _cross(a, b, s):
     """Row-wise a x b of (N, 3) arrays; the products and differences of
     np.cross without its copies of both operands."""
-    out = np.empty(a.shape)
-    for k in range(3):
-        k1, k2 = (k + 1) % 3, (k + 2) % 3
-        np.multiply(a[:, k1], b[:, k2], out=out[:, k])
-        out[:, k] -= a[:, k2] * b[:, k1]
+    out = s.empty(a.shape)
+    with scratch(len(a)) as t:
+        tb = t.out(len(a))
+        for k in range(3):
+            k1, k2 = (k + 1) % 3, (k + 2) % 3
+            np.multiply(a[:, k1], b[:, k2], out=out[:, k])
+            out[:, k] -= np.multiply(a[:, k2], b[:, k1], out=tb)
     return out
 
 
-def _take(a, idx):
-    """Rows idx of an (N, 3) array.  A constant point broadcast to (N, 3)
-    gives a view of the right length, since take would copy it slowly."""
-    return a[:idx.size] if a.strides[0] == 0 else a.take(idx, 0)
+def _take(a, idx, s):
+    """Rows idx of an array, idx sorted and distinct, as every row index
+    here is: the array itself when idx holds every row, and a view of the
+    right length of a constant point broadcast to (N, 3), since take would
+    copy either for nothing."""
+    if idx.size == len(a):
+        return a
+    if a.strides[0] == 0:
+        return a[:idx.size]
+    return a.take(idx, 0, s.out((idx.size,) + a.shape[1:]), "clip")
 
 
-def _norm(a):
+def _norm(a, s):
     """Row-wise |a| of an (N, 3) array, summed in the order of np.linalg.norm."""
-    s = a[:, 0] * a[:, 0]
-    s += a[:, 1] * a[:, 1]
-    s += a[:, 2] * a[:, 2]
-    return np.sqrt(s, out=s)
+    out = np.multiply(a[:, 0], a[:, 0], out=s.out(len(a)))
+    with scratch(len(a)) as t:
+        tb = t.out(len(a))
+        out += np.multiply(a[:, 1], a[:, 1], out=tb)
+        out += np.multiply(a[:, 2], a[:, 2], out=tb)
+    return np.sqrt(out, out=out)
 
 
 # the arc pairs (i, j), i < j, with the index in V, A, W, C, E, B of the
@@ -323,7 +339,7 @@ def _adjacent_rule(s, t, clear):
     return (abs(s) > clear) & (abs(t) > clear)
 
 
-def _arcs(n: int, V: np.ndarray):
+def _arcs(n: int, V: np.ndarray, s):
     """The six boundary arcs of every anchor of a validated (N, 3) array.
 
     Returns (rows, P, NH, CN, live): rows indexes the anchors away from A
@@ -334,39 +350,46 @@ def _arcs(n: int, V: np.ndarray):
     """
     geo = charts.geometry(n)
     to_w, to_e = _rotations(n)
-    rows = np.flatnonzero((_norm(V - geo.A) > _TOL_CHORD) & (_norm(V - geo.B) > _TOL_CHORD))
+    with scratch(len(V)) as t:
+        db = t.out(V.shape)
+        far = _norm(np.subtract(V, geo.A, out=db), t) > _TOL_CHORD
+        far &= _norm(np.subtract(V, geo.B, out=db), t) > _TOL_CHORD
+    rows = np.flatnonzero(far)
     k = rows.size
-    V = V.take(rows, 0)
-    P = [V, np.broadcast_to(geo.A, (k, 3)), rows_matmul(V, to_w.T),
-         np.broadcast_to(geo.C, (k, 3)), rows_matmul(V, to_e.T),
+    V = _take(V, rows, s)
+    P = [V, np.broadcast_to(geo.A, (k, 3)), rows_matmul(V, to_w.T, s.out((k, 3))),
+         np.broadcast_to(geo.C, (k, 3)), rows_matmul(V, to_e.T, s.out((k, 3))),
          np.broadcast_to(geo.B, (k, 3))]
     ok = np.ones(k, dtype=bool)
     NH, CN = [], []
     for a in range(6):
         u, v = P[a], P[(a + 1) % 6]
-        cr = _cross(u, v)
-        cn = _norm(cr)
-        ok &= (cn > DEGENERATE_EPS) & (_norm(u + v) > ANTIPODAL_EPS)
-        NH.append(cr / np.maximum(cn, _TINY)[:, None])
+        cr = _cross(u, v, s)
+        cn = _norm(cr, s)
+        with scratch(k) as t:
+            ok &= cn > DEGENERATE_EPS
+            ok &= _norm(np.add(u, v, out=t.out((k, 3))), t) > ANTIPODAL_EPS
+            # the normal cr / max(cn, _TINY), in place of the cross product
+            NH.append(np.divide(cr, np.maximum(cn, _TINY, out=t.out(k))[:, None], out=cr))
         CN.append(cn)
     return rows, P, NH, CN, np.flatnonzero(ok)
 
 
-def _frame(P, NH, CN, a, at):
+def _frame(P, NH, CN, a, at, s):
     """Arc a on rows at: its start, the unit tangent there, its length."""
-    u, v = _take(P[a], at), _take(P[(a + 1) % 6], at)
-    return u, _cross(_take(NH[a], at), u), np.arctan2(CN[a].take(at), _rowdot(u, v))
+    u, v = _take(P[a], at, s), _take(P[(a + 1) % 6], at, s)
+    return u, _cross(_take(NH[a], at, s), u, s), np.arctan2(CN[a].take(at), _rowdot(u, v))
 
 
-def _pair_hits(i, j, adj, P, NH, CN, at):
+def _pair_hits(i, j, adj, P, NH, CN, at, s):
     """Whether arcs i and j meet on the rows at of _arcs, as is_simple
     decides it: a candidate +-m/|m| within DEFAULT_TOL of both arcs and
     (adjacent arcs) beyond VERTEX_SLACK of the shared vertex, or one circle
     on which the arcs overlap by more than DEFAULT_TOL."""
-    ui, e2i, li = _frame(P, NH, CN, i, at)
-    uj, e2j, lj = _frame(P, NH, CN, j, at)
-    m = _cross(_take(NH[i], at), _take(NH[j], at))
-    nm = _norm(m)
+    ui, e2i, li = _frame(P, NH, CN, i, at, s)
+    uj, e2j, lj = _frame(P, NH, CN, j, at, s)
+    m = _cross(_take(NH[i], at, s), _take(NH[j], at, s), s)
+    nm = _norm(m, s)
     cop = nm < DEFAULT_TOL
     out = np.zeros(at.size, dtype=bool)
     tr = np.flatnonzero(~cop)
@@ -374,7 +397,7 @@ def _pair_hits(i, j, adj, P, NH, CN, at):
         # the candidates +-m/|m|, first on arc i, then on arc j, away
         # from the vertex the arcs share
         mh = m.take(tr, 0) / np.maximum(nm.take(tr), _TINY)[:, None]
-        xi, yi = _rowdot(mh, _take(ui, tr)), _rowdot(mh, e2i.take(tr, 0))
+        xi, yi = _rowdot(mh, _take(ui, tr, s)), _rowdot(mh, e2i.take(tr, 0))
         lt = li.take(tr)
         for sgn in (1.0, -1.0):
             ai = np.arctan2(sgn * yi, sgn * xi)
@@ -382,18 +405,18 @@ def _pair_hits(i, j, adj, P, NH, CN, at):
             if not h.size:
                 continue
             cand, ah = sgn * mh.take(h, 0), tr.take(h)
-            aj = np.arctan2(_rowdot(cand, e2j.take(ah, 0)), _rowdot(cand, _take(uj, ah)))
+            aj = np.arctan2(_rowdot(cand, e2j.take(ah, 0)), _rowdot(cand, _take(uj, ah, s)))
             hit = (aj >= -DEFAULT_TOL) & (aj <= lj.take(ah) + DEFAULT_TOL)
             if adj >= 0:
-                hit &= _norm(cand - _take(ui if adj == i else uj, ah)) > VERTEX_CHORD
+                hit &= _norm(cand - _take(ui if adj == i else uj, ah, s), s) > VERTEX_CHORD
             out[ah] |= hit
     cp = np.flatnonzero(cop)
     if cp.size:
         # one circle: arc j's span in arc i's frame may overlap arc i by
         # at most DEFAULT_TOL
-        u, e2, lc = _take(ui, cp), e2i.take(cp, 0), li.take(cp)
-        a0 = np.arctan2(_rowdot(_take(uj, cp), e2), _rowdot(_take(uj, cp), u))
-        vj = _take(P[(j + 1) % 6], at.take(cp))
+        u, e2, lc = _take(ui, cp, s), e2i.take(cp, 0), li.take(cp)
+        a0 = np.arctan2(_rowdot(_take(uj, cp, s), e2), _rowdot(_take(uj, cp, s), u))
+        vj = _take(P[(j + 1) % 6], at.take(cp), s)
         a1 = np.arctan2(_rowdot(vj, e2), _rowdot(vj, u))
         lo, hi = np.minimum(a0, a1), np.maximum(a0, a1)
         wrap = hi - lo > math.pi
@@ -404,9 +427,10 @@ def _pair_hits(i, j, adj, P, NH, CN, at):
     return out
 
 
-def _dots(nh, p):
+def _dots(nh, p, s):
     """Row-wise nh.p, p possibly one point broadcast to (N, 3)."""
-    return rows_matmul(nh, p[0]) if p.strides[0] == 0 else _rowdot(nh, p)
+    out = s.out(len(nh))
+    return rows_matmul(nh, p[0], out) if p.strides[0] == 0 else _rowdot(nh, p, out)
 
 
 def oracle_in_moduli_batch(n: int, pts: np.ndarray) -> np.ndarray:
@@ -417,28 +441,45 @@ def oracle_in_moduli_batch(n: int, pts: np.ndarray) -> np.ndarray:
     margins above; _pair_hits, with the tolerances of is_simple, decides the
     rest.
     """
-    V = as_points(pts)
-    rows, P, NH, CN, live = _arcs(n, V)
-    slop = _ROUND / np.maximum(np.minimum.reduce(CN), DEGENERATE_EPS)
-    clear, clear_adj = _CLEAR + slop, _CLEAR_ADJ + (4.0 / VERTEX_CHORD) * slop
-    for i, j, adj in _PAIRS:
-        if not live.size:
-            break
-        ni, nj = _take(NH[i], live), _take(NH[j], live)
-        if adj < 0:
-            decided, out = _pair_rule(
-                _dots(ni, _take(P[j], live)), _dots(ni, _take(P[(j + 1) % 6], live)),
-                _dots(nj, _take(P[i], live)), _dots(nj, _take(P[i + 1], live)),
-                clear.take(live))
-        else:
-            fi, fj = _far_ends(i, j, adj)
-            decided = _adjacent_rule(_dots(ni, _take(P[fj], live)),
-                                     _dots(nj, _take(P[fi], live)), clear_adj.take(live))
-            out = np.zeros(live.size, dtype=bool)
-        slow = np.flatnonzero(~decided)
-        if slow.size:
-            out[slow] = _pair_hits(i, j, adj, P, NH, CN, live.take(slow))
-        live = live[~out]
+    return map_rows(partial(_oracle, n), pts)
+
+
+def _oracle(n: int, V: np.ndarray) -> np.ndarray:
+    """oracle_in_moduli_batch for points already validated by as_points."""
+    with scratch(len(V)) as s:
+        rows, P, NH, CN, live = _arcs(n, V, s)
+        k = rows.size
+        # slop = _ROUND / max(the row's smallest chord, DEGENERATE_EPS)
+        sb, cb = s.out(k), s.out(k)
+        slop = np.minimum(CN[0], CN[1], out=sb)
+        for cn in CN[2:]:
+            slop = np.minimum(slop, cn, out=sb)
+        slop = np.divide(_ROUND, np.maximum(slop, DEGENERATE_EPS, out=sb), out=sb)
+        clear = np.add(_CLEAR, slop, out=s.out(k))
+        clear_adj = np.add(_CLEAR_ADJ, np.multiply(4.0 / VERTEX_CHORD, slop, out=cb), out=cb)
+        for i, j, adj in _PAIRS:
+            if not live.size:
+                break
+            with scratch(live.size) as t:
+                ni, nj = _take(NH[i], live, t), _take(NH[j], live, t)
+                if adj < 0:
+                    decided, out = _pair_rule(
+                        _dots(ni, _take(P[j], live, t), t),
+                        _dots(ni, _take(P[(j + 1) % 6], live, t), t),
+                        _dots(nj, _take(P[i], live, t), t),
+                        _dots(nj, _take(P[i + 1], live, t), t),
+                        _take(clear, live, t))
+                else:
+                    fi, fj = _far_ends(i, j, adj)
+                    decided = _adjacent_rule(
+                        _dots(ni, _take(P[fj], live, t), t), _dots(nj, _take(P[fi], live, t), t),
+                        _take(clear_adj, live, t))
+                    out = np.zeros(live.size, dtype=bool)
+                slow = np.flatnonzero(~decided)
+                if slow.size:
+                    with scratch(slow.size) as h:
+                        out[slow] = _pair_hits(i, j, adj, P, NH, CN, live.take(slow), h)
+            live = live[~out]
     simple = np.zeros(V.shape[0], dtype=bool)
     simple[rows.take(live)] = True
     return simple

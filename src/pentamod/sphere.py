@@ -1,7 +1,9 @@
 """Floating-point spherical primitives: unit vectors, rotations, minor arcs,
 input validation (as_point/as_points), rows_matmul, whose rows never depend
 on their batch, the uniform sampler sample_sphere and map_sample, which
-streams that sample through a function in bounded pieces.
+streams that sample through a function in bounded pieces, map_rows, which
+runs a batch kernel on a long input in bounded pieces, and scratch, the one
+per-thread buffer the batch kernels write their large temporaries into.
 
 Points on the sphere are plain numpy arrays of shape (3,), kept unit length.
 All angles are radians.  Distances are computed with atan2 of cross-norm and
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -66,11 +69,12 @@ def norm3(a: np.ndarray) -> float:
     return math.sqrt(a.dot(a))
 
 
-def rows_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def rows_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a @ b for a float array a of rows, each row rounded as in any batch:
     numpy runs a one-row product through BLAS gemv or dot, which round apart
-    from the gemm or gemv of two or more rows, so it doubles a lone row."""
-    return (a.repeat(2, 0) @ b)[:1] if len(a) == 1 else a @ b
+    from the gemm or gemv of two or more rows, so it doubles a lone row.
+    Written into out, a C-contiguous array, when a has two or more rows."""
+    return (a.repeat(2, 0) @ b)[:1] if len(a) == 1 else np.matmul(a, b, out=out)
 
 
 def unit(v) -> np.ndarray:
@@ -99,23 +103,176 @@ def as_point(p) -> np.ndarray:
 def as_points(pts) -> np.ndarray:
     """pts as a contiguous float array of shape (N, 3); InvalidPoints for any
     other shape and for any non-finite or non-unit row."""
+    return _unit_rows(_point_rows(pts))
+
+
+def _point_rows(pts) -> np.ndarray:
+    """pts as a contiguous float array of shape (N, 3); InvalidPoints for any
+    other shape."""
     a = np.ascontiguousarray(pts, dtype=float)
     if a.ndim != 2 or a.shape[1] != 3:
         raise InvalidPoints(f"expected points of shape (N, 3), got shape {a.shape}")
+    return a
+
+
+def _unit_rows(a: np.ndarray) -> np.ndarray:
+    """a, an (N, 3) float array; InvalidPoints for any non-finite or
+    non-unit row."""
     # written so that NaN and inf fail the comparison
     if not (np.abs(np.einsum("ij,ij->i", a, a) - 1.0) <= UNIT_NORM_EPS).all():
         raise InvalidPoints(f"points must be finite unit vectors, |p.p - 1| <= {UNIT_NORM_EPS}")
     return a
 
 
-def _uniform(seed: int, draw: int, count: int, low: float, high: float) -> np.ndarray:
+def map_rows(fn, pts) -> np.ndarray:
+    """fn of the points pts, validated as by as_points, in row order: a batch
+    kernel over any number of rows with memory bounded by _CHUNK rows.
+
+    An input of more than _CHUNK rows goes through fn in ceil(N / _CHUNK)
+    near-equal pieces, one after another in the calling thread, each piece
+    validated just before fn takes it, and the answers are concatenated;
+    fn's rows must not depend on their batch, which rows_matmul ensures for
+    the batch kernels.
+    """
+    pts = _point_rows(pts)
+    if len(pts) <= _CHUNK:
+        return fn(_unit_rows(pts))
+    pieces = -(-len(pts) // _CHUNK)
+    cuts = [len(pts) * k // pieces for k in range(pieces + 1)]
+    return np.concatenate([fn(_unit_rows(pts[a:b])) for a, b in zip(cuts, cuts[1:])])
+
+
+# rows per piece of map_sample and map_rows, picked by timing 2^12 .. 2^16
+# on 2 cores: smaller pieces pay more per-call overhead, larger ones push
+# their (rows, n + 2) temporaries out of cache
+_CHUNK = 1 << 14
+
+# a frame for fewer rows leaves its arrays to numpy: their blocks are too
+# small to make glibc trim, and a one-point call skips the bookkeeping
+_SCRATCH_ROWS = 256
+
+
+class _ThreadScratch(threading.local):
+    """The calling thread's scratch: one byte buffer, in use below top, and
+    the number of frames open on it."""
+
+    def __init__(self):
+        self.buf = np.empty(0, np.uint8)
+        self.top = 0
+        self.frames = 0
+
+
+_THREAD_SCRATCH = _ThreadScratch()
+
+
+class Scratch:
+    """One frame on the calling thread's scratch, for the large temporaries
+    of the batch kernels; see scratch()."""
+
+    __slots__ = ("_base", "_depth")
+
+    def __enter__(self) -> "Scratch":
+        t = _THREAD_SCRATCH
+        self._base = t.top
+        t.frames += 1
+        self._depth = t.frames
+        return self
+
+    def __exit__(self, *exc) -> None:
+        t = _THREAD_SCRATCH
+        t.top = self._base
+        t.frames -= 1
+
+    def empty(self, shape, dtype=float) -> np.ndarray:
+        t = _THREAD_SCRATCH
+        if t.frames != self._depth:
+            # the inner frame would hand this memory out again
+            raise RuntimeError("scratch frame used while an inner frame is open")
+        start = t.top
+        try:
+            a = np.ndarray(shape, dtype, t.buf, start)
+        except TypeError:   # past the end of the buffer
+            # an anonymous mapping of its own, outside glibc's heap, so that
+            # neither it nor its release moves glibc's trim and mmap
+            # thresholds; the arrays taken so far keep the old one mapped
+            # until they go
+            import mmap
+            count = shape if isinstance(shape, int) else math.prod(shape)
+            size = start + -(-np.dtype(dtype).itemsize * count // 64) * 64
+            size = max(size, 2 * t.buf.size)
+            t.buf = np.frombuffer(mmap.mmap(-1, size), np.uint8)
+            a = np.ndarray(shape, dtype, t.buf, start)
+        t.top = start + -(-a.nbytes // 64) * 64   # each array on its own cache lines
+        return a
+
+    out = empty
+
+
+class _Fresh:
+    """The frame of every kernel on fewer than _SCRATCH_ROWS or more than
+    _CHUNK rows: it takes from no buffer, so one serves all."""
+
+    __slots__ = ()
+
+    empty = staticmethod(np.empty)
+
+    @staticmethod
+    def out(shape, dtype=float) -> None:
+        """None, so that the numpy call given it as out= allocates."""
+        return None
+
+    def __enter__(self) -> "_Fresh":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
+
+
+_FRESH = _Fresh()
+
+
+def scratch(rows: int) -> Scratch | _Fresh:
+    """A frame on the calling thread's scratch for a kernel on `rows` rows.
+
+    `with scratch(rows) as s:` then s.empty(shape, dtype=float) gives an
+    uninitialised C-contiguous array, as np.empty does, that no live array
+    shares memory with, and s.out(shape, dtype=float) gives one to pass as
+    a numpy call's out=, or None where the frame takes from no buffer, so
+    that numpy allocates the result as it would without out= (on a few rows
+    each np.empty costs more than the arithmetic); a kernel uses the call's
+    return value either way.
+
+    On leaving the block every array the frame gave out is dead: its memory
+    goes back to the thread's buffer, so none may escape the block.  Frames
+    nest: an inner frame takes from above what its callers hold, and a
+    helper that returns arrays to its caller takes them from the caller's
+    frame; a frame may give out no array while an inner one is open
+    (RuntimeError).  The buffer grows to the deepest stack of frames the
+    thread has needed and stays, so a thread that runs piece after piece
+    reuses the same pages instead of handing freed temporaries back to the
+    kernel and faulting them in again.  Each thread has its own buffer, so
+    threads never share one.  A frame for fewer than _SCRATCH_ROWS rows, or
+    for more than _CHUNK, the most rows a piece of map_sample or map_rows
+    holds, takes no buffer (its empty is np.empty), so the buffer stays
+    bounded by what frames of _CHUNK rows need.
+    """
+    return Scratch() if _SCRATCH_ROWS <= rows <= _CHUNK else _FRESH
+
+
+def _uniform(seed: int, draw: int, count: int, low: float, high: float,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Draws draw .. draw + count - 1 of the Philox(seed) stream, as uniform
-    doubles in [low, high).  Each double takes one 64-bit output and each
-    Philox counter step gives four, so the stream is advanced by whole
-    steps and the remainder discarded."""
+    doubles in [low, high), written into out when given.  Each double takes
+    one 64-bit output and each Philox counter step gives four, so the stream
+    is advanced by whole steps and the remainder discarded.  The scaling is
+    Generator.uniform's, low + (high - low) u for u in [0, 1), with the same
+    two roundings."""
     bits = np.random.Philox(seed).advance(draw // 4)
     bits.random_raw(draw % 4)
-    return np.random.Generator(bits).uniform(low, high, count)
+    u = np.random.Generator(bits).random(count, out=out)
+    u *= high - low
+    u += low
+    return u
 
 
 def _sample_rows(samples: int, seed: int, start: int, stop: int) -> np.ndarray:
@@ -123,10 +280,20 @@ def _sample_rows(samples: int, seed: int, start: int, stop: int) -> np.ndarray:
     one Philox(seed) stream holds all z values, uniform in [-1, 1] so the
     points spread uniformly by area, then all azimuths.  Row i takes draws i
     and samples + i, which the counter-based generator jumps straight to."""
-    z = _uniform(seed, start, stop - start, -1.0, 1.0)
-    az = _uniform(seed, samples + start, stop - start, 0.0, 2.0 * math.pi)
-    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack([s * np.cos(az), s * np.sin(az), z])
+    k = stop - start
+    rows = np.empty((k, 3))
+    with scratch(k) as s:
+        z = _uniform(seed, start, k, -1.0, 1.0, s.out(k))
+        az = _uniform(seed, samples + start, k, 0.0, 2.0 * math.pi, s.out(k))
+        # sqrt(max(0, 1 - z z)), in place
+        t = np.multiply(z, z, out=s.out(k))
+        np.subtract(1.0, t, out=t)
+        np.maximum(0.0, t, out=t)
+        np.sqrt(t, out=t)
+        np.multiply(t, np.cos(az, out=s.out(k)), out=rows[:, 0])
+        np.multiply(t, np.sin(az, out=az), out=rows[:, 1])
+        rows[:, 2] = z
+    return rows
 
 
 def sample_sphere(samples: int, seed: int) -> np.ndarray:
@@ -134,12 +301,6 @@ def sample_sphere(samples: int, seed: int) -> np.ndarray:
     if samples < 1:
         raise ValueError("samples must be >= 1")
     return _sample_rows(samples, seed, 0, samples)
-
-
-# rows per piece of map_sample, picked by timing 2^12 .. 2^16 on 2 cores:
-# smaller pieces pay more per-call overhead, larger ones push their
-# (rows, n + 2) temporaries out of cache
-_CHUNK = 1 << 14
 
 
 def _cores() -> int:

@@ -2,6 +2,10 @@
 
 import cmath
 import math
+import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,9 +194,11 @@ def test_one_point_calls_are_batch_rows(n):
 def _exact_oracle(n, pts):
     """oracle_in_moduli_batch with every pair on every live row decided by
     the exact path behind the sign filter, pentagon._pair_hits."""
-    rows, P, NH, CN, live = pentagon._arcs(n, sphere.as_points(pts))
-    for i, j, adj in pentagon._PAIRS:
-        live = live[~pentagon._pair_hits(i, j, adj, P, NH, CN, live)]
+    with sphere.scratch(len(pts)) as s:
+        rows, P, NH, CN, live = pentagon._arcs(n, sphere.as_points(pts), s)
+        for i, j, adj in pentagon._PAIRS:
+            with sphere.scratch(live.size) as t:
+                live = live[~pentagon._pair_hits(i, j, adj, P, NH, CN, live, t)]
     simple = np.zeros(len(pts), dtype=bool)
     simple[rows[live]] = True
     return simple
@@ -316,3 +322,97 @@ def test_sample_sphere_deterministic_and_uniformish():
     assert abs(a[:, 2].mean()) < 0.1
     with pytest.raises(ValueError):
         sample_sphere(0, 1)
+
+
+def _in_new_thread(fn):
+    """fn() in a thread of its own, whose scratch starts empty."""
+    out = []
+    t = threading.Thread(target=lambda: out.append(fn()))
+    t.start()
+    t.join(timeout=120)
+    assert not t.is_alive() and out
+    return out[0]
+
+
+def _every_batch_kernel(n, pts):
+    return [analytic_in_moduli_batch(n, pts), oracle_in_moduli_batch(n, pts),
+            boundary_band_mask(n, pts, 1e-6), boundary_band_mask(n, pts, 1e-9),
+            sphere._sample_rows(10 * len(pts), n, 3, 3 + len(pts))]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_reused_scratch_gives_fresh_answers(n):
+    # N rows, then M < N, then N again on one thread's scratch, whose every
+    # byte is set to 0x7F before each call (1.4e306 as a double, 9.2e18 as
+    # an index): an array read before it is written, or an answer left from
+    # a longer call, would show
+    pts = np.vstack([_oracle_mix(n, 70 + n), _off_loci(n, _FILTER_OFFSETS),
+                     sample_sphere(sphere._CHUNK, 80 + n)])[:sphere._CHUNK]
+    m = 3 * sphere._SCRATCH_ROWS
+    fresh = {rows: _in_new_thread(lambda: _every_batch_kernel(n, pts[:rows]))
+             for rows in (len(pts), m)}
+    for rows in (len(pts), m, len(pts)):
+        sphere._THREAD_SCRATCH.buf[...] = 0x7F
+        got = _every_batch_kernel(n, pts[:rows])
+        assert all(np.array_equal(g, f) for g, f in zip(got, fresh[rows])), rows
+
+
+def test_scratch_under_thread_stress():
+    # more threads than cores, switching often, each on inputs of its own
+    # size; a frame that handed out memory another call still held, in its
+    # own thread or another, would change an answer
+    threads = sphere._cores() + 3
+    pts = np.vstack([_oracle_mix(4, 90), sample_sphere(20_000, 91)])
+    inputs = [(3 + i % 3, pts[i * 977:i * 977 + 600 + 700 * i]) for i in range(threads)]
+    want = [_every_batch_kernel(n, p) for n, p in inputs]
+    rounds = [0] * threads
+    wrong = []
+
+    def work(i):
+        n, p = inputs[i]
+        while time.perf_counter() < deadline:
+            if not all(np.array_equal(g, w) for g, w in zip(_every_batch_kernel(n, p), want[i])):
+                wrong.append(i)
+            rounds[i] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        deadline = time.perf_counter() + 2.0
+        pool = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in pool)
+    assert not wrong and min(rounds) >= 1, (wrong, rounds)
+
+
+def _held_memory(fn):
+    """The peak bytes fn() holds in a new thread: what tracemalloc sees, and
+    the thread's scratch buffer, an anonymous mapping it does not see."""
+    def run():
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] + sphere._THREAD_SCRATCH.buf.size
+        finally:
+            tracemalloc.stop()
+    return _in_new_thread(run)
+
+
+@pytest.mark.parametrize("chunk", [4096, 1 << 14])
+@pytest.mark.parametrize("kernel", ["oracle", "membership", "band_mask"])
+def test_batch_kernels_hold_memory_bounded_by_chunk(monkeypatch, kernel, chunk):
+    # the kernels take a long input in pieces of at most _CHUNK rows, so
+    # what they hold is set by _CHUNK, not by the input: 1 KB a row of one
+    # piece, plus two bytes an input row for the answers, the pieces' and
+    # the concatenated (4.8 MB of anchors here)
+    monkeypatch.setattr(sphere, "_CHUNK", chunk)
+    pts = sample_sphere(200_000, 3)
+    fn = {"oracle": lambda: oracle_in_moduli_batch(4, pts),
+          "membership": lambda: analytic_in_moduli_batch(4, pts),
+          "band_mask": lambda: boundary_band_mask(4, pts, 1e-6)}[kernel]
+    assert _held_memory(fn) <= 1024 * chunk + 2 * len(pts)

@@ -344,6 +344,9 @@ def test_verify_band_zero_runs(capsys):
     ("verify", "--solid", "3", "--samples", "1500", "--band", "nan"),
     ("area", "--solid", "3", "--mc", "10", "42"),
     ("render", "--solid", "3", "--out", os.devnull, "--samples", "4"),
+    ("curve", "a=b", "--solid", "3", "--samples", "-3"),
+    ("curve", "gammaA", "--solid", "3", "--samples", "0"),
+    ("curve", "b=c", "--solid", "5", "--samples", "0"),
 ])
 def test_rejected_arguments_exit_2(capsys, argv):
     # usage errors print one line, not a traceback, and write nothing

@@ -1,8 +1,9 @@
 """Layering rules: no module of the package reaches into another's privates,
 the scalar geometry stays off numpy's 3-vector cross and norm, the circle
-tests of moduli stay off arcsin, only sphere builds a thread pool, importing
-the package loads neither scipy nor what only some calls need and starts no
-thread, and every command runs with scipy blocked."""
+tests of moduli stay off arcsin, only sphere builds a thread pool or keeps a
+per-thread cache, importing the package loads neither scipy nor what only
+some calls need and starts no thread, and every command runs with scipy
+blocked."""
 
 import ast
 import os
@@ -178,6 +179,50 @@ def test_pool_check_catches_each_kind(tmp_path):
                    "other = cf.ProcessPoolExecutor\n", encoding="utf-8")
     assert _pool_uses(src) == ["line 3: imports ThreadPoolExecutor",
                                "line 4: uses cf.ThreadPoolExecutor"]
+
+
+# sphere.scratch is the one per-thread array cache: a second would keep
+# buffers of its own in every thread, beside the first, and its arrays would
+# not know the frames of the other
+CACHE_OWNER = "sphere.py"
+
+
+def _thread_local_uses(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules = {"threading", "_threading_local"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname for a in node.names if a.name in modules and a.asname}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("threading", "_threading_local"):
+            found += [f"line {node.lineno}: imports {node.module}.local" for a in node.names
+                      if a.name == "local"]
+        elif (isinstance(node, ast.Attribute) and node.attr == "local"
+              and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append(f"line {node.lineno}: uses {node.value.id}.local")
+    return found
+
+
+def test_only_sphere_keeps_a_per_thread_cache():
+    bad = {p.name: v for p in sorted(PACKAGE.glob("*.py"))
+           if p.name != CACHE_OWNER and (v := _thread_local_uses(p))}
+    assert not bad, bad
+    assert _thread_local_uses(PACKAGE / CACHE_OWNER)
+
+
+def test_thread_local_check_catches_each_kind(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text('"""A threading.local in a docstring is fine."""\n'
+                   "import threading as th\n"
+                   "from threading import local as Local\n"
+                   "class Cache(th.local):\n"
+                   "    pass\n"
+                   "data = threading.local()\n"
+                   "lock = th.Lock()\n", encoding="utf-8")
+    assert sorted(_thread_local_uses(src)) == ["line 3: imports threading.local",
+                                                "line 4: uses th.local",
+                                                "line 6: uses threading.local"]
 
 
 def test_import_does_not_load_scipy():

@@ -21,6 +21,13 @@ CURVES = moduli.CURVE_NAMES
 # regions
 
 
+def _classify(n, pts):
+    """moduli._classify on arrays that outlive its scratch frame."""
+    with sphere.scratch(len(pts)) as s:
+        circle, region = moduli._classify(n, pts, s)
+        return circle.copy(), region.copy()
+
+
 def test_every_figure_label_classifies_to_its_region():
     for (n, chart), (scale, entries) in FIGURE_LABELS.items():
         for m, x, y in entries:
@@ -59,7 +66,7 @@ def test_region_of_vertex_regions_are_those_around_it(n):
             e2 = np.cross(w, e1)
             ring = (math.cos(1e-6) * w
                     + math.sin(1e-6) * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2))
-            _, region = moduli._classify(n, ring)
+            _, region = _classify(n, ring)
             want = tuple(sorted(set(region[region != 0].tolist())))
             assert moduli.region_of(n, w).regions == want, (n, name, w @ v)
 
@@ -155,7 +162,7 @@ def _check_sign_regions(n, pts):
     tol = sphere.DEFAULT_TOL
     interior = ((_full_chord_screen(n, pts, tol) < 0)
                 & (np.abs(moduli._circle_sines(n, pts)) > math.sin(tol) + 1e-15).all(axis=1))
-    circle, region = moduli._classify(n, pts)
+    circle, region = _classify(n, pts)
     assert (region[interior] != 0).all()
     assert (region[~interior] == 0).all()
     assert np.array_equal(region[interior], _chart_regions(n, pts[interior]))
@@ -207,7 +214,7 @@ def _check_region_of_matches_classify(n, pts):
     a point wherever it gives one, except within VERTEX_SLACK of a named
     division vertex, and a Boundary everywhere else (naming the vertex when
     there is one)."""
-    _, region = moduli._classify(n, pts)
+    _, region = _classify(n, pts)
     div = moduli.division(n)
     slack_chord = 2.0 * math.sin(0.5 * sphere.VERTEX_SLACK)
     for p, m in zip(pts, region.tolist()):
@@ -643,7 +650,7 @@ def test_points_near_a_vertex_are_on_two_circles():
         pts = _around_vertices(n, sphere.DEFAULT_TOL, rng)
         near = _full_chord_screen(n, pts, sphere.DEFAULT_TOL) >= 0
         assert near.any(), n
-        circle, region = moduli._classify(n, pts[near])
+        circle, region = _classify(n, pts[near])
         assert (circle == -1).all() and (region == 0).all(), n
 
 

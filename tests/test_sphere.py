@@ -190,3 +190,28 @@ def test_sample_sphere_rows_equal_slice_of_whole_draw(size, monkeypatch):
     pieces = sphere.map_sample(samples, seed, lambda pts: pts)
     assert max(len(p) for p in pieces) <= sphere._CHUNK
     assert np.vstack(pieces).tobytes() == sphere.sample_sphere(samples, seed).tobytes()
+
+
+def test_scratch_frames_never_hand_out_live_memory():
+    rows = sphere._SCRATCH_ROWS
+    with sphere.scratch(rows) as s:
+        a, b = s.empty((rows, 3)), s.out(rows, np.intp)
+        assert a.flags.c_contiguous and b.dtype == np.intp and not np.shares_memory(a, b)
+        with sphere.scratch(rows) as t:
+            c = t.empty(rows)
+            assert not (np.shares_memory(c, a) or np.shares_memory(c, b))
+            # the inner frame would hand out the outer frame's next array again
+            with pytest.raises(RuntimeError):
+                s.empty(rows)
+        d = s.empty(rows)
+        assert np.shares_memory(d, c) and not (np.shares_memory(d, a) or np.shares_memory(d, b))
+        # a request past the end of the buffer maps a larger one; the arrays
+        # already taken keep the old one
+        a[...] = 1.5
+        big = s.empty(sphere._THREAD_SCRATCH.buf.size + 1, np.uint8)
+        assert (a == 1.5).all() and not np.shares_memory(big, a)
+    # below _SCRATCH_ROWS and above _CHUNK rows a frame takes from no buffer
+    for rows in (1, sphere._SCRATCH_ROWS - 1, sphere._CHUNK + 1):
+        with sphere.scratch(rows) as s:
+            e, f = s.empty((rows, 3)), s.empty((rows, 3))
+            assert s.out(rows) is None and not np.shares_memory(e, f)
