@@ -12,15 +12,19 @@ Both test the 12 arc pairs of _PAIRS, leaving out the three adjacent pairs
 that cannot fail, and filter each pair by the same sign rules (_pair_rule,
 _adjacent_rule): is_simple runs sphere.arc_intersect only on the pairs the
 signs cannot clear of a violation, so its report is the one the exhaustive
-15-pair loop gives.  The batch form compacts its live rows: it keeps the
-indices of the anchors that are constructible and not yet ruled out,
-evaluates each arc pair on those rows only, and drops the rows the pair
-rules out.  An anchor's answer is the AND over the pairs and each row is
-computed on its own, so neither the compaction nor the order of the pairs
-changes an answer.  Its products go through sphere.rows_matmul, so one
+15-pair loop gives.  The batch form keeps every anchor's arcs
+component-major: _arcs holds V, W, E and each arc's unit normal as (3, k)
+rows of x, y and z on the thread's sphere.scratch, so each cross product,
+length and sign product is a ufunc over whole contiguous rows, where on
+(N, 3) rows numpy would loop over the 3 components of each row.  It takes
+every pair's signs on every row: a crossing they decide rules its row out,
+and only the rows that no pair decided and no decided crossing ruled out
+go through the exact path, pair by pair.  An anchor's answer is the AND
+over the pairs and each row is computed on its own, so neither the order of
+the pairs nor which rows reach the exact path changes an answer.  W and E
+come from sphere.rows_matmul and every other product is elementwise, so one
 anchor gets the answer of its row in any batch, and sphere.map_rows takes a
-long input in pieces; the arcs and each pair's operands live on the thread's
-sphere.scratch.
+long input in pieces.
 
 Each pair is a filtered predicate: the signs of the four products of one
 arc's normal with the other arc's endpoints decide it on every row where
@@ -29,7 +33,9 @@ windows of the exact path and the rounding of both.  On such a row the
 exact path, _pair_hits in the batch and arc_intersect in is_simple, would
 give the same answer.  The rows inside a margin (near-touches, coplanar
 arcs, short arcs, the shared vertex of adjacent arcs) go through the exact
-path; _pair_hits forms the arc tangents and lengths on those rows only.
+path; _pair_hits gathers them into the row-major (m, 3) operands it has
+always worked on, since einsum rounds a row-dot by the layout of its
+operands, and forms the arc tangents and lengths on those rows only.
 """
 
 from __future__ import annotations
@@ -276,15 +282,21 @@ def _far_ends(i, j, adj):
 # With slop = _ROUND / (the row's smallest cn), every value of the row is
 # good to slop and every crossing _pair_hits places is good to slop / |m|
 # along its arc.  _ROUND, 64 ulps of 1, is over ten times the bound this
-# needs, so it also covers the few ulps by which the kernels that form the
-# products round apart: the batch's dots and rows_matmul, and is_simple's
-# one (6, 3) @ (3, 6) gemm, in which BLAS may fuse a multiply and an add.
+# needs, so it also covers the few ulps by which the forms of the products
+# round apart: the batch's component multiply-adds (_dot: three products
+# added left to right, within a few ulps of 1 of the exact value for unit
+# vectors), the exact path's einsum row-dots, and is_simple's one
+# (6, 3) @ (3, 6) gemm, in which BLAS may fuse a multiply and an add.
 # The proof holds for either exact path.  is_simple's, arc_intersect,
 # tests the same candidates against the same DEFAULT_TOL windows, and its
 # ON_CIRCLE test and _near's extra 1e-15 can only drop a hit.  A GreatArc's
 # normal is cross3(u, v) / norm3 of it, which rounds within the same few ulps
-# as _cross and _norm, and is_simple takes the chord as sin(length), the
-# |u x v| of _arcs to within the 5e-10 an anchor may be off the sphere.
+# as the component cross products and lengths of _arcs, and is_simple takes
+# the chord as sin(length), the |u x v| of _arcs to within the 5e-10 an
+# anchor may be off the sphere.  Only the sign filter moved to component
+# products: _pair_hits keeps the row-major operands the pinned boundary
+# answers were computed on, since einsum rounds a row-dot of F- and C-order
+# operands apart.
 #
 # A non-adjacent pair is decided where the values clear
 # _CLEAR + slop = tan(DEFAULT_TOL) + slop:
@@ -339,56 +351,103 @@ def _adjacent_rule(s, t, clear):
     return (abs(s) > clear) & (abs(t) > clear)
 
 
+def _length(x, w, out):
+    """Row-wise |x| of component rows x, (3, k), summed as _norm sums: the
+    squares, into w (which may be x), added left to right into out (either
+    may be None)."""
+    w = np.multiply(x, x, out=w)
+    out = np.add(w[0], w[1], out=out)
+    out += w[2]
+    return np.sqrt(out, out=out)
+
+
 def _arcs(n: int, V: np.ndarray, s):
-    """The six boundary arcs of every anchor of a validated (N, 3) array.
+    """The six boundary arcs of every anchor of a validated (N, 3) array,
+    component-major.
 
     Returns (rows, P, NH, CN, live): rows indexes the anchors away from A
-    and B; P holds the six vertices V, A, W, C, E, B on those rows (A, C, B
-    broadcast), arc a runs from P[a] to P[a + 1] with unit normal NH[a] and
-    chord |P[a] x P[a + 1]| CN[a]; live indexes the rows whose arcs are all
-    constructible.
+    and B; P holds the six vertices V, A, W, C, E, B on those rows as (3, k)
+    component rows, A, C and B broadcast along the rows; arc a runs from
+    P[a] to P[a + 1] with unit normal NH[a], (3, k), and chord
+    |P[a] x P[a + 1]| CN[a]; live marks the rows whose arcs are all
+    constructible.  Each value has the bits of the row-major arithmetic of
+    _cross and _norm: the same operations in the same order, each a ufunc
+    over whole rows of components.
     """
     geo = charts.geometry(n)
     to_w, to_e = _rotations(n)
+    VT = s.empty((3, len(V)))
+    np.copyto(VT, V.T)
     with scratch(len(V)) as t:
-        db = t.out(V.shape)
-        far = _norm(np.subtract(V, geo.A, out=db), t) > _TOL_CHORD
-        far &= _norm(np.subtract(V, geo.B, out=db), t) > _TOL_CHORD
+        d, db = np.subtract(VT, geo.A[:, None], out=t.out(VT.shape)), t.out(len(V))
+        far = _length(d, d, db) > _TOL_CHORD
+        d = np.subtract(VT, geo.B[:, None], out=d)
+        far &= _length(d, d, db) > _TOL_CHORD
     rows = np.flatnonzero(far)
     k = rows.size
-    V = _take(V, rows, s)
-    P = [V, np.broadcast_to(geo.A, (k, 3)), rows_matmul(V, to_w.T, s.out((k, 3))),
-         np.broadcast_to(geo.C, (k, 3)), rows_matmul(V, to_e.T, s.out((k, 3))),
-         np.broadcast_to(geo.B, (k, 3))]
-    ok = np.ones(k, dtype=bool)
-    NH, CN = [], []
-    for a in range(6):
-        u, v = P[a], P[(a + 1) % 6]
-        cr = _cross(u, v, s)
-        cn = _norm(cr, s)
-        with scratch(k) as t:
-            ok &= cn > DEGENERATE_EPS
-            ok &= _norm(np.add(u, v, out=t.out((k, 3))), t) > ANTIPODAL_EPS
+    if k < len(V):
+        V, VT = _take(V, rows, s), VT.take(rows, 1, s.empty((3, k)), "clip")
+    W, E = s.empty((3, k)), s.empty((3, k))
+    # six normals, not one (6, 3, k) block: the buffer doubles as it grows,
+    # and that one request would take a 16384-row piece past its 6 MB
+    NH, CN = [s.empty((3, k)) for _ in range(6)], s.empty((6, k))
+    live = np.ones(k, dtype=bool)
+    with scratch(k) as t:
+        # W and E from rows_matmul, so that each row rounds as in any batch
+        wt = rows_matmul(V, to_w.T, t.out((k, 3)))
+        np.copyto(W, wt.T)
+        np.copyto(E, rows_matmul(V, to_e.T, wt).T)
+        P = (VT, np.broadcast_to(geo.A[:, None], (3, k)), W,
+             np.broadcast_to(geo.C[:, None], (3, k)), E, np.broadcast_to(geo.B[:, None], (3, k)))
+        w, ab, tb = t.out((3, k)), t.out(k), t.out(k)
+        for a in range(6):
+            u, v, nh, cn = P[a], P[(a + 1) % 6], NH[a], CN[a]
+            for c in range(3):
+                c1, c2 = (c + 1) % 3, (c + 2) % 3
+                np.multiply(u[c1], v[c2], out=nh[c])
+                nh[c] -= np.multiply(u[c2], v[c1], out=tb)
+            live &= _length(nh, w, cn) > DEGENERATE_EPS
+            live &= _length(np.add(u, v, out=w), w, ab) > ANTIPODAL_EPS
             # the normal cr / max(cn, _TINY), in place of the cross product
-            NH.append(np.divide(cr, np.maximum(cn, _TINY, out=t.out(k))[:, None], out=cr))
-        CN.append(cn)
-    return rows, P, NH, CN, np.flatnonzero(ok)
+            np.divide(nh, np.maximum(cn, _TINY, out=ab), out=nh)
+    return rows, P, NH, CN, live
 
 
-def _frame(P, NH, CN, a, at, s):
-    """Arc a on rows at: its start, the unit tangent there, its length."""
-    u, v = _take(P[a], at, s), _take(P[(a + 1) % 6], at, s)
-    return u, _cross(_take(NH[a], at, s), u, s), np.arctan2(CN[a].take(at), _rowdot(u, v))
+def _rows(x, at, s):
+    """Rows at (sorted and distinct) of a vertex or normal of _arcs in the
+    exact path's operand layout: a point broadcast to (m, 3), and other
+    component rows as a C-contiguous (m, 3) copy."""
+    if x.strides[1] == 0:
+        return np.broadcast_to(x[:, 0], (at.size, 3))
+    out = s.empty((at.size, 3))
+    if at.size == x.shape[1]:
+        np.copyto(out, x.T)
+    else:
+        with scratch(at.size) as t:
+            np.copyto(out, x.take(at, 1, t.out((3, at.size)), "clip").T)
+    return out
+
+
+def _frame(P, nh, CN, a, at, s):
+    """Arc a on rows at, nh its normal on those rows: its start, the unit
+    tangent there, its length."""
+    u, v = _rows(P[a], at, s), _rows(P[(a + 1) % 6], at, s)
+    return u, _cross(nh, u, s), np.arctan2(CN[a].take(at), _rowdot(u, v))
 
 
 def _pair_hits(i, j, adj, P, NH, CN, at, s):
     """Whether arcs i and j meet on the rows at of _arcs, as is_simple
     decides it: a candidate +-m/|m| within DEFAULT_TOL of both arcs and
     (adjacent arcs) beyond VERTEX_SLACK of the shared vertex, or one circle
-    on which the arcs overlap by more than DEFAULT_TOL."""
-    ui, e2i, li = _frame(P, NH, CN, i, at, s)
-    uj, e2j, lj = _frame(P, NH, CN, j, at, s)
-    m = _cross(_take(NH[i], at, s), _take(NH[j], at, s), s)
+    on which the arcs overlap by more than DEFAULT_TOL.
+
+    Its operands are row-major (see _rows): einsum rounds a row-dot by the
+    layout of its operands, and these rows round as the answers pinned on
+    the boundary sets were rounded."""
+    ni, nj = _rows(NH[i], at, s), _rows(NH[j], at, s)
+    ui, e2i, li = _frame(P, ni, CN, i, at, s)
+    uj, e2j, lj = _frame(P, nj, CN, j, at, s)
+    m = _cross(ni, nj, s)
     nm = _norm(m, s)
     cop = nm < DEFAULT_TOL
     out = np.zeros(at.size, dtype=bool)
@@ -416,7 +475,7 @@ def _pair_hits(i, j, adj, P, NH, CN, at, s):
         # at most DEFAULT_TOL
         u, e2, lc = _take(ui, cp, s), e2i.take(cp, 0), li.take(cp)
         a0 = np.arctan2(_rowdot(_take(uj, cp, s), e2), _rowdot(_take(uj, cp, s), u))
-        vj = _take(P[(j + 1) % 6], at.take(cp), s)
+        vj = _rows(P[(j + 1) % 6], at.take(cp), s)
         a1 = np.arctan2(_rowdot(vj, e2), _rowdot(vj, u))
         lo, hi = np.minimum(a0, a1), np.maximum(a0, a1)
         wrap = hi - lo > math.pi
@@ -427,19 +486,22 @@ def _pair_hits(i, j, adj, P, NH, CN, at, s):
     return out
 
 
-def _dots(nh, p, s):
-    """Row-wise nh.p, p possibly one point broadcast to (N, 3)."""
-    out = s.out(len(nh))
-    return rows_matmul(nh, p[0], out) if p.strides[0] == 0 else _rowdot(nh, p, out)
+def _dot(nh, p, prod, out):
+    """Row-wise nh.p of a normal and a vertex of _arcs: the three products,
+    into prod, added left to right into out (either may be None)."""
+    prod = np.multiply(nh, p, out=prod)
+    out = np.add(prod[0], prod[1], out=out)
+    out += prod[2]
+    return out
 
 
 def oracle_in_moduli_batch(n: int, pts: np.ndarray) -> np.ndarray:
     """oracle_in_moduli over an (N, 3) array of unit vectors.
 
-    Builds every anchor's six arcs at once and tests the arc pairs, each on
-    the rows still live.  Signs decide a pair on the rows clear of the
-    margins above; _pair_hits, with the tolerances of is_simple, decides the
-    rest.
+    Builds every anchor's six arcs at once and tests every arc pair's signs
+    on every row.  Signs decide a pair on the rows clear of the margins
+    above; _pair_hits, with the tolerances of is_simple, decides the rest,
+    on the rows no decided crossing has ruled out.
     """
     return map_rows(partial(_oracle, n), pts)
 
@@ -447,41 +509,45 @@ def oracle_in_moduli_batch(n: int, pts: np.ndarray) -> np.ndarray:
 def _oracle(n: int, V: np.ndarray) -> np.ndarray:
     """oracle_in_moduli_batch for points already validated by as_points."""
     with scratch(len(V)) as s:
-        rows, P, NH, CN, live = _arcs(n, V, s)
+        rows, P, NH, CN, alive = _arcs(n, V, s)
         k = rows.size
         # slop = _ROUND / max(the row's smallest chord, DEGENERATE_EPS)
-        sb, cb = s.out(k), s.out(k)
-        slop = np.minimum(CN[0], CN[1], out=sb)
-        for cn in CN[2:]:
-            slop = np.minimum(slop, cn, out=sb)
-        slop = np.divide(_ROUND, np.maximum(slop, DEGENERATE_EPS, out=sb), out=sb)
+        slop = np.min(CN, axis=0, out=s.out(k))
+        slop = np.divide(_ROUND, np.maximum(slop, DEGENERATE_EPS, out=slop), out=slop)
         clear = np.add(_CLEAR, slop, out=s.out(k))
-        clear_adj = np.add(_CLEAR_ADJ, np.multiply(4.0 / VERTEX_CHORD, slop, out=cb), out=cb)
-        for i, j, adj in _PAIRS:
-            if not live.size:
-                break
-            with scratch(live.size) as t:
-                ni, nj = _take(NH[i], live, t), _take(NH[j], live, t)
+        clear_adj = np.add(_CLEAR_ADJ, np.multiply(4.0 / VERTEX_CHORD, slop, out=slop), out=slop)
+        # the signs of every pair on every row: a crossing they decide rules
+        # its row out, and a row they leave undecided waits for the exact path
+        undecided = s.empty((len(_PAIRS), k), dtype=bool)
+        done = 0
+        with scratch(k) as t:
+            prod, s1, s2, t1, t2 = t.out((3, k)), t.out(k), t.out(k), t.out(k), t.out(k)
+            for i, j, adj in _PAIRS:
+                if not np.count_nonzero(alive):
+                    break
+                ni, nj = NH[i], NH[j]
                 if adj < 0:
-                    decided, out = _pair_rule(
-                        _dots(ni, _take(P[j], live, t), t),
-                        _dots(ni, _take(P[(j + 1) % 6], live, t), t),
-                        _dots(nj, _take(P[i], live, t), t),
-                        _dots(nj, _take(P[i + 1], live, t), t),
-                        _take(clear, live, t))
+                    decided, crosses = _pair_rule(
+                        _dot(ni, P[j], prod, s1), _dot(ni, P[(j + 1) % 6], prod, s2),
+                        _dot(nj, P[i], prod, t1), _dot(nj, P[i + 1], prod, t2), clear)
+                    alive &= ~crosses
                 else:
                     fi, fj = _far_ends(i, j, adj)
-                    decided = _adjacent_rule(
-                        _dots(ni, _take(P[fj], live, t), t), _dots(nj, _take(P[fi], live, t), t),
-                        _take(clear_adj, live, t))
-                    out = np.zeros(live.size, dtype=bool)
-                slow = np.flatnonzero(~decided)
-                if slow.size:
-                    with scratch(slow.size) as h:
-                        out[slow] = _pair_hits(i, j, adj, P, NH, CN, live.take(slow), h)
-            live = live[~out]
+                    decided = _adjacent_rule(_dot(ni, P[fj], prod, s1),
+                                             _dot(nj, P[fi], prod, s2), clear_adj)
+                np.logical_not(decided, out=undecided[done])
+                done += 1
+        # the exact path, pair by pair, on the undecided rows still alive
+        pending = np.logical_and(undecided[:done], alive, out=undecided[:done])
+        for (i, j, adj), slow, some in zip(_PAIRS, pending, pending.any(axis=1)):
+            if not some:
+                continue
+            slow = np.flatnonzero(np.logical_and(slow, alive, out=slow))
+            if slow.size:
+                with scratch(slow.size) as h:
+                    alive[slow] = ~_pair_hits(i, j, adj, P, NH, CN, slow, h)
     simple = np.zeros(V.shape[0], dtype=bool)
-    simple[rows.take(live)] = True
+    simple[rows[alive]] = True
     return simple
 
 

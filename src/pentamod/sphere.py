@@ -87,8 +87,8 @@ def as_point(p) -> np.ndarray:
     """p as a contiguous float array of shape (3,); InvalidPoints for any
     other shape and for a non-finite or non-unit vector.
 
-    The same test as as_points, on Python floats: a one-row einsum costs
-    several times the arithmetic.
+    The test of as_points, with the same operations in the same order, on
+    Python floats: a one-row numpy pass costs several times the arithmetic.
     """
     a = np.ascontiguousarray(p, dtype=float)
     if a.shape != (3,):
@@ -117,9 +117,19 @@ def _point_rows(pts) -> np.ndarray:
 
 def _unit_rows(a: np.ndarray) -> np.ndarray:
     """a, an (N, 3) float array; InvalidPoints for any non-finite or
-    non-unit row."""
+    non-unit row.
+
+    The test of as_point, column by column: x x + y y + z z added left to
+    right, so a point and its row round alike (an einsum row-dot rounds
+    apart on some rows).
+    """
+    x, y, z = a.T
+    d = x * x
+    d += y * y
+    d += z * z
+    d -= 1.0
     # written so that NaN and inf fail the comparison
-    if not (np.abs(np.einsum("ij,ij->i", a, a) - 1.0) <= UNIT_NORM_EPS).all():
+    if not (np.abs(d, out=d) <= UNIT_NORM_EPS).all():
         raise InvalidPoints(f"points must be finite unit vectors, |p.p - 1| <= {UNIT_NORM_EPS}")
     return a
 

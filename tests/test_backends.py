@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -196,6 +197,7 @@ def _exact_oracle(n, pts):
     the exact path behind the sign filter, pentagon._pair_hits."""
     with sphere.scratch(len(pts)) as s:
         rows, P, NH, CN, live = pentagon._arcs(n, sphere.as_points(pts), s)
+        live = np.flatnonzero(live)
         for i, j, adj in pentagon._PAIRS:
             with sphere.scratch(live.size) as t:
                 live = live[~pentagon._pair_hits(i, j, adj, P, NH, CN, live, t)]
@@ -227,6 +229,65 @@ def test_oracle_filter_agrees_with_exact_path(n):
     pts = np.vstack([_oracle_mix(n, 50 + n), _off_loci(n, _FILTER_OFFSETS),
                      _short_c(n, _FILTER_OFFSETS)])
     assert np.array_equal(oracle_in_moduli_batch(n, pts), _exact_oracle(n, pts))
+
+
+def _row_major_arcs(n, V):
+    """pentagon._arcs in row-major (N, 3) arithmetic, in the order of its
+    former _cross and _norm: component k of a x b is a[k+1] b[k+2] -
+    a[k+2] b[k+1], and |a|^2 is a0 a0 + a1 a1 + a2 a2, left to right."""
+    geo = charts.geometry(n)
+    to_w, to_e = pentagon._rotations(n)
+
+    def cross(a, b):
+        return np.column_stack([a[:, (k + 1) % 3] * b[:, (k + 2) % 3]
+                                - a[:, (k + 2) % 3] * b[:, (k + 1) % 3] for k in range(3)])
+
+    def norm(a):
+        return np.sqrt(a[:, 0] * a[:, 0] + a[:, 1] * a[:, 1] + a[:, 2] * a[:, 2])
+
+    rows = np.flatnonzero((norm(V - geo.A) > pentagon._TOL_CHORD)
+                          & (norm(V - geo.B) > pentagon._TOL_CHORD))
+    V = V[rows]
+    k = len(V)
+    P = [V, np.broadcast_to(geo.A, (k, 3)), sphere.rows_matmul(V, to_w.T),
+         np.broadcast_to(geo.C, (k, 3)), sphere.rows_matmul(V, to_e.T),
+         np.broadcast_to(geo.B, (k, 3))]
+    live = np.ones(k, dtype=bool)
+    NH, CN = [], []
+    for a in range(6):
+        u, v = P[a], P[(a + 1) % 6]
+        cr = cross(u, v)
+        cn = norm(cr)
+        live &= (cn > sphere.DEGENERATE_EPS) & (norm(u + v) > sphere.ANTIPODAL_EPS)
+        NH.append(cr / np.maximum(cn, pentagon._TINY)[:, None])
+        CN.append(cn)
+    return rows, P, NH, CN, live
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_arc_stage_keeps_the_row_major_bits(n):
+    # _arcs works on (3, k) component rows; every vertex, normal, chord and
+    # live flag must have the bits of the row-major arithmetic, in a batch
+    # and on one row
+    pts = sphere.as_points(np.vstack([
+        _oracle_mix(n, 30 + n), _off_loci(n, _FILTER_OFFSETS), _off_division(n, _FILTER_OFFSETS),
+        _short_c(n, _FILTER_OFFSETS), _antipodal_edge_anchors(n)]))
+    rows, _, _, _, live = _row_major_arcs(n, pts)
+    # rows near A or B, and arcs too short or with antipodal ends, are in
+    assert len(rows) < len(pts) and 0 < np.count_nonzero(live) < len(rows)
+    for batch in [pts] + [pts[i:i + 1] for i in range(0, len(pts), 97)]:
+        with sphere.scratch(len(batch)) as s:
+            got = pentagon._arcs(n, batch, s)
+            rows, P, NH, CN, live = _row_major_arcs(n, batch)
+            assert np.array_equal(got[0], rows)
+            assert all(_bits(p.T) == _bits(q) for p, q in zip(got[1], P))
+            assert all(_bits(nh.T) == _bits(q) for nh, q in zip(got[2], NH))
+            assert _bits(got[3]) == _bits(np.array(CN).reshape(6, -1))
+            assert np.array_equal(got[4], live)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -312,6 +373,31 @@ _MALFORMED = (
 def test_predicates_reject_malformed_shapes(predicate, bad):
     with pytest.raises(InvalidPoints):
         predicate(3, bad)
+
+
+def _accepts(predicate, p):
+    try:
+        predicate(p)
+    except InvalidPoints:
+        return False
+    return True
+
+
+def test_one_point_and_one_row_validate_alike():
+    # points a few ulps either side of |p.p - 1| = UNIT_NORM_EPS: a point
+    # and its one-row batch must be accepted or rejected alike
+    rng = np.random.default_rng(9)
+    q = rng.normal(size=(20000, 3))
+    q /= np.linalg.norm(q, axis=1)[:, None]
+    gap = sphere.UNIT_NORM_EPS * (1.0 + rng.uniform(-1e-6, 1e-6, len(q)))
+    pts = q * np.sqrt(1.0 + rng.choice((-1.0, 1.0), len(q)) * gap)[:, None]
+    one = [_accepts(sphere.as_point, p) for p in pts]
+    assert 0 < sum(one) < len(pts)
+    assert one == [_accepts(sphere.as_points, p[None]) for p in pts]
+    for scalar, batch in ((analytic_in_moduli, analytic_in_moduli_batch),
+                          (oracle_in_moduli, oracle_in_moduli_batch)):
+        for p in pts[::40]:
+            assert _accepts(partial(scalar, 3), p) == _accepts(partial(batch, 3), p[None]), p
 
 
 def test_sample_sphere_deterministic_and_uniformish():
