@@ -1,7 +1,7 @@
 """Command-line surface: check, curve, area, render, verify.
 
 Exit codes: 0 success, 2 usage error, 3 analytic/oracle disagreement in
-`check`, 4 render IO failure, 5 verification failure.
+`check`, 4 output IO failure, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -45,13 +45,15 @@ def parse_point(text: str) -> complex:
     return z
 
 
-def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2)
-    if getattr(args, "out", None):
+def _emit(args, out) -> None:
+    """Write a command's output, text or a JSON payload, to --out or else to
+    stdout; main reports an OSError of the write as exit 4."""
+    text = out if isinstance(out, str) else json.dumps(out, indent=2) + "\n"
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def cmd_check(args) -> int:
@@ -140,19 +142,12 @@ def cmd_curve(args) -> int:
                           (theta, r, z.real, z.imag, xi[0], xi[1], xi[2])))
     if args.format == "json":
         fields = ("theta", "r", "x", "y", "xi1", "xi2", "xi3")
-        text = json.dumps({"schema": SCHEMA, "curve": which, "solid": n,
-                           "chart": chart,
-                           "rows": [dict(zip(fields, row)) for row in rows]},
-                          indent=2) + "\n"
+        _emit(args, {"schema": SCHEMA, "curve": which, "solid": n, "chart": chart,
+                     "rows": [dict(zip(fields, row)) for row in rows]})
     else:
         lines = ["theta,r,x,y,xi1,xi2,xi3"]
         lines += [",".join(_CSV_FMT.format(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
@@ -192,13 +187,7 @@ def cmd_render(args) -> int:
                                 width_px=args.width, include=include,
                                 samples_per_curve=args.samples,
                                 anchor=anchor)
-    text = render.render_svg(opts)
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 4
+    _emit(args, render.render_svg(opts))
     return 0
 
 
@@ -311,6 +300,9 @@ def main(argv=None) -> int:
     except (PentamodError, ValueError) as exc:   # ValueError: a rejected argument
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:   # only _emit touches a file
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -14,17 +14,17 @@ _adjacent_rule): is_simple runs sphere.arc_intersect only on the pairs the
 signs cannot clear of a violation, so its report is the one the exhaustive
 15-pair loop gives.  The batch form keeps every anchor's arcs
 component-major: _arcs holds V, W, E and each arc's unit normal as (3, k)
-rows of x, y and z on the thread's sphere.scratch, so each cross product,
-length and sign product is a ufunc over whole contiguous rows, where on
-(N, 3) rows numpy would loop over the 3 components of each row.  It takes
-every pair's signs on every row: a crossing they decide rules its row out,
-and only the rows that no pair decided and no decided crossing ruled out
-go through the exact path, pair by pair.  An anchor's answer is the AND
-over the pairs and each row is computed on its own, so neither the order of
-the pairs nor which rows reach the exact path changes an answer.  W and E
-come from sphere.rows_matmul and every other product is elementwise, so one
-anchor gets the answer of its row in any batch, and sphere.map_rows takes a
-long input in pieces.
+rows of x, y and z on the thread's sphere.scratch, and every cross product,
+length and dot product, in the arcs, the filter and the exact path alike,
+is a ufunc over whole contiguous rows (_cross, _length, _dot) summed in an
+order written out in code.  It takes every pair's signs on every row: a
+crossing they decide rules its row out, and only the rows that no pair
+decided and no decided crossing ruled out go through the exact path, pair
+by pair.  An anchor's answer is the AND over the pairs and each row is
+computed on its own, so neither the order of the pairs nor which rows reach
+the exact path changes an answer.  W and E come from sphere.rows_matmul and
+every other product is elementwise, so one anchor gets the answer of its
+row in any batch, and sphere.map_rows takes a long input in pieces.
 
 Each pair is a filtered predicate: the signs of the four products of one
 arc's normal with the other arc's endpoints decide it on every row where
@@ -33,9 +33,8 @@ windows of the exact path and the rounding of both.  On such a row the
 exact path, _pair_hits in the batch and arc_intersect in is_simple, would
 give the same answer.  The rows inside a margin (near-touches, coplanar
 arcs, short arcs, the shared vertex of adjacent arcs) go through the exact
-path; _pair_hits gathers them into the row-major (m, 3) operands it has
-always worked on, since einsum rounds a row-dot by the layout of its
-operands, and forms the arc tangents and lengths on those rows only.
+path; _pair_hits gathers their columns and forms the arc tangents and
+lengths on those rows only.
 """
 
 from __future__ import annotations
@@ -204,49 +203,6 @@ def oracle_in_moduli(n: int, V: np.ndarray) -> bool:
     return is_simple(pent).simple
 
 
-def _rowdot(a, b, out=None):
-    return np.einsum("ij,ij->i", a, b, out=out)
-
-
-# The helpers below take the arrays they return from a scratch frame s (see
-# sphere.scratch) and their own temporaries from an inner frame.
-
-
-def _cross(a, b, s):
-    """Row-wise a x b of (N, 3) arrays; the products and differences of
-    np.cross without its copies of both operands."""
-    out = s.empty(a.shape)
-    with scratch(len(a)) as t:
-        tb = t.out(len(a))
-        for k in range(3):
-            k1, k2 = (k + 1) % 3, (k + 2) % 3
-            np.multiply(a[:, k1], b[:, k2], out=out[:, k])
-            out[:, k] -= np.multiply(a[:, k2], b[:, k1], out=tb)
-    return out
-
-
-def _take(a, idx, s):
-    """Rows idx of an array, idx sorted and distinct, as every row index
-    here is: the array itself when idx holds every row, and a view of the
-    right length of a constant point broadcast to (N, 3), since take would
-    copy either for nothing."""
-    if idx.size == len(a):
-        return a
-    if a.strides[0] == 0:
-        return a[:idx.size]
-    return a.take(idx, 0, s.out((idx.size,) + a.shape[1:]), "clip")
-
-
-def _norm(a, s):
-    """Row-wise |a| of an (N, 3) array, summed in the order of np.linalg.norm."""
-    out = np.multiply(a[:, 0], a[:, 0], out=s.out(len(a)))
-    with scratch(len(a)) as t:
-        tb = t.out(len(a))
-        out += np.multiply(a[:, 1], a[:, 1], out=tb)
-        out += np.multiply(a[:, 2], a[:, 2], out=tb)
-    return np.sqrt(out, out=out)
-
-
 # the arc pairs (i, j), i < j, with the index in V, A, W, C, E, B of the
 # vertex that adjacent arcs share (-1 for non-adjacent arcs).  In the batch,
 # pairs that rule out the most uniform anchors come first and the adjacent
@@ -284,19 +240,16 @@ def _far_ends(i, j, adj):
 # along its arc.  _ROUND, 64 ulps of 1, is over ten times the bound this
 # needs, so it also covers the few ulps by which the forms of the products
 # round apart: the batch's component multiply-adds (_dot: three products
-# added left to right, within a few ulps of 1 of the exact value for unit
-# vectors), the exact path's einsum row-dots, and is_simple's one
-# (6, 3) @ (3, 6) gemm, in which BLAS may fuse a multiply and an add.
+# added as (x + z) + y, within a few ulps of 1 of the exact value for unit
+# vectors) and is_simple's one (6, 3) @ (3, 6) gemm, in which BLAS may fuse
+# a multiply and an add.
 # The proof holds for either exact path.  is_simple's, arc_intersect,
 # tests the same candidates against the same DEFAULT_TOL windows, and its
 # ON_CIRCLE test and _near's extra 1e-15 can only drop a hit.  A GreatArc's
 # normal is cross3(u, v) / norm3 of it, which rounds within the same few ulps
 # as the component cross products and lengths of _arcs, and is_simple takes
 # the chord as sin(length), the |u x v| of _arcs to within the 5e-10 an
-# anchor may be off the sphere.  Only the sign filter moved to component
-# products: _pair_hits keeps the row-major operands the pinned boundary
-# answers were computed on, since einsum rounds a row-dot of F- and C-order
-# operands apart.
+# anchor may be off the sphere.
 #
 # A non-adjacent pair is decided where the values clear
 # _CLEAR + slop = tan(DEFAULT_TOL) + slop:
@@ -351,14 +304,49 @@ def _adjacent_rule(s, t, clear):
     return (abs(s) > clear) & (abs(t) > clear)
 
 
-def _length(x, w, out):
-    """Row-wise |x| of component rows x, (3, k), summed as _norm sums: the
-    squares, into w (which may be x), added left to right into out (either
-    may be None)."""
+# The batch oracle's arithmetic, on (3, k) component rows: each row of
+# components a whole contiguous ufunc operand.  _dot, _cross and _length
+# write their results and temporaries into the arrays they are given, and
+# numpy allocates those given as None.
+
+
+def _dot(a, b, prod=None, out=None):
+    """Row-wise a.b of component rows: the three products, into prod, added
+    as (x + z) + y into out, the order of numpy's einsum row-dot, in which the
+    pinned exact-path answers were first computed."""
+    prod = np.multiply(a, b, out=prod)
+    out = np.add(prod[0], prod[2], out=out)
+    out += prod[1]
+    return out
+
+
+def _cross(a, b, out, tmp):
+    """Row-wise a x b of component rows, into out: component c is
+    a[c+1] b[c+2] - a[c+2] b[c+1], the products and differences of np.cross,
+    the second product of each into tmp."""
+    for c in range(3):
+        c1, c2 = (c + 1) % 3, (c + 2) % 3
+        np.multiply(a[c1], b[c2], out=out[c])
+        out[c] -= np.multiply(a[c2], b[c1], out=tmp)
+    return out
+
+
+def _length(x, w=None, out=None):
+    """Row-wise |x| of component rows: the squares, into w (which may be x),
+    added left to right into out, the order of np.linalg.norm."""
     w = np.multiply(x, x, out=w)
     out = np.add(w[0], w[1], out=out)
     out += w[2]
     return np.sqrt(out, out=out)
+
+
+def _gather(x, at, s):
+    """Columns at (sorted and distinct) of component rows x: x itself, or a
+    view of it, where at holds every column or x is a point broadcast along
+    the rows, and otherwise a copy from the scratch frame s."""
+    if at.size == x.shape[1] or x.strides[1] == 0:
+        return x[:, :at.size]
+    return x.take(at, 1, s.out((3, at.size)), "clip")
 
 
 def _arcs(n: int, V: np.ndarray, s):
@@ -370,9 +358,7 @@ def _arcs(n: int, V: np.ndarray, s):
     component rows, A, C and B broadcast along the rows; arc a runs from
     P[a] to P[a + 1] with unit normal NH[a], (3, k), and chord
     |P[a] x P[a + 1]| CN[a]; live marks the rows whose arcs are all
-    constructible.  Each value has the bits of the row-major arithmetic of
-    _cross and _norm: the same operations in the same order, each a ufunc
-    over whole rows of components.
+    constructible.
     """
     geo = charts.geometry(n)
     to_w, to_e = _rotations(n)
@@ -386,7 +372,8 @@ def _arcs(n: int, V: np.ndarray, s):
     rows = np.flatnonzero(far)
     k = rows.size
     if k < len(V):
-        V, VT = _take(V, rows, s), VT.take(rows, 1, s.empty((3, k)), "clip")
+        V = V.take(rows, 0, s.out((k, 3)), "clip")
+        VT = VT.take(rows, 1, s.empty((3, k)), "clip")
     W, E = s.empty((3, k)), s.empty((3, k))
     # six normals, not one (6, 3, k) block: the buffer doubles as it grows,
     # and that one request would take a 16384-row piece past its 6 MB
@@ -402,10 +389,7 @@ def _arcs(n: int, V: np.ndarray, s):
         w, ab, tb = t.out((3, k)), t.out(k), t.out(k)
         for a in range(6):
             u, v, nh, cn = P[a], P[(a + 1) % 6], NH[a], CN[a]
-            for c in range(3):
-                c1, c2 = (c + 1) % 3, (c + 2) % 3
-                np.multiply(u[c1], v[c2], out=nh[c])
-                nh[c] -= np.multiply(u[c2], v[c1], out=tb)
+            _cross(u, v, nh, tb)
             live &= _length(nh, w, cn) > DEGENERATE_EPS
             live &= _length(np.add(u, v, out=w), w, ab) > ANTIPODAL_EPS
             # the normal cr / max(cn, _TINY), in place of the cross product
@@ -413,85 +397,53 @@ def _arcs(n: int, V: np.ndarray, s):
     return rows, P, NH, CN, live
 
 
-def _rows(x, at, s):
-    """Rows at (sorted and distinct) of a vertex or normal of _arcs in the
-    exact path's operand layout: a point broadcast to (m, 3), and other
-    component rows as a C-contiguous (m, 3) copy."""
-    if x.strides[1] == 0:
-        return np.broadcast_to(x[:, 0], (at.size, 3))
-    out = s.empty((at.size, 3))
-    if at.size == x.shape[1]:
-        np.copyto(out, x.T)
-    else:
-        with scratch(at.size) as t:
-            np.copyto(out, x.take(at, 1, t.out((3, at.size)), "clip").T)
-    return out
-
-
-def _frame(P, nh, CN, a, at, s):
-    """Arc a on rows at, nh its normal on those rows: its start, the unit
-    tangent there, its length."""
-    u, v = _rows(P[a], at, s), _rows(P[(a + 1) % 6], at, s)
-    return u, _cross(nh, u, s), np.arctan2(CN[a].take(at), _rowdot(u, v))
-
-
 def _pair_hits(i, j, adj, P, NH, CN, at, s):
     """Whether arcs i and j meet on the rows at of _arcs, as is_simple
     decides it: a candidate +-m/|m| within DEFAULT_TOL of both arcs and
     (adjacent arcs) beyond VERTEX_SLACK of the shared vertex, or one circle
-    on which the arcs overlap by more than DEFAULT_TOL.
-
-    Its operands are row-major (see _rows): einsum rounds a row-dot by the
-    layout of its operands, and these rows round as the answers pinned on
-    the boundary sets were rounded."""
-    ni, nj = _rows(NH[i], at, s), _rows(NH[j], at, s)
-    ui, e2i, li = _frame(P, ni, CN, i, at, s)
-    uj, e2j, lj = _frame(P, nj, CN, j, at, s)
-    m = _cross(ni, nj, s)
-    nm = _norm(m, s)
+    on which the arcs overlap by more than DEFAULT_TOL.  Its gathered
+    columns, tangents and m take the scratch frame s."""
+    ni, nj = _gather(NH[i], at, s), _gather(NH[j], at, s)
+    ui, vi, uj, vj = (_gather(P[a % 6], at, s) for a in (i, i + 1, j, j + 1))
+    # each arc's unit tangent at its start, and its length
+    tb = s.out(at.size)
+    e2i, e2j = _cross(ni, ui, s.empty(ni.shape), tb), _cross(nj, uj, s.empty(nj.shape), tb)
+    li, lj = np.arctan2(CN[i].take(at), _dot(ui, vi)), np.arctan2(CN[j].take(at), _dot(uj, vj))
+    m = _cross(ni, nj, s.empty(ni.shape), tb)
+    nm = _length(m, s.out(m.shape), s.out(at.size))
     cop = nm < DEFAULT_TOL
     out = np.zeros(at.size, dtype=bool)
     tr = np.flatnonzero(~cop)
     if tr.size:
         # the candidates +-m/|m|, first on arc i, then on arc j, away
         # from the vertex the arcs share
-        mh = m.take(tr, 0) / np.maximum(nm.take(tr), _TINY)[:, None]
-        xi, yi = _rowdot(mh, _take(ui, tr, s)), _rowdot(mh, e2i.take(tr, 0))
+        mh = _gather(m, tr, s) / np.maximum(nm.take(tr), _TINY)
+        xi, yi = _dot(mh, _gather(ui, tr, s)), _dot(mh, _gather(e2i, tr, s))
         lt = li.take(tr)
         for sgn in (1.0, -1.0):
             ai = np.arctan2(sgn * yi, sgn * xi)
             h = np.flatnonzero((ai >= -DEFAULT_TOL) & (ai <= lt + DEFAULT_TOL))
             if not h.size:
                 continue
-            cand, ah = sgn * mh.take(h, 0), tr.take(h)
-            aj = np.arctan2(_rowdot(cand, e2j.take(ah, 0)), _rowdot(cand, _take(uj, ah, s)))
+            cand, ah = sgn * _gather(mh, h, s), tr.take(h)
+            aj = np.arctan2(_dot(cand, _gather(e2j, ah, s)), _dot(cand, _gather(uj, ah, s)))
             hit = (aj >= -DEFAULT_TOL) & (aj <= lj.take(ah) + DEFAULT_TOL)
             if adj >= 0:
-                hit &= _norm(cand - _take(ui if adj == i else uj, ah, s), s) > VERTEX_CHORD
+                hit &= _length(cand - _gather(ui if adj == i else uj, ah, s)) > VERTEX_CHORD
             out[ah] |= hit
     cp = np.flatnonzero(cop)
     if cp.size:
         # one circle: arc j's span in arc i's frame may overlap arc i by
         # at most DEFAULT_TOL
-        u, e2, lc = _take(ui, cp, s), e2i.take(cp, 0), li.take(cp)
-        a0 = np.arctan2(_rowdot(_take(uj, cp, s), e2), _rowdot(_take(uj, cp, s), u))
-        vj = _rows(P[(j + 1) % 6], at.take(cp), s)
-        a1 = np.arctan2(_rowdot(vj, e2), _rowdot(vj, u))
+        u, e2, lc = _gather(ui, cp, s), _gather(e2i, cp, s), li.take(cp)
+        a0, a1 = (np.arctan2(_dot(q, e2), _dot(q, u))
+                  for q in (_gather(uj, cp, s), _gather(vj, cp, s)))
         lo, hi = np.minimum(a0, a1), np.maximum(a0, a1)
         wrap = hi - lo > math.pi
         lo, hi = np.where(wrap, hi, lo), np.where(wrap, lo + 2.0 * math.pi, hi)
         ova = np.minimum(lc, hi) - np.maximum(0.0, lo)
         ovb = np.minimum(lc, hi - 2.0 * math.pi) - np.maximum(0.0, lo - 2.0 * math.pi)
         out[cp] = np.maximum(ova, ovb) > DEFAULT_TOL
-    return out
-
-
-def _dot(nh, p, prod, out):
-    """Row-wise nh.p of a normal and a vertex of _arcs: the three products,
-    into prod, added left to right into out (either may be None)."""
-    prod = np.multiply(nh, p, out=prod)
-    out = np.add(prod[0], prod[1], out=out)
-    out += prod[2]
     return out
 
 

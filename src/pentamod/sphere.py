@@ -147,9 +147,15 @@ def map_rows(fn, pts) -> np.ndarray:
     pts = _point_rows(pts)
     if len(pts) <= _CHUNK:
         return fn(_unit_rows(pts))
-    pieces = -(-len(pts) // _CHUNK)
-    cuts = [len(pts) * k // pieces for k in range(pieces + 1)]
+    cuts = _cuts(len(pts))
     return np.concatenate([fn(_unit_rows(pts[a:b])) for a, b in zip(cuts, cuts[1:])])
+
+
+def _cuts(rows: int) -> list[int]:
+    """The bounds of the ceil(rows / _CHUNK) near-equal row ranges that
+    map_rows and map_sample cut more than _CHUNK rows into."""
+    pieces = -(-rows // _CHUNK)
+    return [rows * k // pieces for k in range(pieces + 1)]
 
 
 # rows per piece of map_sample and map_rows, picked by timing 2^12 .. 2^16
@@ -328,18 +334,17 @@ def map_sample(samples: int, seed: int, fn) -> list:
     caches, then a thread pool of one worker per available core, at most one
     per piece, maps them.  A one-piece call runs inline on the whole sample.
     """
-    pieces = -(-samples // _CHUNK)
-    if pieces <= 1:   # sample_sphere rejects samples < 1
+    if samples <= _CHUNK:   # sample_sphere rejects samples < 1
         return [fn(sample_sphere(samples, seed))]
-    cuts = [samples * k // pieces for k in range(pieces + 1)]
+    cuts = _cuts(samples)
 
-    def piece(k: int):
-        return fn(_sample_rows(samples, seed, cuts[k], cuts[k + 1]))
+    def piece(start: int, stop: int):
+        return fn(_sample_rows(samples, seed, start, stop))
 
     from concurrent.futures import ThreadPoolExecutor
     fn(np.empty((0, 3)))
-    with ThreadPoolExecutor(max_workers=min(_cores(), pieces)) as pool:
-        return list(pool.map(piece, range(pieces)))
+    with ThreadPoolExecutor(max_workers=min(_cores(), len(cuts) - 1)) as pool:
+        return list(pool.map(piece, cuts, cuts[1:]))
 
 
 def angular_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 """The batch kernels and the scalar reference paths must agree."""
 
 import cmath
+import hashlib
 import math
 import sys
 import threading
@@ -229,6 +230,49 @@ def test_oracle_filter_agrees_with_exact_path(n):
     pts = np.vstack([_oracle_mix(n, 50 + n), _off_loci(n, _FILTER_OFFSETS),
                      _short_c(n, _FILTER_OFFSETS)])
     assert np.array_equal(oracle_in_moduli_batch(n, pts), _exact_oracle(n, pts))
+
+
+# per n, the first 16 hex digits of the sha256 of each pair's _pair_hits
+# answers, in _PAIRS order, on every live row of _exact_path_anchors(n)
+_PAIR_HITS_SHA256 = {
+    3: ("1337615ad1ed12c0", "a7a4e86670678bf6", "71a38dc712acde05", "cef65bde4a4cee05",
+        "eac7882cc30d499d", "3419969aab2b50ef", "74faa2b0df1ad913", "42e93ac6745f309a",
+        "3388f1c2eb7bb332", "c83ba8bb8039613d", "7e720d97d336cc60", "5ee9ea21cfcf643f"),
+    4: ("0daa13955904d993", "187f64d3b065d75d", "5dda6f42e5a42b7b", "e59e98e3fc182a11",
+        "130fe0c3855df1e4", "ac0967c377039e9d", "1fd9b6dc48ee53d0", "a07f33d4fb8986b3",
+        "8c6a7e789dc6a882", "feab8ea747c91f08", "b21a7468bb2101c1", "7f64d9098cf4a32b"),
+    5: ("b51852aaf42abe16", "c0c8c72cdc75bdd2", "06fd5637bda15827", "8591f635ae3e6813",
+        "a1c45037aa65e005", "0aa611d6862341c6", "372eec7703117574", "7a8c8f0b2689d9cc",
+        "69a4a18c5dde3df4", "4109a7f6a736d0eb", "71dcd00c1e4cf299", "ab1b134c590a40f2"),
+}
+
+
+def _exact_path_anchors(n):
+    """The anchors of test_oracle_filter_agrees_with_exact_path and those
+    near the division."""
+    return np.vstack([_oracle_mix(n, 50 + n), _off_loci(n, _FILTER_OFFSETS),
+                      _short_c(n, _FILTER_OFFSETS), _off_division(n, _FILTER_OFFSETS)])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_exact_path_answers_are_pinned(n):
+    # every pair's exact path on every live row, bit for bit; the rows hit
+    # and miss on both its transversal and its coplanar branch
+    pts = _exact_path_anchors(n)
+    branches = set()
+    with sphere.scratch(len(pts)) as s:
+        _, P, NH, CN, live = pentagon._arcs(n, sphere.as_points(pts), s)
+        live = np.flatnonzero(live)
+        got = []
+        for i, j, adj in pentagon._PAIRS:
+            with sphere.scratch(live.size) as t:
+                hits = pentagon._pair_hits(i, j, adj, P, NH, CN, live, t)
+            got.append(hashlib.sha256(hits.tobytes()).hexdigest()[:16])
+            m = np.cross(NH[i].T[live], NH[j].T[live])
+            coplanar = np.linalg.norm(m, axis=1) < sphere.DEFAULT_TOL
+            branches |= set(zip(coplanar.tolist(), hits.tolist()))
+    assert tuple(got) == _PAIR_HITS_SHA256[n]
+    assert branches == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def _row_major_arcs(n, V):

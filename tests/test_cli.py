@@ -220,9 +220,17 @@ def test_render_deterministic(tmp_path, capsys):
 
 
 def test_render_resolution_unwritable_exit_4(capsys):
-    code, _ = run_cli(capsys, "render", "--solid", "3",
-                      "--out", "/nonexistent-dir/x.svg")
-    assert code == 4
+    # every command reports an unwritable --out alike: one line, exit 4
+    for argv in (("check", "--solid", "3", "--point", "-0.17-0.17i"),
+                 ("curve", "gammaA", "--solid", "3", "--samples", "8"),
+                 ("area", "--solid", "3"),
+                 ("render", "--solid", "3"),
+                 ("verify", "--solid", "3", "--samples", "64")):
+        code = cli.main([*argv, "--out", "/nonexistent-dir/x.out"])
+        captured = capsys.readouterr()
+        assert code == 4, argv
+        assert captured.err.startswith("error: cannot write /nonexistent-dir/x.out"), argv
+        assert captured.out == "", argv
 
 
 def _path_endpoints(svg_text, ident):

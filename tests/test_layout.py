@@ -1,9 +1,9 @@
 """Layering rules: no module of the package reaches into another's privates,
 the scalar geometry stays off numpy's 3-vector cross and norm, the circle
-tests of moduli stay off arcsin, only sphere builds a thread pool or keeps a
-per-thread cache, importing the package loads neither scipy nor what only
-some calls need and starts no thread, and every command runs with scipy
-blocked."""
+tests of moduli stay off arcsin, the batch oracle stays off einsum, only
+sphere builds a thread pool or keeps a per-thread cache, importing the
+package loads neither scipy nor what only some calls need and starts no
+thread, and every command runs with scipy blocked."""
 
 import ast
 import os
@@ -144,6 +144,18 @@ def test_arcsin_check_catches_each_kind(tmp_path):
     found = _numpy_vector_ops(src, _NUMPY_ANGLE_OPS)
     assert sorted(found) == ["line 3: imports numpy.arcsin", "line 4: uses np.arcsin",
                              "line 6: uses np.arcsin"]
+
+
+# the batch oracle writes out the order of every sum (pentagon._dot, _length):
+# einsum picks its own, and rounds a row-dot apart by the layout of its operands
+ORDERED_SUM_MODULES = ("pentagon.py",)
+_NUMPY_SUM_OPS = ("numpy.einsum",)
+
+
+def test_batch_oracle_writes_out_its_sums():
+    bad = {name: v for name in ORDERED_SUM_MODULES
+           if (v := _numpy_vector_ops(PACKAGE / name, _NUMPY_SUM_OPS))}
+    assert not bad, bad
 
 
 # sphere.map_sample is the one owner of the cut points, the row ranges and
