@@ -25,8 +25,8 @@ from .render import RenderOptions, render_svg
 from .pentagon import (Pentagon, SimplicityReport, anchor_pentagon,
                        face_pentagons, is_simple, oracle_in_moduli,
                        oracle_in_moduli_batch)
-from .sphere import (GreatArc, Rotation, angular_distance, arc_intersect,
-                     minor_arc, point_on_arc, rotate, unit)
+from .sphere import (GreatArc, angular_distance, arc_intersect, minor_arc,
+                     point_on_arc, unit)
 
 __version__ = "0.1.0"
 
@@ -46,7 +46,7 @@ __all__ = [
     "render_svg",
     "Pentagon", "SimplicityReport", "anchor_pentagon", "face_pentagons",
     "is_simple", "oracle_in_moduli",
-    "GreatArc", "Rotation", "angular_distance", "arc_intersect", "minor_arc",
-    "point_on_arc", "rotate", "unit",
+    "GreatArc", "angular_distance", "arc_intersect", "minor_arc",
+    "point_on_arc", "unit",
     "__version__",
 ]

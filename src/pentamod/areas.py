@@ -46,7 +46,7 @@ def elliptic_F_imag(t: float, lam: float) -> float:
     """F(t, i/lambda): integral of du / sqrt(1 + sin(u)^2 / lambda^2) on [0, t]."""
     if not 0.0 <= t <= 0.5 * math.pi + 1e-12:
         raise ValueError("amplitude t must lie in [0, pi/2]")
-    if lam <= 0.0:
+    if not lam > 0.0:   # NaN fails it too, as it fails the test of t
         raise ValueError("lambda must be positive")
     s = math.sin(t)
     return s * _carlson_rf(math.cos(t) ** 2, 1.0 + s * s / (lam * lam), 1.0)

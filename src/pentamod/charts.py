@@ -23,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AntipodeOfOrigin, UnsupportedSolid
+from .sphere import as_point
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -188,11 +189,12 @@ def to_sphere(p: ChartPoint) -> np.ndarray:
 def to_chart(xi: np.ndarray, chart: str, solid: int) -> ChartPoint:
     """Chart coordinate of a world unit vector.
 
-    Raises AntipodeOfOrigin for the chart origin's antipode (z would be
+    Raises InvalidPoints for anything but a finite unit vector of shape (3,),
+    and AntipodeOfOrigin for the chart origin's antipode (z would be
     infinite).
     """
     geo = geometry(solid)
-    return ChartPoint(z=_z_from_sphere(geo.frame(chart) @ np.asarray(xi, dtype=float)),
+    return ChartPoint(z=_z_from_sphere(geo.frame(chart) @ as_point(xi)),
                       chart=chart, solid=solid)
 
 

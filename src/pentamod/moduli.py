@@ -11,24 +11,26 @@ circle AB, which belongs to both fans, is read once, so every point off the
 circles lands in a realized region.
 
 The moduli boundary consists of two straight arcs (in the M-chart) plus the
-three curves gamma_A, gamma_B, gamma_C.  Every curve is carried in four
-equivalent representations (polar, cartesian, complex, spherical quadratic)
-in its home chart, plus closed polar forms in the M-chart.
+three curves gamma_A, gamma_B, gamma_C.  Every curve is carried in three
+equivalent representations (polar, cartesian, complex) in its home chart,
+as one spherical quadratic Q = p.Sp in world coordinates, and in closed
+polar forms in the M-chart.
 
 Side of and nearness to the dividing circles, and with them nearness to
 the division vertices, come from the sines of _circle_sines (never turned
 into angles), the curve radius from _eqd_radius, the spherical quadratic
-from _quadric_coeffs and the a=c and b=c reduction loci from the array root
-finder reduction_radii.  boundary_band_mask is a filtered test too: a
-curve's quadric value, against a bound on its gradient over the sphere,
-rules out most rows, and the gradient rule runs on the rest.  Public entry
-points validate their points once (sphere.as_point/as_points) and hand
-them to private kernels that do not check again; the batch entry points go
-through sphere.map_rows, in pieces of at most sphere._CHUNK rows, and the
-kernels write their large temporaries into sphere.scratch.  Their point
-products go through sphere.rows_matmul: one-point calls are exact batch
-rows.  The simplicity oracle that membership is checked against lives in
-pentagon.
+from its matrix S in _tables and the a=c and b=c reduction loci from the
+array root finder reduction_radii.  boundary_band_mask is a filtered test
+too: it takes the quadric of each of the three curves once (gamma_C_A and
+gamma_C_B are one), and a row's quadric value, against a bound on its
+gradient over the sphere, rules out most rows; the gradient rule runs on
+the rest.  Public entry points validate their points once
+(sphere.as_point/as_points) and hand them to private kernels that do not
+check again; the batch entry points go through sphere.map_rows, in pieces
+of at most sphere._CHUNK rows, and the kernels write their large
+temporaries into sphere.scratch.  Their point products go through
+sphere.rows_matmul: one-point calls are exact batch rows.  The simplicity
+oracle that membership is checked against lives in pentagon.
 """
 
 from __future__ import annotations
@@ -294,7 +296,7 @@ def _eqd_radius(lam, alpha, phi):
 def curve_radius(spec: CurveSpec, theta: float) -> float:
     """Polar radius of the curve at chart angle theta (the explicit solution
     of the quadratic in r), with the sec-singular endpoint clamped to 0."""
-    if theta < spec.theta_lo - 1e-12 or theta > spec.theta_hi + 1e-12:
+    if not spec.theta_lo - 1e-12 <= theta <= spec.theta_hi + 1e-12:   # NaN fails it too
         raise OutOfRange(f"theta {theta} outside [{spec.theta_lo}, {spec.theta_hi}]")
     singular = spec.theta_lo if spec.singular_end == "lo" else spec.theta_hi
     if abs(theta - singular) < _SINGULAR_CLAMP:
@@ -312,25 +314,24 @@ def _sample(theta: float, r: float, chart: str, n: int, line_locus: bool = False
     return CurveSample(theta=theta, r=r, z=z, xi=charts.to_sphere(z), line_locus=line_locus)
 
 
-def _quadric_coeffs(spec: CurveSpec) -> tuple[float, float, float]:
-    """(L, c1, c2) of the curve's spherical quadratic
-    Q = L (x1^2 + x2^2) + (c1 x1 + c2 x2) x3 in chart-frame coordinates."""
-    if spec.which == "gamma_A":
-        return 2.0 * spec.lam, 1.0, SQ3
-    if spec.which == "gamma_B":
-        return spec.lam, -math.cos(math.pi / spec.n), math.sin(math.pi / spec.n)
-    # gamma_C_A, gamma_C_B
-    return spec.lam, (1.0 if spec.which == "gamma_C_A" else -1.0), 0.0
-
-
 def gamma_residual(spec: CurveSpec, p: np.ndarray) -> float:
-    """Spherical quadratic of the curve, evaluated in its chart frame.
-
+    """The curve's spherical quadratic Q = p.Sp at the unit vector p, S its
+    world-frame matrix (see _tables), with the bits boundary_band_mask
+    takes for p's row (which takes gamma_C_B's quadric from gamma_C_A).
     Zero exactly on the curve's supporting quadric.
     """
-    x1, x2, x3 = (geometry(spec.n).frame(spec.chart) @ np.asarray(p, dtype=float)).tolist()
-    L, c1, c2 = _quadric_coeffs(spec)
-    return L * (x1 * x1 + x2 * x2) + (c1 * x1 + c2 * x2) * x3
+    p = as_point(p)[None]
+    return float(_quadric_rows(p, rows_matmul(p, _tables(spec.n).quadric[spec.which]))[0])
+
+
+def _quadric_rows(pts: np.ndarray, sp: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """p.Sp of each row p of pts, from the rows sp = pts @ S of a symmetric
+    S, summed (x (Sp)x + y (Sp)y) + z (Sp)z; written into out, with tmp for
+    the products, when given."""
+    q = np.multiply(pts[:, 0], sp[:, 0], out=out)
+    q += np.multiply(pts[:, 1], sp[:, 1], out=tmp)
+    q += np.multiply(pts[:, 2], sp[:, 2], out=tmp)
+    return q
 
 
 def gamma_cartesian_residual(spec: CurveSpec, z: complex) -> float:
@@ -405,7 +406,7 @@ def gamma_m_chart(which: str, n: int, theta: float) -> CurveSample:
         theta += 2.0 * math.pi
     elif theta > hi + 1e-12 and lo - 1e-12 <= theta - 2.0 * math.pi <= hi + 1e-12:
         theta -= 2.0 * math.pi
-    if theta < lo - 1e-12 or theta > hi + 1e-12:
+    if not lo - 1e-12 <= theta <= hi + 1e-12:   # NaN fails it too
         raise OutOfRange(f"theta {theta} outside [{lo}, {hi}]")
     R = _m_chart_R(which, n, theta)
     return _sample(theta, 0.5 * (math.sqrt(R * R + 4.0) - R), "M", n)
@@ -491,6 +492,9 @@ class _Tables:
     in when its chart angle lies in the open interval (lo[m], hi[m]) and its
     radius is below that of the region's curve (parameters lam, alpha,
     phi_const, phi_sign as in CurveSpec; B-chart where fan_b[m]).
+
+    Curve `which` (of CURVE_NAMES) lies on the quadric p.Sp = 0 of the
+    symmetric matrix S = quadric[which], in world coordinates.
     """
 
     sign_weights: np.ndarray
@@ -509,6 +513,7 @@ class _Tables:
     phi_sign: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+    quadric: dict
 
 
 @lru_cache(maxsize=None)
@@ -556,8 +561,21 @@ def _tables(n: int) -> _Tables:
     sign_weights = np.array([3.0 * n, n, n] + [1.0] * (n - 1))
     s, a, b = np.meshgrid(np.arange(2), np.arange(3), np.arange(n), indexing="ij")
     sign_region = _sector_region(n, np.where(s, a, 5 - a), np.where(s, b, 2 * n - 1 - b)).ravel()
+    # curve quadrics.  A curve is L (x1^2 + x2^2) + (c1 x1 + c2 x2) x3 = 0
+    # in the coordinates x = F p of its chart frame F, that is x.Hx = 0, and
+    # p.Sp = 0 for S = F^T H F, made exactly symmetric
+    ladder = {"gamma_A": (2.0, 1.0, SQ3),
+              "gamma_B": (1.0, -math.cos(math.pi / n), math.sin(math.pi / n)),
+              "gamma_C_A": (1.0, 1.0, 0.0), "gamma_C_B": (1.0, -1.0, 0.0)}
+    quadric = {}
+    for which, (k, c1, c2) in ladder.items():
+        spec = curve_spec(which, n)
+        L, F = k * spec.lam, geometry(n).frame(spec.chart)
+        S = F.T @ np.array([[L, 0.0, 0.5 * c1], [0.0, L, 0.5 * c2], [0.5 * c1, 0.5 * c2, 0.0]]) @ F
+        quadric[which] = 0.5 * (S + S.T)
     return _Tables(sign_weights, np.ones(n + 2), sign_region, np.array(chart) == "B",
-                   np.array(angle), np.array(front), np.array(back), core, fan, fan_b, *params)
+                   np.array(angle), np.array(front), np.array(back), core, fan, fan_b, *params,
+                   quadric)
 
 
 def analytic_in_moduli_batch(n: int, pts: np.ndarray) -> np.ndarray:
@@ -606,13 +624,14 @@ def boundary_band_mask(n: int, pts: np.ndarray, band: float) -> np.ndarray:
 
     Covers the division circles, and with them the division vertices (each
     lies on two circles, so a point within `band` of a vertex is within
-    `band` of one of them), and the supporting quadrics of the three curves;
-    curve distance is the first-order estimate |Q| / |grad Q| (exact to
-    O(band^2)), with grad Q taken tangent to the sphere.  Q alone screens
-    the rows: grad Q = H x for the symmetric matrix H of the quadratic, so
-    on the sphere |grad Q| <= G, the Frobenius norm of H, and a row with
-    |Q| > band G cannot be near the curve.  The gradient is formed only on
-    the rows the screen keeps.
+    `band` of one of them), and the supporting quadrics of the three curves
+    gamma_A, gamma_B and gamma_C, each one world-frame form Q = p.Sp
+    (gamma_C_A and gamma_C_B are one quadric, taken once).  Curve distance
+    is the first-order estimate |Q| / |grad_t Q| (exact to O(band^2)), with
+    grad_t Q = 2 (Sp - Q p) the gradient tangent to the sphere.  Q alone
+    screens the rows: on the sphere |grad_t Q| <= |2 Sp| <= G, twice the
+    Frobenius norm of S, so a row with |Q| > band G cannot be near the
+    curve.  The gradient is formed only on the rows the screen keeps.
     """
     return map_rows(partial(_band_mask, n, band=band), pts)
 
@@ -624,6 +643,7 @@ def _band_mask(n: int, pts: np.ndarray, band: float) -> np.ndarray:
     if band <= 0.0:
         return np.zeros(pts.shape[0], dtype=bool)
     k = len(pts)
+    t = _tables(n)
     with scratch(k) as s:
         # no angle to a circle exceeds pi/2, so a wider band covers
         # everything; a float product counts each row's hits (1.0 each)
@@ -631,37 +651,24 @@ def _band_mask(n: int, pts: np.ndarray, band: float) -> np.ndarray:
         sb = s.out((k, n + 2))
         hits = np.less_equal(np.abs(_circle_sines(n, pts, sb), out=sb),
                              math.sin(min(band, 0.5 * math.pi)), out=sb)
-        near = np.matmul(hits, _tables(n).ones, out=s.out(k)) > 0.0
-        qb, ub, vb = s.out(k), s.out(k), s.out(k)
-        geo = geometry(n)
-        coords = {}
-        for chart, frame in (("A", geo.frame_a), ("B", geo.frame_b)):
-            xi = rows_matmul(pts, frame.T, s.out((k, 3)))
-            rb = s.out(k)
-            rr = np.add(np.multiply(xi[:, 0], xi[:, 0], out=rb),
-                        np.multiply(xi[:, 1], xi[:, 1], out=vb), out=rb)
-            coords[chart] = xi, rr
-        for which in CURVE_NAMES:
-            spec = curve_spec(which, n)
-            L, c1, c2 = _quadric_coeffs(spec)
-            xi, rr = coords[spec.chart]
-            x1, x2, x3 = xi[:, 0], xi[:, 1], xi[:, 2]
-            # q = |L rr + (c1 x1 + c2 x2) x3|, on the buffers qb, ub and vb
-            u = np.add(np.multiply(c1, x1, out=ub), np.multiply(c2, x2, out=vb), out=ub)
-            u = np.multiply(u, x3, out=ub)
-            q = np.abs(np.add(np.multiply(L, rr, out=qb), u, out=qb), out=qb)
+        near = np.matmul(hits, t.ones, out=s.out(k)) > 0.0
+        spb, qb, ub = s.out((k, 3)), s.out(k), s.out(k)
+        for which in ("gamma_A", "gamma_B", "gamma_C_A"):
+            S = t.quadric[which]
+            sp = rows_matmul(pts, S, spb)   # S is symmetric: row i is S p_i
+            q = _quadric_rows(pts, sp, qb, ub)
             # G >= 0.7 for every curve, above the rule's 1e-12 floor; the factor
-            # 1 + 1e-6 covers |x| <= 1 + 5e-10 (as_points) and the rounding of gn
-            G = math.sqrt(8.0 * L * L + 2.0 * c1 * c1 + 2.0 * c2 * c2) * (1.0 + 1e-6)
-            rows = np.flatnonzero(q <= band * G)
+            # 1 + 1e-6 covers |p| <= 1 + 5e-10 (as_points) and the rounding of gn
+            G = 2.0 * math.sqrt(float((S * S).sum())) * (1.0 + 1e-6)
+            rows = np.flatnonzero(np.abs(q, out=ub) <= band * G)
             if not rows.size:
                 continue
-            x = xi.take(rows, 0)
-            x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2]
-            g = np.column_stack((2.0 * L * x1 + c1 * x3, 2.0 * L * x2 + c2 * x3, c1 * x1 + c2 * x2))
-            g -= (np.einsum("ij,ij->i", g, x))[:, None] * x
-            gn = np.linalg.norm(g, axis=1)
-            near[rows] |= q.take(rows) <= band * np.maximum(gn, 1e-12)
+            q = q.take(rows)
+            g = sp.take(rows, 0)
+            g -= q[:, None] * pts.take(rows, 0)
+            gx, gy, gz = g.T
+            gn = 2.0 * np.sqrt(gx * gx + gy * gy + gz * gz)
+            near[rows] |= np.abs(q) <= band * np.maximum(gn, 1e-12)
     return near
 
 
@@ -683,13 +690,14 @@ def ab_plane(n: int) -> np.ndarray:
 
 
 def reduction_residual(kind: str, n: int, p: np.ndarray) -> float:
-    """Plane form (a=b) or parabolic-cylinder form (a=c, b=c) at p.
+    """Plane form (a=b) or parabolic-cylinder form (a=c, b=c) at the unit
+    vector p.
 
     Coordinates are the M-chart frame (= world coordinates).  Zero exactly on
     the reduction locus.
     """
     solid_constants(n)
-    xi = np.asarray(p, dtype=float)
+    xi = as_point(p)
     x1, x2, x3 = xi.tolist()
     if kind == "a=b":
         return float(ab_plane(n) @ xi)

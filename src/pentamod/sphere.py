@@ -1,4 +1,4 @@
-"""Floating-point spherical primitives: unit vectors, rotations, minor arcs,
+"""Floating-point spherical primitives: unit vectors, minor arcs,
 input validation (as_point/as_points), rows_matmul, whose rows never depend
 on their batch, the uniform sampler sample_sphere and map_sample, which
 streams that sample through a function in bounded pieces, map_rows, which
@@ -350,27 +350,6 @@ def map_sample(samples: int, seed: int, fn) -> list:
 def angular_distance(u: np.ndarray, v: np.ndarray) -> float:
     """Spherical distance between two unit vectors, in [0, pi]."""
     return math.atan2(norm3(cross3(u, v)), float(u @ v))
-
-
-@dataclass(frozen=True)
-class Rotation:
-    """Rotation about a unit axis by an angle, right-hand rule."""
-
-    axis: np.ndarray
-    angle: float
-
-    def matrix(self) -> np.ndarray:
-        """Rodrigues rotation matrix."""
-        k = unit(self.axis)
-        kx = np.array([[0.0, -k[2], k[1]],
-                       [k[2], 0.0, -k[0]],
-                       [-k[1], k[0], 0.0]])
-        return np.eye(3) + math.sin(self.angle) * kx + (1.0 - math.cos(self.angle)) * (kx @ kx)
-
-
-def rotate(p: np.ndarray, r: Rotation) -> np.ndarray:
-    """Apply a rotation to a unit vector; the result is renormalized."""
-    return unit(r.matrix() @ np.asarray(p, dtype=float))
 
 
 @dataclass(frozen=True)

@@ -157,6 +157,9 @@ def test_elliptic_input_validation():
         areas.elliptic_F_imag(2.0, 1.0)
     with pytest.raises(ValueError):
         areas.elliptic_F_imag(0.3, 0.0)
+    for t, lam in ((math.nan, 1.0), (0.5, math.nan)):
+        with pytest.raises(ValueError):
+            areas.elliptic_F_imag(t, lam)
 
 
 @pytest.mark.parametrize("chunk, cores", [(997, 1), (997, 2), (4096, 2), (7001, 1),

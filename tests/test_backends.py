@@ -359,24 +359,30 @@ def test_is_simple_filter_keeps_every_report(n):
 
 def _band_mask_full_gradient(n, pts, band):
     """boundary_band_mask's rule with the tangential gradient of every curve
-    quadric formed on every row."""
+    quadric formed on every row.  Each curve is the world form Q = p.Sp,
+    S = F^T H F for its chart frame F and its chart-frame quadric
+    L (x1^2 + x2^2) + (c1 x1 + c2 x2) x3 = x.Hx; gamma_C_B is gamma_C_A's
+    quadric.  The sums run in the mask's order, so that a row decides alike
+    at the band's edge."""
     near = (np.abs(pts @ moduli.division(n).normals.T)
             <= math.sin(min(band, 0.5 * math.pi))).any(axis=1)
     geo = charts.geometry(n)
-    for which in moduli.CURVE_NAMES:
+    for which in ("gamma_A", "gamma_B", "gamma_C_A"):
         spec = moduli.curve_spec(which, n)
         if which == "gamma_A":
             L, c1, c2 = 2.0 * spec.lam, 1.0, SQ3
         elif which == "gamma_B":
             L, c1, c2 = spec.lam, -math.cos(math.pi / n), math.sin(math.pi / n)
         else:
-            L, c1, c2 = spec.lam, (1.0 if which == "gamma_C_A" else -1.0), 0.0
-        xi = pts @ (geo.frame_a if spec.chart == "A" else geo.frame_b).T
-        x1, x2, x3 = xi[:, 0], xi[:, 1], xi[:, 2]
-        q = L * (x1 * x1 + x2 * x2) + (c1 * x1 + c2 * x2) * x3
-        g = np.column_stack((2.0 * L * x1 + c1 * x3, 2.0 * L * x2 + c2 * x3, c1 * x1 + c2 * x2))
-        g -= (np.einsum("ij,ij->i", g, xi))[:, None] * xi
-        near |= np.abs(q) <= band * np.maximum(np.linalg.norm(g, axis=1), 1e-12)
+            L, c1, c2 = spec.lam, 1.0, 0.0
+        F = geo.frame_a if spec.chart == "A" else geo.frame_b
+        S = F.T @ np.array([[L, 0.0, 0.5 * c1], [0.0, L, 0.5 * c2], [0.5 * c1, 0.5 * c2, 0.0]]) @ F
+        S = 0.5 * (S + S.T)
+        sp = pts @ S
+        q = pts[:, 0] * sp[:, 0] + pts[:, 1] * sp[:, 1] + pts[:, 2] * sp[:, 2]
+        g = sp - q[:, None] * pts
+        gn = 2.0 * np.sqrt(g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1] + g[:, 2] * g[:, 2])
+        near |= np.abs(q) <= band * np.maximum(gn, 1e-12)
     return near
 
 
@@ -398,7 +404,10 @@ def _band_mask(n, pts):
 _BATCH = {"membership_batch": analytic_in_moduli_batch, "oracle_batch": oracle_in_moduli_batch,
           "band_mask": _band_mask}
 _SCALAR = {"membership": analytic_in_moduli, "oracle": oracle_in_moduli,
-           "region_of": region_of, "anchor_pentagon": anchor_pentagon}
+           "region_of": region_of, "anchor_pentagon": anchor_pentagon,
+           "gamma_residual": lambda n, p: moduli.gamma_residual(moduli.curve_spec("gamma_A", n), p),
+           "reduction_residual": lambda n, p: moduli.reduction_residual("a=c", n, p),
+           "to_chart": lambda n, p: charts.to_chart(p, "A", n)}
 # rows that are not finite unit vectors; a batch carries one beside a good row
 _GOOD = np.array([0.6, 0.0, 0.8])
 _NOT_UNIT = {"nan": np.array([np.nan, 0.0, 1.0]), "inf": np.array([np.inf, 0.0, 0.0]),

@@ -180,11 +180,13 @@ def test_chart_rotation_vs_world_rotation():
     # multiplying by e^(i*beta) in a chart is the world rotation about the
     # chart origin's axis by -beta (the origin sits at frame coordinates
     # (0,0,-1), flipping the handedness seen from outside)
-    from pentamod.sphere import Rotation, rotate
     for n in SOLIDS:
         geo = charts.geometry(n)
         via_chart = geo.chart_rotation("A", 2 * math.pi / 3) @ geo.B
-        via_world = rotate(geo.B, Rotation(axis=geo.A, angle=-2 * math.pi / 3))
+        # Rodrigues' matrix of the rotation by a about the unit axis k
+        k, a = geo.A, -2 * math.pi / 3
+        kx = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+        via_world = (np.eye(3) + math.sin(a) * kx + (1.0 - math.cos(a)) * (kx @ kx)) @ geo.B
         assert np.allclose(via_chart, via_world, atol=1e-12)
         assert np.allclose(via_chart, geo.B_prime, atol=1e-12)
 

@@ -1,9 +1,9 @@
 """Layering rules: no module of the package reaches into another's privates,
 the scalar geometry stays off numpy's 3-vector cross and norm, the circle
-tests of moduli stay off arcsin, the batch oracle stays off einsum, only
-sphere builds a thread pool or keeps a per-thread cache, importing the
-package loads neither scipy nor what only some calls need and starts no
-thread, and every command runs with scipy blocked."""
+tests of moduli stay off arcsin, the batch oracle and the band mask stay
+off einsum, only sphere builds a thread pool or keeps a per-thread cache,
+importing the package loads neither scipy nor what only some calls need
+and starts no thread, and every command runs with scipy blocked."""
 
 import ast
 import os
@@ -146,9 +146,10 @@ def test_arcsin_check_catches_each_kind(tmp_path):
                              "line 6: uses np.arcsin"]
 
 
-# the batch oracle writes out the order of every sum (pentagon._dot, _length):
-# einsum picks its own, and rounds a row-dot apart by the layout of its operands
-ORDERED_SUM_MODULES = ("pentagon.py",)
+# the batch oracle and the band mask write out the order of every sum
+# (pentagon._dot, _length, moduli._quadric_rows): einsum picks its own, and
+# rounds a row-dot apart by the layout of its operands
+ORDERED_SUM_MODULES = ("pentagon.py", "moduli.py")
 _NUMPY_SUM_OPS = ("numpy.einsum",)
 
 

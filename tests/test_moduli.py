@@ -258,6 +258,12 @@ def test_gamma_point_out_of_range():
         moduli.gamma_point(spec, 0.5)
     with pytest.raises(OutOfRange):
         moduli.gamma_m_chart("gamma_B", 4, 0.2)
+    with pytest.raises(OutOfRange):
+        moduli.gamma_point(spec, math.nan)
+    with pytest.raises(OutOfRange):
+        moduli.curve_radius(spec, math.nan)
+    with pytest.raises(OutOfRange):
+        moduli.gamma_m_chart("gamma_B", 4, math.nan)
 
 
 def test_gamma_b_n4_dual_route():
@@ -293,6 +299,27 @@ def test_gamma_residual_special_points():
         assert abs(moduli.gamma_residual(moduli.curve_spec("gamma_C_A", n), geo.A)) < 1e-15
         # B' is the regular endpoint of gamma_A
         assert abs(moduli.gamma_residual(moduli.curve_spec("gamma_A", n), geo.B_prime)) < 1e-12
+
+
+@pytest.mark.parametrize("n", SOLIDS)
+def test_curve_quadrics_are_the_oracle_triple_products(n):
+    # each curve's world form S is a positive multiple of the symmetric part
+    # of the oracle's triple product that vanishes on it, and gamma_C_A and
+    # gamma_C_B are one quadric, which lets boundary_band_mask take it once
+    geo = charts.geometry(n)
+    to_w, to_e = pentagon._rotations(n)
+    quadric = moduli._tables(n).quadric
+    assert np.abs(quadric["gamma_C_A"] - quadric["gamma_C_B"]).max() <= 1e-15
+    triple = {"gamma_A": lambda u, v: np.cross(geo.B, u) @ (to_w @ v),
+              "gamma_B": lambda u, v: np.cross(u, geo.A) @ (to_e @ v),
+              "gamma_C_A": lambda u, v: np.cross(to_w @ u, geo.C) @ v}
+    for which, form in triple.items():
+        T = np.array([[form(u, v) for v in np.eye(3)] for u in np.eye(3)])
+        T = 0.5 * (T + T.T)
+        S = quadric[which]
+        k = (S * T).sum() / (T * T).sum()
+        assert k > 0.0, which
+        assert np.abs(S - k * T).max() <= 1e-15, which
 
 
 def test_curve_endpoint_incidence():

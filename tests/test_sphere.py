@@ -31,26 +31,6 @@ def test_angular_distance_near_poles_stable():
     assert sphere.angular_distance(-EX, u) == pytest.approx(math.pi - 1e-9, abs=1e-14)
 
 
-def test_rotate_fixes_axis_and_rotates_coordinates():
-    r = sphere.Rotation(axis=EZ, angle=0.7)
-    assert np.allclose(sphere.rotate(EZ, r), EZ, atol=1e-15)
-    r90 = sphere.Rotation(axis=EZ, angle=math.pi / 2)
-    assert np.allclose(sphere.rotate(EX, r90), EY, atol=1e-15)
-
-
-def test_rotate_is_isometry():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        axis = random_units(rng, 1)[0]
-        rot = sphere.Rotation(axis=axis, angle=rng.uniform(-math.pi, math.pi))
-        p, q = random_units(rng, 2)
-        d0 = sphere.angular_distance(p, q)
-        d1 = sphere.angular_distance(sphere.rotate(p, rot), sphere.rotate(q, rot))
-        assert abs(d0 - d1) < 1e-11
-        assert abs(sphere.angular_distance(axis, p)
-                   - sphere.angular_distance(axis, sphere.rotate(p, rot))) < 1e-12
-
-
 def test_minor_arc_basic():
     a = sphere.minor_arc(EX, EY)
     assert np.allclose(a.normal, EZ, atol=1e-15)
