@@ -181,9 +181,14 @@ class ChartPoint:
 
 
 def to_sphere(p: ChartPoint) -> np.ndarray:
-    """World unit vector of a chart point."""
-    geo = geometry(p.solid)
-    return geo.frame(p.chart).T @ _sphere_from_z(p.z)
+    """World unit vector of a chart point; an infinite z (INFINITY) is the
+    chart origin's antipode, the frame's e3.  Raises ValueError for a NaN z."""
+    frame = geometry(p.solid).frame(p.chart)
+    if cmath.isfinite(p.z):
+        return frame.T @ _sphere_from_z(p.z)
+    if cmath.isnan(p.z):
+        raise ValueError(f"chart point {p.z} is NaN")
+    return frame[2].copy()
 
 
 def to_chart(xi: np.ndarray, chart: str, solid: int) -> ChartPoint:

@@ -334,8 +334,17 @@ def _quadric_rows(pts: np.ndarray, sp: np.ndarray, out=None, tmp=None) -> np.nda
     return q
 
 
+def _finite(z: complex) -> complex:
+    """The chart coordinate z of a residual, which must be finite: ValueError
+    for a NaN or infinite z, whose residual would be NaN or infinite."""
+    if not cmath.isfinite(z):
+        raise ValueError(f"chart point {z} is not finite")
+    return z
+
+
 def gamma_cartesian_residual(spec: CurveSpec, z: complex) -> float:
     """Cartesian (cubic) form of the curve at chart coordinate z."""
+    z = _finite(z)
     x, y = z.real, z.imag
     rr = x * x + y * y
     if spec.which == "gamma_A":
@@ -351,6 +360,7 @@ def gamma_cartesian_residual(spec: CurveSpec, z: complex) -> float:
 def gamma_complex_residual(spec: CurveSpec, z: complex) -> float:
     """Complex form of the curve at chart coordinate z; z e^(-ia) + conj both
     ways collapses to twice a real part, so the value is real."""
+    z = _finite(z)
     rr = abs(z) ** 2
     if spec.which == "gamma_A":
         w = z * cmath.exp(-1j * math.pi / 3.0)
@@ -416,6 +426,7 @@ def m_chart_cartesian_residual(which: str, n: int, z: complex) -> float:
     """M-chart cartesian equation of the curve (quartic for gamma_A/B, cubic
     for gamma_C).  The n=3 linear terms are -2*sqrt2*x and -2*sqrt2*y; the
     source prints -x and -y, inconsistent with its own polar forms."""
+    z = _finite(z)
     x, y = z.real, z.imag
     rr = x * x + y * y
     if which == "gamma_A":
@@ -751,11 +762,15 @@ def reduction_radii(kind: str, n: int, thetas) -> np.ndarray:
     """M-chart radius of the a=c or b=c locus on the ray at each angle of a
     1-D array: the smallest root in (0, 1) of the radial quartic, from the
     first exact zero or sign change on _ROOT_GRID, bisected for all rows at
-    once; NaN where the ray misses the locus."""
+    once; NaN where the ray misses the locus.  Raises OutOfRange unless the
+    angles are finite and 1-D, so that NaN means a miss only."""
     solid_constants(n)
     c1, c2, c0 = _reduction_quartic(kind, n)
     trig = math.cos if kind == "a=c" else math.sin
-    t = np.array([trig(x) for x in np.asarray(thetas, dtype=float).tolist()])
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 1 or not np.isfinite(thetas).all():
+        raise OutOfRange(f"angles must be finite and 1-D, got {thetas!r}")
+    t = np.array([trig(x) for x in thetas.tolist()])
 
     def quartic(x, t):
         # float_power is libm's pow, as on floats; ** on arrays rounds apart
@@ -784,9 +799,11 @@ def reduction_radii(kind: str, n: int, thetas) -> np.ndarray:
 def reduction_point(kind: str, n: int, theta: float) -> CurveSample:
     """Radial sample of a reduction locus at M-chart angle theta: the a=c or
     b=c radius of reduction_radii, or where the ray meets the a=b circle.
-    Raises NoRootInDisk when the ray misses the locus.  The degenerate n=3
-    diagonal (a=b) returns the midpoint of the in-moduli segment, flagged
-    line_locus."""
+    Raises NoRootInDisk when the ray misses the locus, and OutOfRange for a
+    theta that is not finite.  The degenerate n=3 diagonal (a=b) returns the
+    midpoint of the in-moduli segment, flagged line_locus."""
+    if not math.isfinite(theta):
+        raise OutOfRange(f"theta {theta} is not finite")
     if kind == "a=b":
         return _ab_point(n, theta)
     r = float(reduction_radii(kind, n, [theta])[0])

@@ -9,32 +9,21 @@ iff the six-arc boundary V-A-W-C-E-B-V is a simple closed curve.
 The oracle has two forms: is_simple (behind oracle_in_moduli), the reference
 that reports every violation, and its vectorized form oracle_in_moduli_batch.
 Both test the 12 arc pairs of _PAIRS, leaving out the three adjacent pairs
-that cannot fail, and filter each pair by the same sign rules (_pair_rule,
-_adjacent_rule): is_simple runs sphere.arc_intersect only on the pairs the
-signs cannot clear of a violation, so its report is the one the exhaustive
-15-pair loop gives.  The batch form keeps every anchor's arcs
+that cannot fail, through one sign filter, set out above _ROUND: the products
+each pair reads (_SLOTS), one margin rule (_margins) and each pair's rule.
+A pair the filter cannot clear goes through the exact path, arc_intersect in
+is_simple, so that its report is the one the exhaustive 15-pair loop gives,
+and _pair_hits in the batch.  The batch form keeps every anchor's arcs
 component-major: _arcs holds V, W, E and each arc's unit normal as (3, k)
 rows of x, y and z on the thread's sphere.scratch, and every cross product,
 length and dot product, in the arcs, the filter and the exact path alike,
 is a ufunc over whole contiguous rows (_cross, _length, _dot) summed in an
-order written out in code.  It takes every pair's signs on every row: a
-crossing they decide rules its row out, and only the rows that no pair
-decided and no decided crossing ruled out go through the exact path, pair
-by pair.  An anchor's answer is the AND over the pairs and each row is
-computed on its own, so neither the order of the pairs nor which rows reach
-the exact path changes an answer.  W and E come from sphere.rows_matmul and
-every other product is elementwise, so one anchor gets the answer of its
-row in any batch, and sphere.map_rows takes a long input in pieces.
-
-Each pair is a filtered predicate: the signs of the four products of one
-arc's normal with the other arc's endpoints decide it on every row where
-each product clears a margin (see _CLEAR): one that covers the DEFAULT_TOL
-windows of the exact path and the rounding of both.  On such a row the
-exact path, _pair_hits in the batch and arc_intersect in is_simple, would
-give the same answer.  The rows inside a margin (near-touches, coplanar
-arcs, short arcs, the shared vertex of adjacent arcs) go through the exact
-path; _pair_hits gathers their columns and forms the arc tangents and
-lengths on those rows only.
+order written out in code.  An anchor's answer is the AND over the pairs
+and each row is computed on its own, so neither the order of the pairs nor
+which rows reach the exact path changes an answer.  W and E come from
+sphere.rows_matmul and every other product is elementwise, so one anchor
+gets the answer of its row in any batch, and sphere.map_rows takes a long
+input in pieces.
 """
 
 from __future__ import annotations
@@ -42,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from operator import itemgetter
 
 import numpy as np
 
@@ -140,37 +130,29 @@ def _near(p: np.ndarray, q: np.ndarray) -> bool:
 
 
 def is_simple(p: Pentagon) -> SimplicityReport:
-    """Test the 12 arc pairs of _PAIRS, in (i, j) order; those the signs
-    clear skip arc_intersect.
+    """Test the 12 arc pairs of _PAIRS, in (i, j) order; those the sign
+    filter clears skip arc_intersect.
 
     Adjacent arcs may meet only at their shared vertex; non-adjacent arcs may
     not meet at all; coplanar overlaps of positive length are violations.  No
-    early exit, so the violation list is complete.  A pair whose products
-    clear the margins of the sign filter (see _CLEAR) meets nowhere it would
-    be reported, and is skipped; every other pair, the ones the signs decide
-    as crossing included, goes through arc_intersect for its kind and
-    witness.  The three adjacent pairs _PAIRS leaves out never report one.
+    early exit, so the violation list is complete.  A pair the sign filter
+    (see _ROUND) decides as not crossing meets nowhere it would be reported,
+    and is skipped; every other pair goes through arc_intersect for its kind
+    and witness.  The three adjacent pairs _PAIRS leaves out never report one.
     """
     arcs = p.arcs
     P = (p.V, p.A, p.W, p.C, p.E, p.B)
-    # dots[a][k] = n_a.P_k for the arc normals and the vertices
-    dots = (np.array([a.normal for a in arcs]) @ np.array(P).T).tolist()
+    # dots[6 a + k] = n_a.P_k for the arc normals and the vertices
+    dots = (np.array([a.normal for a in arcs]) @ np.array(P).T).ravel().tolist()
     # sin(length) is the chord |u x v| of _arcs
-    slop = _ROUND / max(min(math.sin(a.length) for a in arcs), DEGENERATE_EPS)
-    clear, clear_adj = _CLEAR + slop, _CLEAR_ADJ + (4.0 / VERTEX_CHORD) * slop
+    margins = _margins(max(min(math.sin(a.length) for a in arcs), DEGENERATE_EPS))
     violations: list[Violation] = []
     # _near's VERTEX_SLACK is wider than DEFAULT_TOL, so a transversal
     # crossing within DEFAULT_TOL of the shared vertex is not re-reported
-    for i, j, adj in _REPORT_PAIRS:
-        di, dj = dots[i], dots[j]
-        if adj < 0:
-            decided, crosses = _pair_rule(di[j], di[(j + 1) % 6], dj[i], dj[i + 1], clear)
-            if decided and not crosses:
-                continue
-        else:
-            fi, fj = _far_ends(i, j, adj)
-            if _adjacent_rule(di[fj], dj[fi], clear_adj):
-                continue
+    for (i, j, adj), rule, products in _REPORT_PAIRS:
+        decided, crosses = rule(products(dots), margins)
+        if decided and not crosses:
+            continue
         pair = (EDGE_NAMES[i], EDGE_NAMES[j])
         res = arc_intersect(arcs[i], arcs[j])
         if res.overlap:
@@ -216,20 +198,17 @@ def oracle_in_moduli(n: int, V: np.ndarray) -> bool:
 _PAIRS = tuple((i, j, j if j == i + 1 else (0 if (i, j) == (0, 5) else -1))
                for i, j in ((0, 3), (2, 5), (3, 5), (0, 4), (1, 4), (1, 5), (0, 2),
                             (1, 3), (2, 4), (0, 5), (1, 2), (3, 4)))
-_REPORT_PAIRS = tuple(sorted(_PAIRS))
 
 
-def _far_ends(i, j, adj):
-    """The indices in V, A, W, C, E, B of the ends of adjacent arcs i and j
-    away from their shared vertex adj (arc a runs from vertex a to a + 1)."""
-    return (i + 1 if adj == i else i), ((j + 1) % 6 if adj == j else j)
-
-
-# Margins of the sign filter of both oracles.  Take arcs i and j with unit
-# normals n_i, n_j (NH), m = n_i x n_j, s = n_i.P for an endpoint P of arc j
-# and t = n_j.P for one of arc i.  P lies on circle j, so |s| <= |m|; the
-# circles meet at +-m/|m| at angle arcsin|m|, and the distance d along
-# circle j from P to the nearer of them has sin d = |s| / |m| >= |s|.
+# The sign filter of both oracles: each pair's rule in _SLOTS reads the
+# products n_a.P_k that its slots name and compares them with the margins
+# that _margins takes from the row's shortest chord.  The margins' proof:
+#
+# Take arcs i and j with unit normals n_i, n_j (NH), m = n_i x n_j, s = n_i.P
+# for an endpoint P of arc j and t = n_j.P for one of arc i.  P lies on
+# circle j, so |s| <= |m|; the circles meet at +-m/|m| at angle arcsin|m|,
+# and the distance d along circle j from P to the nearer of them has
+# sin d = |s| / |m| >= |s|.
 #
 # Rounding.  The products are exact to a few ulps, except through the normal
 # of an arc of chord cn (CN): its cross product is exact to a few ulps, so
@@ -252,7 +231,7 @@ def _far_ends(i, j, adj):
 # anchor may be off the sphere.
 #
 # A non-adjacent pair is decided where the values clear
-# _CLEAR + slop = tan(DEFAULT_TOL) + slop:
+# clear = _CLEAR + slop = tan(DEFAULT_TOL) + slop:
 # - both ends of arc j on one side of circle i: s along arc j is a sinusoid,
 #   of period 2 pi, over an arc shorter than pi - 2 DEFAULT_TOL (|s1 + s2| <=
 #   |P_j + P_j+1| = 2 cos(L_j / 2)), so the arc and its DEFAULT_TOL windows
@@ -267,8 +246,9 @@ def _far_ends(i, j, adj):
 # row of _pair_hits either.
 #
 # Adjacent arcs share a vertex S and their circles meet only at +-S (to
-# rounding).  Where the far end of each arc clears _CLEAR_ADJ + 4 slop /
-# VERTEX_CHORD off the other arc's circle, neither candidate counts:
+# rounding).  Where the far end of each arc clears
+# clear_adj = _CLEAR_ADJ + 4 slop / VERTEX_CHORD off the other arc's circle,
+# neither candidate counts:
 # - |m| >= |s| > 4 slop / VERTEX_CHORD, so the candidate near S lies within
 #   2 slop / |m| < VERTEX_CHORD / 2 of S, plus the 5e-10 by which an anchor
 #   may be off the unit sphere (as_points): inside VERTEX_CHORD;
@@ -282,13 +262,22 @@ _CLEAR = math.tan(DEFAULT_TOL)
 _CLEAR_ADJ = DEFAULT_TOL + 2.0 * VERTEX_CHORD
 
 
-def _pair_rule(s1, s2, t1, t2, clear):
+def _margins(chord):
+    """(clear, clear_adj) of a row whose shortest arc chord, floored at
+    DEGENERATE_EPS, is chord (see above).  Floats or arrays."""
+    slop = _ROUND / chord
+    return _CLEAR + slop, _CLEAR_ADJ + (4.0 / VERTEX_CHORD) * slop
+
+
+def _pair_rule(products, margins):
     """(decided, crosses) of a non-adjacent pair from its products s = n_i.P
-    at the ends of arc j and t = n_j.P at the ends of arc i (see the margins
-    above).  Decided where both ends of one arc clear the other's circle on
-    one side, or where each arc straddles the other's circle with all four
-    ends clear; crosses where such straddling arcs meet.  Only comparisons,
-    abs, & and |, so it runs on floats and arrays alike."""
+    at the ends of arc j and t = n_j.P at the ends of arc i.  Decided where
+    both ends of one arc clear the other's circle on one side, or where each
+    arc straddles the other's circle with all four ends clear; crosses where
+    such straddling arcs meet.  Only comparisons, abs, & and |, so it runs on
+    floats and arrays alike."""
+    s1, s2, t1, t2 = products
+    clear = margins[0]
     cs = (abs(s1) > clear) & (abs(s2) > clear)
     ct = (abs(t1) > clear) & (abs(t2) > clear)
     ps1, ps2, pt1, pt2 = s1 > 0.0, s2 > 0.0, t1 > 0.0, t2 > 0.0
@@ -297,11 +286,29 @@ def _pair_rule(s1, s2, t1, t2, clear):
     return decided, straddle & (ps1 != pt1)
 
 
-def _adjacent_rule(s, t, clear):
-    """Whether an adjacent pair is decided from its products s = n_i.Q_j and
-    t = n_j.Q_i with the ends Q away from the shared vertex: where both clear,
-    the arcs meet only there (see the margins above).  Floats or arrays."""
-    return (abs(s) > clear) & (abs(t) > clear)
+def _adjacent_rule(products, margins):
+    """(decided, crosses) of an adjacent pair from its products s = n_i.Q_j
+    and t = n_j.Q_i with the ends Q away from the shared vertex: decided
+    where both clear, and the arcs then meet only there, so crosses is all
+    False (decided ^ decided: numpy's bool ops with a scalar operand take a
+    slow loop).  Floats or arrays."""
+    s, t = products
+    clear = margins[1]
+    decided = (abs(s) > clear) & (abs(t) > clear)
+    return decided, decided ^ decided
+
+
+# per pair of _PAIRS, its rule and its slots (a, k), the products n_a.P_k
+# that the rule reads: n_i at both ends of arc j and n_j at both ends of arc
+# i, or for adjacent arcs each normal at the end of the other arc that is
+# not the shared vertex (arc a ends at a and a + 1, mod 6)
+_SLOTS = tuple((_pair_rule, ((i, j), (i, (j + 1) % 6), (j, i), (j, i + 1))) if adj < 0 else
+               (_adjacent_rule, ((i, j + (j + 1) % 6 - adj), (j, i + (i + 1) % 6 - adj)))
+               for i, j, adj in _PAIRS)
+# is_simple's walk over the table, in (i, j) order, each pair's slots as
+# the getter of its products from the flat n_a.P_k at 6 a + k
+_REPORT_PAIRS = tuple(sorted((pair, rule, itemgetter(*(6 * a + k for a, k in slots)))
+                             for pair, (rule, slots) in zip(_PAIRS, _SLOTS)))
 
 
 # The batch oracle's arithmetic, on (3, k) component rows: each row of
@@ -450,50 +457,39 @@ def _pair_hits(i, j, adj, P, NH, CN, at, s):
 def oracle_in_moduli_batch(n: int, pts: np.ndarray) -> np.ndarray:
     """oracle_in_moduli over an (N, 3) array of unit vectors.
 
-    Builds every anchor's six arcs at once and tests every arc pair's signs
-    on every row.  Signs decide a pair on the rows clear of the margins
-    above; _pair_hits, with the tolerances of is_simple, decides the rest,
-    on the rows no decided crossing has ruled out.
+    Builds every anchor's six arcs at once and runs the sign filter (see
+    _ROUND) on every pair and row; _pair_hits, with the tolerances of
+    is_simple, decides the rows the filter leaves undecided.
     """
     return map_rows(partial(_oracle, n), pts)
 
 
 def _oracle(n: int, V: np.ndarray) -> np.ndarray:
-    """oracle_in_moduli_batch for points already validated by as_points."""
+    """oracle_in_moduli_batch for points already validated by as_points.
+
+    The filter's products (_SLOTS) go into four k-buffers, a pair at a time.
+    A crossing it decides rules its row out, and only the rows that no pair
+    decided and no decided crossing ruled out go through the exact path,
+    pair by pair.
+    """
     with scratch(len(V)) as s:
         rows, P, NH, CN, alive = _arcs(n, V, s)
         k = rows.size
-        # slop = _ROUND / max(the row's smallest chord, DEGENERATE_EPS)
-        slop = np.min(CN, axis=0, out=s.out(k))
-        slop = np.divide(_ROUND, np.maximum(slop, DEGENERATE_EPS, out=slop), out=slop)
-        clear = np.add(_CLEAR, slop, out=s.out(k))
-        clear_adj = np.add(_CLEAR_ADJ, np.multiply(4.0 / VERTEX_CHORD, slop, out=slop), out=slop)
-        # the signs of every pair on every row: a crossing they decide rules
-        # its row out, and a row they leave undecided waits for the exact path
+        chord = np.min(CN, axis=0, out=s.out(k))
+        margins = _margins(np.maximum(chord, DEGENERATE_EPS, out=chord))
         undecided = s.empty((len(_PAIRS), k), dtype=bool)
         done = 0
         with scratch(k) as t:
-            prod, s1, s2, t1, t2 = t.out((3, k)), t.out(k), t.out(k), t.out(k), t.out(k)
-            for i, j, adj in _PAIRS:
+            prod, bufs = t.out((3, k)), [t.out(k) for _ in range(4)]
+            for rule, slots in _SLOTS:
                 if not np.count_nonzero(alive):
                     break
-                ni, nj = NH[i], NH[j]
-                if adj < 0:
-                    decided, crosses = _pair_rule(
-                        _dot(ni, P[j], prod, s1), _dot(ni, P[(j + 1) % 6], prod, s2),
-                        _dot(nj, P[i], prod, t1), _dot(nj, P[i + 1], prod, t2), clear)
-                    alive &= ~crosses
-                else:
-                    fi, fj = _far_ends(i, j, adj)
-                    decided = _adjacent_rule(_dot(ni, P[fj], prod, s1),
-                                             _dot(nj, P[fi], prod, s2), clear_adj)
+                decided, crosses = rule([_dot(NH[a], P[v], prod, out)
+                                         for (a, v), out in zip(slots, bufs)], margins)
+                alive &= ~crosses
                 np.logical_not(decided, out=undecided[done])
                 done += 1
-        # the exact path, pair by pair, on the undecided rows still alive
-        pending = np.logical_and(undecided[:done], alive, out=undecided[:done])
-        for (i, j, adj), slow, some in zip(_PAIRS, pending, pending.any(axis=1)):
-            if not some:
-                continue
+        for (i, j, adj), slow in zip(_PAIRS, undecided[:done]):
             slow = np.flatnonzero(np.logical_and(slow, alive, out=slow))
             if slow.size:
                 with scratch(slow.size) as h:

@@ -357,6 +357,30 @@ def test_is_simple_filter_keeps_every_report(n):
     assert built > len(pts) // 2
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_filter_tests_bite_without_the_margins(n, monkeypatch):
+    # the two filter tests above must catch a filter that decides rows only
+    # the exact path can: with _CLEAR and _CLEAR_ADJ zero (the slop kept),
+    # both oracles change answers on their anchors
+    monkeypatch.setattr(pentagon, "_CLEAR", 0.0)
+    monkeypatch.setattr(pentagon, "_CLEAR_ADJ", 0.0)
+    pts = np.vstack([_oracle_mix(n, 50 + n), _off_loci(n, _FILTER_OFFSETS),
+                     _short_c(n, _FILTER_OFFSETS)])
+    assert not np.array_equal(oracle_in_moduli_batch(n, pts), _exact_oracle(n, pts))
+    pts = np.vstack([pts, _off_division(n, _FILTER_OFFSETS), _antipodal_edge_anchors(n)])[::4]
+    for V in pts:
+        try:
+            pent = anchor_pentagon(n, V)
+        except (DegenerateAnchor, AntipodalConstruction):
+            continue
+        report = pentagon.is_simple(pent)
+        got = [(v.pair, v.kind, v.witness.tobytes()) for v in report.violations]
+        if (report.simple, got) != _exhaustive_report(pent):
+            break
+    else:
+        pytest.fail("is_simple kept every report with zero margins")
+
+
 def _band_mask_full_gradient(n, pts, band):
     """boundary_band_mask's rule with the tangential gradient of every curve
     quadric formed on every row.  Each curve is the world form Q = p.Sp,

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,25 @@ def test_to_chart_antipode_of_origin():
     geo = charts.geometry(3)
     with pytest.raises(AntipodeOfOrigin):
         charts.to_chart(-geo.A, "A", 3)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_to_sphere_point_at_infinity(n):
+    # INFINITY is the image of the chart origin's antipode, the frame's e3,
+    # and maps back to it without a warning; a NaN z has no point
+    geo = charts.geometry(n)
+    for chart in charts.CHARTS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xi = charts.to_sphere(ChartPoint(charts.INFINITY, chart, n))
+            assert np.array_equal(charts.to_sphere(ChartPoint(complex(-math.inf, 1.0), chart, n)),
+                                  xi)
+        assert np.array_equal(xi, geo.frame(chart)[2])
+        with pytest.raises(AntipodeOfOrigin):
+            charts.to_chart(xi, chart, n)
+        for z in (complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, math.nan)):
+            with pytest.raises(ValueError):
+                charts.to_sphere(ChartPoint(z, chart, n))
 
 
 def test_chord_distance_symmetry():

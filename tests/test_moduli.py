@@ -583,9 +583,10 @@ def test_reduction_radii_bits_are_pinned(n, kind):
 @pytest.mark.parametrize("kind", ("a=c", "b=c"))
 def test_reduction_radii_miss_exactly_where_reduction_point_raises(kind):
     # every real ray meets both loci (the quartic is positive at r = 0 and
-    # negative at r = 1), so the misses here are the NaN angles
+    # negative at r = 1), so there are no misses here; a NaN angle is no
+    # ray, and test_curve_api_rejects_non_finite_input rejects it
     assert moduli.reduction_radii(kind, 4, np.array([])).shape == (0,)
-    thetas = np.array([0.0, math.nan, 1.2 * math.pi, math.nan, 5.0, -7.5])
+    thetas = np.array([0.0, 1.2 * math.pi, 5.0, -7.5])
     for n in SOLIDS:
         radii = moduli.reduction_radii(kind, n, thetas)
         for t, r in zip(thetas, radii):
@@ -593,7 +594,41 @@ def test_reduction_radii_miss_exactly_where_reduction_point_raises(kind):
                 assert moduli.reduction_point(kind, n, t).r == r
             except NoRootInDisk:
                 assert math.isnan(r)
-        assert np.isnan(radii).tolist() == np.isnan(thetas).tolist()
+        assert not np.isnan(radii).any()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: moduli.reduction_radii("a=c", 3, [math.nan]),
+    lambda: moduli.reduction_radii("b=c", 4, np.array([0.5, math.inf])),
+    lambda: moduli.reduction_radii("a=c", 5, [-math.inf]),
+    lambda: moduli.reduction_radii("a=c", 3, [[0.5, 1.0]]),
+    lambda: moduli.reduction_radii("b=c", 3, 0.5),
+    lambda: moduli.reduction_point("a=b", 3, math.nan),
+    lambda: moduli.reduction_point("a=c", 3, math.nan),
+    lambda: moduli.reduction_point("a=b", 4, math.nan),
+    lambda: moduli.reduction_point("b=c", 5, math.inf),
+], ids=["radii-nan", "radii-inf", "radii-minus-inf", "radii-2d", "radii-scalar",
+        "point-ab-n3-nan", "point-ac-n3-nan", "point-ab-n4-nan", "point-bc-n5-inf"])
+def test_curve_api_rejects_non_finite_angles(call):
+    # a NaN radius means a ray that misses the locus; an angle that is no
+    # ray, or angles not in a 1-D array, are rejected
+    with pytest.raises(OutOfRange):
+        call()
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                               complex(math.inf, 0.0), complex(0.3, -math.inf)])
+def test_curve_residuals_reject_non_finite_chart_points(z):
+    for n in SOLIDS:
+        for which in CURVES:
+            spec = moduli.curve_spec(which, n)
+            with pytest.raises(ValueError):
+                moduli.gamma_cartesian_residual(spec, z)
+            with pytest.raises(ValueError):
+                moduli.gamma_complex_residual(spec, z)
+        for which in moduli.M_THETA_RANGE:
+            with pytest.raises(ValueError):
+                moduli.m_chart_cartesian_residual(which, n, z)
 
 
 def test_reduction_radii_reject_the_ab_circle():

@@ -1,5 +1,6 @@
 import cmath
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from pentamod import charts, moduli, pentagon, sphere
 from pentamod.charts import ChartPoint
 from pentamod.errors import AntipodalConstruction, DegenerateAnchor
+from pentamod.sphere import sample_sphere
 
 SOLIDS = (3, 4, 5)
 
@@ -349,3 +351,128 @@ def test_skipped_adjacent_pairs_never_fail_at_the_antipodal_edge(n):
     assert 0 < built < len(pts)
     want = [pentagon.oracle_in_moduli(n, V) for V in pts]
     assert pentagon.oracle_in_moduli_batch(n, pts).tolist() == want
+
+
+# The sign filter's table, slot by slot: per pair of pentagon._PAIRS, each
+# (arc, vertex) slot it reads and the triple product it is, up to the
+# normalisation of the arc's normal: with N_a = P_a x P_a+1 unnormalised,
+# N_a.P_k = sign det(triple), each triple naming its vertices in the order
+# V, A, W, C, E, B (every sign is +1).  The table is the same for n = 3, 4
+# and 5.  ACE also stands for AWC, WCB for
+# CEB and VCE for VWC: E is the half-turn of W about C, so det(C, E, X) =
+# det(X, W, C).
+_SLOT_TRIPLES = (
+    (("a1", "c2"), ((("a1", "C"), "VAC", 1), (("a1", "E"), "VAE", 1),
+                    (("c2", "V"), "VCE", 1), (("c2", "A"), "ACE", 1))),
+    (("c1", "b1"), ((("c1", "B"), "WCB", 1), (("c1", "V"), "VCE", 1),
+                    (("b1", "W"), "VWB", 1), (("b1", "C"), "VCB", 1))),
+    (("c2", "b1"), ((("c2", "B"), "WCB", 1), (("c2", "V"), "VCE", 1),
+                    (("b1", "C"), "VCB", 1), (("b1", "E"), "VEB", 1))),
+    (("a1", "b2"), ((("a1", "E"), "VAE", 1), (("a1", "B"), "VAB", 1),
+                    (("b2", "V"), "VEB", 1), (("b2", "A"), "AEB", 1))),
+    (("a2", "b2"), ((("a2", "E"), "AWE", 1), (("a2", "B"), "AWB", 1),
+                    (("b2", "A"), "AEB", 1), (("b2", "W"), "WEB", 1))),
+    (("a2", "b1"), ((("a2", "B"), "AWB", 1), (("a2", "V"), "VAW", 1),
+                    (("b1", "A"), "VAB", 1), (("b1", "W"), "VWB", 1))),
+    (("a1", "c1"), ((("a1", "W"), "VAW", 1), (("a1", "C"), "VAC", 1),
+                    (("c1", "V"), "VCE", 1), (("c1", "A"), "ACE", 1))),
+    (("a2", "c2"), ((("a2", "C"), "ACE", 1), (("a2", "E"), "AWE", 1),
+                    (("c2", "A"), "ACE", 1), (("c2", "W"), "WCE", 1))),
+    (("c1", "b2"), ((("c1", "E"), "WCE", 1), (("c1", "B"), "WCB", 1),
+                    (("b2", "W"), "WEB", 1), (("b2", "C"), "WCB", 1))),
+    (("a1", "b1"), ((("a1", "B"), "VAB", 1), (("b1", "A"), "VAB", 1))),
+    (("a2", "c1"), ((("a2", "C"), "ACE", 1), (("c1", "A"), "ACE", 1))),
+    (("c2", "b2"), ((("c2", "B"), "WCB", 1), (("b2", "C"), "WCB", 1))),
+)
+
+_VERTEX_NAMES = "VAWCEB"
+
+
+def _filter_slots():
+    """pentagon._SLOTS as ((arc, arc), ((arc, vertex), ...)) by name, in
+    _PAIRS order, once it is checked to be the table _SLOT_TRIPLES pins."""
+    edge, vert = pentagon.EDGE_NAMES, _VERTEX_NAMES
+    got = tuple(((edge[i], edge[j]), tuple((edge[a], vert[k]) for a, k in slots))
+                for (i, j, _), (_, slots) in zip(pentagon._PAIRS, pentagon._SLOTS))
+    assert got == tuple((pair, tuple(s for s, _, _ in row)) for pair, row in _SLOT_TRIPLES)
+    return got
+
+
+def _vertices(n, V):
+    """The vertices V, A, W, C, E, B of each anchor row of V, by name, as
+    (N, 3) arrays."""
+    geo = charts.geometry(n)
+    to_w, to_e = pentagon._rotations(n)
+    return dict(zip(_VERTEX_NAMES, (V, np.broadcast_to(geo.A, V.shape), V @ to_w.T,
+                                    np.broadcast_to(geo.C, V.shape), V @ to_e.T,
+                                    np.broadcast_to(geo.B, V.shape))))
+
+
+def _det(P, names):
+    return np.einsum("ij,ij->i", np.cross(P[names[0]], P[names[1]]), P[names[2]])
+
+
+@pytest.mark.parametrize("n", SOLIDS)
+def test_filter_slots_are_15_triple_products(n):
+    # the 42 slots of the sign filter read 24 distinct products n_a.P_k,
+    # none at an end of its own arc, and these are 15 distinct triple
+    # products up to sign, as _SLOT_TRIPLES pins them
+    _filter_slots()
+    for (i, j, adj), (rule, slots) in zip(pentagon._PAIRS, pentagon._SLOTS):
+        assert rule is (pentagon._pair_rule if adj < 0 else pentagon._adjacent_rule)
+        assert len(slots) == (4 if adj < 0 else 2)
+    slots = [s for _, row in _SLOT_TRIPLES for s in row]
+    assert len(slots) == 42
+    assert len({s for s, _, _ in slots}) == 24
+    assert len({t for _, t, _ in slots}) == 15
+    edge = pentagon.EDGE_NAMES
+    for (arc, v), _, _ in slots:
+        a = edge.index(arc)
+        assert _VERTEX_NAMES.index(v) not in (a, (a + 1) % 6), (arc, v)
+    P = _vertices(n, sample_sphere(64, 40 + n))
+    triples = {t: _det(P, t) for _, t, _ in slots}
+    for (arc, v), t, sign in slots:
+        a = edge.index(arc)
+        got = _det(P, (_VERTEX_NAMES[a], _VERTEX_NAMES[(a + 1) % 6], v))
+        assert np.abs(got - sign * triples[t]).max() <= 1e-15, (arc, v, t)
+    # no two of the 15 are one form up to sign
+    for t, u in itertools.combinations(sorted(triples), 2):
+        assert min(np.abs(triples[t] - triples[u]).max(),
+                   np.abs(triples[t] + triples[u]).max()) > 1e-3, (t, u)
+
+
+# per n, each dividing circle of moduli.division and the slots of the sign
+# filter whose product is linear in V (one of its three vertices is V, W or
+# E) and vanishes on that circle; n = 5's B2 has none
+_CIRCLE_SLOTS = {
+    3: {"AB": {("a1", "B"), ("b1", "A")}, "A60": {("a2", "C"), ("c1", "A"), ("c2", "A")},
+        "A120": {("a1", "C"), ("a2", "B")}, "B1": {("b2", "A"), ("b1", "C")},
+        "B2": {("c1", "B"), ("c2", "B"), ("b2", "C")}},
+    4: {"AB": {("a1", "B"), ("b1", "A")}, "A60": {("a2", "C"), ("c1", "A"), ("c2", "A")},
+        "A120": {("a1", "C"), ("a2", "B")}, "B1": {("b1", "C")}, "B2": {("b2", "A")},
+        "B3": {("c1", "B"), ("c2", "B"), ("b2", "C")}},
+    5: {"AB": {("a1", "B"), ("b1", "A")}, "A60": {("a2", "C"), ("c1", "A"), ("c2", "A")},
+        "A120": {("a1", "C"), ("a2", "B")}, "B1": {("b1", "C")}, "B2": set(),
+        "B3": {("b2", "A")}, "B4": {("c1", "B"), ("c2", "B"), ("b2", "C")}},
+}
+
+
+@pytest.mark.parametrize("n", SOLIDS)
+def test_dividing_circles_are_linear_slot_products(n):
+    # a linear product det(P_a, P_a+1, P_k) = g.V: its zero set is the great
+    # circle of normal g, which must be a dividing circle's
+    div = moduli.division(n)
+    edge = pentagon.EDGE_NAMES
+    got = {name: set() for name in div.circle_names}
+    V = sample_sphere(16, 50 + n)
+    for arc, v in {s for _, slots in _filter_slots() for s in slots}:
+        a = edge.index(arc)
+        names = (_VERTEX_NAMES[a], _VERTEX_NAMES[(a + 1) % 6], v)
+        if sum(x in "VWE" for x in names) != 1:
+            continue
+        g = _det(_vertices(n, np.eye(3)), names)
+        assert np.abs(_det(_vertices(n, V), names) - V @ g).max() <= 1e-15, (arc, v)
+        on = np.flatnonzero(np.abs(div.normals @ g) >= (1.0 - 1e-12) * np.linalg.norm(g))
+        assert len(on) == 1, (arc, v)
+        got[div.circle_names[on[0]]].add((arc, v))
+    assert got == _CIRCLE_SLOTS[n]
