@@ -221,7 +221,10 @@ class MobiusMap:
 
 
 def apply_mobius(m: MobiusMap, z: complex) -> complex:
-    """Evaluate the map; returns INFINITY when the denominator vanishes."""
+    """Evaluate the map; returns INFINITY when the denominator vanishes.
+    Raises ValueError for a NaN z, which is no point of the chart."""
+    if cmath.isnan(z):
+        raise ValueError(f"chart point {z} is NaN")
     if z == INFINITY or cmath.isinf(z):
         if abs(m.c) < 1e-300:
             return INFINITY

@@ -121,9 +121,7 @@ def _curve_rows(which: str, n: int, chart: str, samples: int):
         zs = [complex(q[0], q[1]) / (1.0 - q[2]) for q in pts if q[2] < 0.0][:samples]
         return [(math.atan2(z.imag, z.real), abs(z)) for z in zs]
     thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    radii = moduli.reduction_radii(which, n, thetas)
-    hit = ~np.isnan(radii)
-    return list(zip(thetas[hit], radii[hit]))
+    return list(zip(thetas, moduli.reduction_radii(which, n, thetas)))
 
 
 def cmd_curve(args) -> int:

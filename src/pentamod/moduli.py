@@ -16,6 +16,15 @@ equivalent representations (polar, cartesian, complex) in its home chart,
 as one spherical quadratic Q = p.Sp in world coordinates, and in closed
 polar forms in the M-chart.
 
+The moduli is a union of regions, four core triangles and four curve
+fans, and one inside rule decides membership (see _Tables): a point is in
+a core region, and in a fan region when it lies on the near side of the
+curve's singular end and inside the curve.  A point off the dividing
+circles takes the rule of its own region; a point on exactly one circle is
+in when the rule holds, at the point, for both regions across the circle,
+so the included internal arcs are those glued between two moduli regions;
+a point on two or more circles is out.
+
 Side of and nearness to the dividing circles, and with them nearness to
 the division vertices, come from the sines of _circle_sines (never turned
 into angles), the curve radius from _eqd_radius, the spherical quadratic
@@ -150,9 +159,9 @@ def _circle_sines(n: int, pts: np.ndarray, out: np.ndarray | None = None) -> np.
     return rows_matmul(pts, division(n).normals.T, out)
 
 
-def _classify(n: int, pts: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
+def _classify(n: int, pts: np.ndarray, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Place each point of an (N, 3) array of unit vectors in the division:
-    (circle, region), each (N,), from the scratch frame s.
+    (circle, region, negative), from the scratch frame s.
 
     A point within DEFAULT_TOL (radians) of two or more dividing circles
     gets neither a circle (-1) nor a region (0).  So does every point within
@@ -160,8 +169,9 @@ def _classify(n: int, pts: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
     circles, so the point's sines to both are within ON_CIRCLE.  A point
     within DEFAULT_TOL of exactly one circle gets that circle's index into
     Division.circle_names.  Every other point gets its region 1..6n, read
-    from the signs of its circle sines.  The points must already be
-    validated by as_points.
+    from the signs of its circle sines.  negative holds the (N, n+2) flags
+    (True or 1.0) of the negative sines, as _sign_region reads them.  The
+    points must already be validated by as_points.
     """
     k = len(pts)
     sines = _circle_sines(n, pts, s.out((k, n + 2)))
@@ -176,9 +186,10 @@ def _classify(n: int, pts: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
     single = np.flatnonzero(count == 1.0)
     circle[single] = on[single].argmax(axis=1)
     # then where the sines are negative, in the same buffer
-    region = _sign_region(n, np.less(sines, 0.0, out=flags), s.out(k, np.intp))
+    negative = np.less(sines, 0.0, out=flags)
+    region = _sign_region(n, negative, s.out(k, np.intp))
     region[count != 0.0] = 0
-    return circle, region
+    return circle, region, negative
 
 
 def _sign_region(n: int, negative: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -284,12 +295,13 @@ def curve_spec(which: str, n: int) -> CurveSpec:
     raise ValueError(f"unknown curve {which!r}")
 
 
-def _eqd_radius(lam, alpha, phi):
-    # rationalized form of sqrt(1 + (lam*sec)^2) - lam*sec: no cancellation
-    # as sec grows toward the r -> 0 endpoint (sec > 0 over every admissible
-    # range, but cos may round to a tiny negative at that end, where |sec|
-    # gives the limit 0); floats or arrays alike
-    s = 1.0 / np.abs(np.cos(phi - alpha))
+def _eqd_radius(lam, cos):
+    # the curve radius where cos(phi - alpha) = cos, in the rationalized
+    # form of sqrt(1 + (lam*sec)^2) - lam*sec: no cancellation as sec grows
+    # toward the r -> 0 endpoint (sec > 0 over every admissible range, but
+    # cos may round to a tiny negative at that end, where |sec| gives the
+    # limit 0); floats or arrays alike
+    s = 1.0 / np.abs(cos)
     return 1.0 / (np.sqrt(1.0 + lam * lam * s * s) + lam * s)
 
 
@@ -301,7 +313,8 @@ def curve_radius(spec: CurveSpec, theta: float) -> float:
     singular = spec.theta_lo if spec.singular_end == "lo" else spec.theta_hi
     if abs(theta - singular) < _SINGULAR_CLAMP:
         return 0.0
-    return float(_eqd_radius(spec.lam, spec.alpha, spec.phi_const + spec.phi_sign * theta))
+    phi = spec.phi_const + spec.phi_sign * theta
+    return float(_eqd_radius(spec.lam, np.cos(phi - spec.alpha)))
 
 
 def gamma_point(spec: CurveSpec, theta: float) -> CurveSample:
@@ -457,17 +470,6 @@ def m_chart_cartesian_residual(which: str, n: int, z: complex) -> float:
 # analytic membership
 
 
-@lru_cache(maxsize=None)
-def _fan_ray_radii(n: int) -> tuple[float, float]:
-    """For n=5: moduli extent along the internal rays Omega13^Omega19 and
-    Omega8^Omega14 (B-chart angles 2pi/5 and -3pi/5)."""
-    if n != 5:
-        return (0.0, 0.0)
-    rb = curve_radius(curve_spec("gamma_B", 5), 2.0 * math.pi / 5.0)
-    rc = curve_radius(curve_spec("gamma_C_B", 5), -3.0 * math.pi / 5.0)
-    return (rb, rc)
-
-
 def part_regions(n: int) -> dict[str, tuple[int, ...]]:
     """The regions of each moduli part (the n=5 fans A8 and A13 span two), by
     part name as in areas.AreaReport and in the order of the area JSON."""
@@ -488,21 +490,19 @@ def fan_parts(n: int) -> dict[str, tuple[CurveSpec, float, float]]:
 
 @dataclass(frozen=True)
 class _Tables:
-    """One family's division and membership rules as tables.
+    """One family's division and membership rule as tables.
 
     A point off the division circles has sign code (sines < 0) @
     sign_weights and lies in region sign_region[code]; (|sines| <=
     ON_CIRCLE) @ ones counts the circles a point is on.
 
-    Division circle c is a pair of opposite rays from the origin of its
-    chart (the A-chart, or the B-chart where circle_b[c]).  A point on the
-    ray at chart angle angle[c] is in when its chart radius is below
-    front[c]; a point on the opposite ray, below back[c].
-
-    A point in region m is in when core[m].  In a fan region (fan[m]) it is
-    in when its chart angle lies in the open interval (lo[m], hi[m]) and its
-    radius is below that of the region's curve (parameters lam, alpha,
-    phi_const, phi_sign as in CurveSpec; B-chart where fan_b[m]).
+    The inside rule: a point p counts as in region m when core[m], or, in a
+    fan region (fan[m]), when cos(phi - alpha) > 0 and its chart radius is
+    below that of the region's curve by CURVE_EXCLUSION, for phi =
+    phi_const + phi_sign theta at its chart angle theta (parameters lam,
+    alpha, phi_const, phi_sign as in CurveSpec; B-chart where fan_b[m]).
+    cos(phi - alpha) = 0 at the curve's singular end, and the fan's other
+    ends lie on dividing circles, which the region implies.
 
     Curve `which` (of CURVE_NAMES) lies on the quadric p.Sp = 0 of the
     symmetric matrix S = quadric[which], in world coordinates.
@@ -511,10 +511,6 @@ class _Tables:
     sign_weights: np.ndarray
     ones: np.ndarray
     sign_region: np.ndarray
-    circle_b: np.ndarray
-    angle: np.ndarray
-    front: np.ndarray
-    back: np.ndarray
     core: np.ndarray
     fan: np.ndarray
     fan_b: np.ndarray
@@ -522,46 +518,26 @@ class _Tables:
     alpha: np.ndarray
     phi_const: np.ndarray
     phi_sign: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
     quadric: dict
 
 
 @lru_cache(maxsize=None)
 def _tables(n: int) -> _Tables:
-    c = solid_constants(n)
-    div = division(n)
-    never = -math.inf   # a limit no radius is below: the whole ray is out
-    circles = {
-        "AB": ("A", 0.0, c.d_ab, never),                         # arc A-B
-        "A60": ("A", math.pi / 3.0, c.d_am, never),              # arc A-M
-        "A120": ("A", 2.0 * math.pi / 3.0, c.d_ab, c.d_am),      # arcs A-B', A-C
-    }
-    ray_b, ray_c = _fan_ray_radii(n)
-    for k in range(1, n):
-        front = {n - 1: c.d_bm, n - 2: c.d_ab}.get(k, never)     # arcs B-M, B-A'
-        back = c.d_bm if k == 1 else never                       # arc B-C
-        if n == 5 and k == 2:
-            # the rays splitting the n=5 fans stay in up to the curves
-            front, back = ray_b - CURVE_EXCLUSION, ray_c - CURVE_EXCLUSION
-        circles[f"B{k}"] = ("B", k * math.pi / n, front, back)
-    chart, angle, front, back = zip(*(circles[name] for name in div.circle_names))
-
     fans = fan_parts(n)
     size = 6 * n + 1
     core = np.zeros(size, dtype=bool)
     fan = np.zeros(size, dtype=bool)
     fan_b = np.zeros(size, dtype=bool)
-    params = np.full((6, size), np.nan)
+    params = np.full((4, size), np.nan)
     for part, regions in part_regions(n).items():
         if part not in fans:
             core[list(regions)] = True
             continue
-        spec, lo, hi = fans[part]
+        spec = fans[part][0]
         for m in regions:
             fan[m] = True
             fan_b[m] = spec.chart == "B"
-            params[:, m] = (spec.lam, spec.alpha, spec.phi_const, spec.phi_sign, lo, hi)
+            params[:, m] = (spec.lam, spec.alpha, spec.phi_const, spec.phi_sign)
     # signs to regions.  Circle k of a fan of m circles through one center
     # lies at chart angle k pi/m, and a negative angle to it means
     # sin(theta - k pi/m) > 0.  Let s be 1 where the angle to circle AB
@@ -584,18 +560,20 @@ def _tables(n: int) -> _Tables:
         L, F = k * spec.lam, geometry(n).frame(spec.chart)
         S = F.T @ np.array([[L, 0.0, 0.5 * c1], [0.0, L, 0.5 * c2], [0.5 * c1, 0.5 * c2, 0.0]]) @ F
         quadric[which] = 0.5 * (S + S.T)
-    return _Tables(sign_weights, np.ones(n + 2), sign_region, np.array(chart) == "B",
-                   np.array(angle), np.array(front), np.array(back), core, fan, fan_b, *params,
-                   quadric)
+    return _Tables(sign_weights, np.ones(n + 2), sign_region, core, fan, fan_b, *params, quadric)
 
 
 def analytic_in_moduli_batch(n: int, pts: np.ndarray) -> np.ndarray:
     """Membership from the region division and the closed boundary curves,
     over an (N, 3) array of unit vectors.
 
-    True on the open core triangles, on their included internal arcs, and on
-    the open fan regions between the curves and the core; False on the
-    curves, the excluded arcs and all division vertices.
+    One inside rule (see _Tables) decides every point.  A point off the
+    dividing circles is in when it is in its region: in a core triangle, or
+    in a fan region between the core and the curve.  A point on exactly one
+    circle is in when the rule holds, at the point itself, for both regions
+    across that circle, so the included internal arcs are those the regions
+    on both sides share.  The curves and every point on two or more circles
+    (the division vertices among them) are out.
     """
     return map_rows(partial(_membership, n), pts)
 
@@ -603,25 +581,36 @@ def analytic_in_moduli_batch(n: int, pts: np.ndarray) -> np.ndarray:
 def _membership(n: int, pts: np.ndarray) -> np.ndarray:
     """analytic_in_moduli_batch for points already validated by as_points."""
     t = _tables(n)
-    with scratch(len(pts)) as s:
-        circle, region = _classify(n, pts, s)
-        inside = t.core[region]
+    k = len(pts)
+    with scratch(k) as s:
+        circle, region, negative = _classify(n, pts, s)
         on = np.flatnonzero(circle >= 0)
-        fan = np.flatnonzero(t.fan[region])
+        if not on.size:
+            return _inside(n, pts, region, s)
+        # the regions across a row's circle c have the sign codes of its
+        # flags with c's set and clear: the row takes the first, and a copy
+        # of it after the last row takes the second
+        c = circle[on]
+        w = t.sign_weights.take(c)
+        clear = negative.take(on, 0) @ t.sign_weights - w * negative.take(on * (n + 2) + c)
+        region[on] = t.sign_region.take((clear + w).astype(np.intp))
+        inside = _inside(n, np.concatenate((pts, pts.take(on, 0))),
+                         np.concatenate((region, t.sign_region.take(clear.astype(np.intp)))), s)
+        inside[on] &= inside[k:]
+        return inside[:k]
 
-        if on.size:
-            c = circle[on]
-            th, r = _polar(n, pts.take(on, 0), t.circle_b[c], s)
-            front = np.cos(th - t.angle[c]) > 0.0
-            inside[on] = r < np.where(front, t.front[c], t.back[c])
 
-        if fan.size:
-            m = region[fan]
-            th, r = _polar(n, pts.take(fan, 0, s.out((fan.size, 3)), "clip"), t.fan_b[m], s)
-            sel = (th > t.lo[m]) & (th < t.hi[m])
-            m, th = m[sel], th[sel]
-            curve_r = _eqd_radius(t.lam[m], t.alpha[m], t.phi_const[m] + t.phi_sign[m] * th)
-            inside[fan[sel]] = r[sel] < curve_r - CURVE_EXCLUSION
+def _inside(n: int, pts: np.ndarray, region: np.ndarray, s) -> np.ndarray:
+    """The inside rule of _Tables for each row of pts in the region of the
+    same row of region (0 for none), with arrays from the scratch frame s."""
+    t = _tables(n)
+    inside = t.core[region]
+    fan = np.flatnonzero(t.fan[region])
+    if fan.size:
+        m = region[fan]
+        th, r = _polar(n, pts.take(fan, 0, s.out((fan.size, 3)), "clip"), t.fan_b[m], s)
+        cos = np.cos(t.phi_const[m] + t.phi_sign[m] * th - t.alpha[m])
+        inside[fan] = (cos > 0.0) & (r < _eqd_radius(t.lam[m], cos) - CURVE_EXCLUSION)
     return inside
 
 
@@ -762,8 +751,9 @@ def reduction_radii(kind: str, n: int, thetas) -> np.ndarray:
     """M-chart radius of the a=c or b=c locus on the ray at each angle of a
     1-D array: the smallest root in (0, 1) of the radial quartic, from the
     first exact zero or sign change on _ROOT_GRID, bisected for all rows at
-    once; NaN where the ray misses the locus.  Raises OutOfRange unless the
-    angles are finite and 1-D, so that NaN means a miss only."""
+    once.  Every ray meets the locus: the quartic is positive at r = 0 and
+    negative at r = 1 whatever theta.  Raises OutOfRange unless the angles
+    are finite and 1-D."""
     solid_constants(n)
     c1, c2, c0 = _reduction_quartic(kind, n)
     trig = math.cos if kind == "a=c" else math.sin
@@ -779,11 +769,11 @@ def reduction_radii(kind: str, n: int, thetas) -> np.ndarray:
     vals = quartic(_ROOT_GRID, t[:, None])
     zero = vals[:, :-1] == 0.0
     hit = zero | (vals[:, :-1] * vals[:, 1:] < 0.0)
-    rows = np.flatnonzero(hit.any(axis=1))
-    i = hit[rows].argmax(axis=1)
+    i = hit.argmax(axis=1)
+    first = (np.arange(len(t)), i)
     # an exact zero is a bracket of width 0, whose midpoint is the zero
-    a, fa, t = _ROOT_GRID[i], vals[rows, i], t[rows]
-    b = np.where(zero[rows, i], a, _ROOT_GRID[i + 1])
+    a, fa = _ROOT_GRID[i], vals[first]
+    b = np.where(zero[first], a, _ROOT_GRID[i + 1])
     while np.count_nonzero(live := b - a > _ROOT_TOL):
         mid = 0.5 * (a + b)
         fm = quartic(mid, t)
@@ -791,25 +781,20 @@ def reduction_radii(kind: str, n: int, thetas) -> np.ndarray:
         np.copyto(b, mid, where=live & left)
         np.copyto(a, mid, where=live > left)
         np.copyto(fa, fm, where=live > left)
-    radii = np.full(len(vals), np.nan)
-    radii[rows] = 0.5 * (a + b)
-    return radii
+    return 0.5 * (a + b)
 
 
 def reduction_point(kind: str, n: int, theta: float) -> CurveSample:
     """Radial sample of a reduction locus at M-chart angle theta: the a=c or
     b=c radius of reduction_radii, or where the ray meets the a=b circle.
-    Raises NoRootInDisk when the ray misses the locus, and OutOfRange for a
-    theta that is not finite.  The degenerate n=3 diagonal (a=b) returns the
-    midpoint of the in-moduli segment, flagged line_locus."""
+    Raises NoRootInDisk when the ray misses the a=b locus, and OutOfRange
+    for a theta that is not finite.  The degenerate n=3 diagonal (a=b)
+    returns the midpoint of the in-moduli segment, flagged line_locus."""
     if not math.isfinite(theta):
         raise OutOfRange(f"theta {theta} is not finite")
     if kind == "a=b":
         return _ab_point(n, theta)
-    r = float(reduction_radii(kind, n, [theta])[0])
-    if math.isnan(r):
-        raise NoRootInDisk(f"{kind} locus does not meet the ray theta={theta}")
-    return _sample(theta, r, "M", n)
+    return _sample(theta, float(reduction_radii(kind, n, [theta])[0]), "M", n)
 
 
 def ab_circle(n: int) -> tuple[complex, float]:

@@ -162,12 +162,9 @@ def _reduction_layers(opts: RenderOptions) -> list[str]:
     out.append(_path(_project(pts, opts.chart, n, clip=1.0), "reduction", "red-ab"))
     thetas = np.linspace(0.0, 2.0 * math.pi, 2 * k, endpoint=True)
     for kind, ident in (("a=c", "red-ac"), ("b=c", "red-bc")):
-        radii = moduli.reduction_radii(kind, n, thetas)
-        hit = ~np.isnan(radii)
-        if hit.any():
-            pts = np.array([charts.to_sphere(ChartPoint(cmath.rect(r, t), "M", n))
-                            for t, r in zip(thetas[hit], radii[hit])])
-            out.append(_path(_project(pts, opts.chart, n), "reduction", ident))
+        pts = np.array([charts.to_sphere(ChartPoint(cmath.rect(r, t), "M", n))
+                        for t, r in zip(thetas, moduli.reduction_radii(kind, n, thetas))])
+        out.append(_path(_project(pts, opts.chart, n), "reduction", ident))
     return out
 
 

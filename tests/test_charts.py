@@ -189,6 +189,16 @@ def test_mobius_agrees_with_frame_change():
             assert abs(zb - charts.apply_mobius(m2b, z)) < 1e-10
 
 
+def test_mobius_rejects_a_nan_point():
+    # as to_sphere does: NaN fails both the infinity and the vanishing
+    # denominator tests, and num / den would pass it on as nan+nanj
+    for n in SOLIDS:
+        for m in (charts.mobius_m_to_a(n), charts.mobius_m_to_b(n)):
+            for z in (complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, math.nan)):
+                with pytest.raises(ValueError):
+                    charts.apply_mobius(m, z)
+
+
 def test_identity_and_singular_mobius():
     ident = charts.MobiusMap(1, 0, 0, 1)
     assert charts.apply_mobius(ident, 0.3 + 0.1j) == 0.3 + 0.1j

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pentamod import charts, moduli, pentagon, sphere
 from pentamod.charts import SQ2, SQ3, ChartPoint
 from pentamod.errors import NoRootInDisk, OutOfRange
+from pentamod.render import circle_points
 
 from figure_labels import FIGURE_LABELS
 
@@ -24,7 +25,7 @@ CURVES = moduli.CURVE_NAMES
 def _classify(n, pts):
     """moduli._classify on arrays that outlive its scratch frame."""
     with sphere.scratch(len(pts)) as s:
-        circle, region = moduli._classify(n, pts, s)
+        circle, region, _ = moduli._classify(n, pts, s)
         return circle.copy(), region.copy()
 
 
@@ -447,13 +448,75 @@ def test_membership_included_and_excluded_arcs():
 def test_membership_n5_internal_fan_rays():
     # the dividing rays inside the two split fans stay in the moduli up to
     # the curve; the oracle fixed this convention
-    for beta, limit in ((2 * math.pi / 5, moduli._fan_ray_radii(5)[0]),
-                        (-3 * math.pi / 5, moduli._fan_ray_radii(5)[1])):
+    for which, beta in (("gamma_B", 2 * math.pi / 5), ("gamma_C_B", -3 * math.pi / 5)):
+        limit = moduli.curve_radius(moduli.curve_spec(which, 5), beta)
         for frac, want in ((0.5, True), (1.3, False)):
             r = frac * limit
             p = charts.to_sphere(ChartPoint(cmath.rect(r, beta), "B", 5))
             assert moduli.analytic_in_moduli(5, p) == want
             assert pentagon.oracle_in_moduli(5, p) == want
+
+
+def _membership_pins(n):
+    """Points on and 5e-10 rad to either side of every dividing circle, on
+    the end rays of every fan's chart-angle interval (fan_parts) and 1e-15
+    to either side, and 20000 uniform points."""
+    rings = []
+    for nrm in moduli.division(n).normals:
+        ring = circle_points(nrm, 65)[:-1]
+        for d in (0.0, 5e-10, -5e-10):
+            pts = ring + d * nrm
+            rings.append(pts / np.linalg.norm(pts, axis=1)[:, None])
+    rays = [charts.to_sphere(ChartPoint(cmath.rect(r, theta + d), spec.chart, n))
+            for spec, lo, hi in moduli.fan_parts(n).values() for theta in (lo, hi)
+            for d in (0.0, 1e-15, -1e-15) for r in np.linspace(0.0, 1.0, 65)[1:]]
+    return np.vstack(rings + [np.array(rays), sphere.sample_sphere(20000, 7)])
+
+
+# sha256 prefixes of analytic_in_moduli_batch's packed answers on
+# _membership_pins(n), pinned from the table of front and back radii per
+# dividing circle and chart-angle interval per fan that the inside rule
+# replaced
+MEMBERSHIP_DIGESTS = {3: "5db955fddc183999", 4: "cc685f38af2b96d4", 5: "216664592fbea2d7"}
+
+
+@pytest.mark.parametrize("n", SOLIDS)
+def test_membership_bits_are_pinned(n):
+    inside = moduli.analytic_in_moduli_batch(n, _membership_pins(n))
+    assert hashlib.sha256(np.packbits(inside).tobytes()).hexdigest()[:16] == MEMBERSHIP_DIGESTS[n]
+
+
+def _nudged(p, nrm, d):
+    q = p + d * nrm
+    return q / np.linalg.norm(q)
+
+
+_ON_CIRCLE = st.sampled_from(SOLIDS).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n + 1), st.floats(0.0, 2.0 * math.pi)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ON_CIRCLE)
+def test_on_circle_membership_is_that_of_both_sides(case):
+    # a point on one dividing circle is in exactly when the points just off
+    # it on both sides are, away from the crossings of two circles and from
+    # the curves (where the nudges by 2e-9 and 1e-6 disagree)
+    n, k, phi = case
+    div = moduli.division(n)
+    nrm = div.normals[k]
+    e1 = np.cross(nrm, [0.3, 0.5, 0.8])
+    e1 /= np.linalg.norm(e1)
+    p = math.cos(phi) * e1 + math.sin(phi) * np.cross(nrm, e1)
+    assert abs(nrm @ p) <= sphere.ON_CIRCLE
+    for i in range(n + 2):
+        for j in range(i):
+            x = np.cross(div.normals[i], div.normals[j])
+            x /= np.linalg.norm(x)
+            assume(min(np.linalg.norm(p - x), np.linalg.norm(p + x)) > 1e-6)
+    near, far = ([moduli.analytic_in_moduli(n, _nudged(p, nrm, s * d)) for s in (1.0, -1.0)]
+                 for d in (2e-9, 1e-6))
+    assume(near == far)
+    assert moduli.analytic_in_moduli(n, p) == (near[0] and near[1])
 
 
 # ---------------------------------------------------------------------------
@@ -581,10 +644,21 @@ def test_reduction_radii_bits_are_pinned(n, kind):
 
 
 @pytest.mark.parametrize("kind", ("a=c", "b=c"))
+@pytest.mark.parametrize("n", SOLIDS)
+def test_reduction_quartic_brackets_every_ray(n, kind):
+    # r^4 + c2 r^2 + c0 + c1 r (r^2 + 1) trig(theta) is c0 > 0 at r = 0 and
+    # at most 1 + c2 + c0 + 2|c1| < 0 at r = 1, so every ray meets the locus
+    # and reduction_radii has no miss to report
+    c1, c2, c0 = moduli._reduction_quartic(kind, n)
+    assert 0.034 <= c0 <= 0.268
+    assert -1.331 <= 1.0 + c2 + c0 + 2.0 * abs(c1) <= -0.465
+
+
+@pytest.mark.parametrize("kind", ("a=c", "b=c"))
 def test_reduction_radii_miss_exactly_where_reduction_point_raises(kind):
     # every real ray meets both loci (the quartic is positive at r = 0 and
     # negative at r = 1), so there are no misses here; a NaN angle is no
-    # ray, and test_curve_api_rejects_non_finite_input rejects it
+    # ray, and test_curve_api_rejects_non_finite_angles rejects it
     assert moduli.reduction_radii(kind, 4, np.array([])).shape == (0,)
     thetas = np.array([0.0, 1.2 * math.pi, 5.0, -7.5])
     for n in SOLIDS:
