@@ -424,6 +424,8 @@ def _m_chart_R(which: str, n: int, t: float) -> float:
 def gamma_m_chart(which: str, n: int, theta: float) -> CurveSample:
     """Curve sample in the M-chart from the closed polar forms."""
     solid_constants(n)
+    if which not in M_THETA_RANGE:
+        raise ValueError(f"unknown curve {which!r}")
     lo, hi = M_THETA_RANGE[which]
     if theta < lo - 1e-12 and lo - 1e-12 <= theta + 2.0 * math.pi <= hi + 1e-12:
         theta += 2.0 * math.pi

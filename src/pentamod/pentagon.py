@@ -18,7 +18,11 @@ component-major: _arcs holds V, W, E and each arc's unit normal as (3, k)
 rows of x, y and z on the thread's sphere.scratch, and every cross product,
 length and dot product, in the arcs, the filter and the exact path alike,
 is a ufunc over whole contiguous rows (_cross, _length, _dot) summed in an
-order written out in code.  An anchor's answer is the AND over the pairs
+order written out in code.  Every row stays in place under one mask, the
+rows still alive: arcs built on all rows, an anchor at A or B one more
+dead row, then one pass over the pairs in which each pair's filter runs on
+all rows and its alive undecided rows go at once to _pair_hits, which
+decides them by masks alone.  An anchor's answer is the AND over the pairs
 and each row is computed on its own, so neither the order of the pairs nor
 which rows reach the exact path changes an answer.  W and E come from
 sphere.rows_matmul and every other product is elementwise, so one anchor
@@ -358,42 +362,34 @@ def _gather(x, at, s):
 
 def _arcs(n: int, V: np.ndarray, s):
     """The six boundary arcs of every anchor of a validated (N, 3) array,
-    component-major.
+    component-major, on all N rows in place.
 
-    Returns (rows, P, NH, CN, live): rows indexes the anchors away from A
-    and B; P holds the six vertices V, A, W, C, E, B on those rows as (3, k)
-    component rows, A, C and B broadcast along the rows; arc a runs from
-    P[a] to P[a + 1] with unit normal NH[a], (3, k), and chord
-    |P[a] x P[a + 1]| CN[a]; live marks the rows whose arcs are all
-    constructible.
+    Returns (P, NH, CN, live): P holds the six vertices V, A, W, C, E, B as
+    (3, N) component rows, A, C and B broadcast along the rows; arc a runs
+    from P[a] to P[a + 1] with unit normal NH[a], (3, N), and chord
+    |P[a] x P[a + 1]| CN[a]; live marks the rows whose anchor lies beyond
+    _TOL_CHORD of A and B and whose arcs are all constructible.  The arcs of
+    the other rows are built alike and never read.
     """
     geo = charts.geometry(n)
     to_w, to_e = _rotations(n)
-    VT = s.empty((3, len(V)))
+    k = len(V)
+    VT, W, E = s.empty((3, k)), s.empty((3, k)), s.empty((3, k))
     np.copyto(VT, V.T)
-    with scratch(len(V)) as t:
-        d, db = np.subtract(VT, geo.A[:, None], out=t.out(VT.shape)), t.out(len(V))
-        far = _length(d, d, db) > _TOL_CHORD
-        d = np.subtract(VT, geo.B[:, None], out=d)
-        far &= _length(d, d, db) > _TOL_CHORD
-    rows = np.flatnonzero(far)
-    k = rows.size
-    if k < len(V):
-        V = V.take(rows, 0, s.out((k, 3)), "clip")
-        VT = VT.take(rows, 1, s.empty((3, k)), "clip")
-    W, E = s.empty((3, k)), s.empty((3, k))
     # six normals, not one (6, 3, k) block: the buffer doubles as it grows,
     # and that one request would take a 16384-row piece past its 6 MB
     NH, CN = [s.empty((3, k)) for _ in range(6)], s.empty((6, k))
-    live = np.ones(k, dtype=bool)
     with scratch(k) as t:
+        w, ab, tb = t.out((3, k)), t.out(k), t.out(k)
+        live = np.ones(k, dtype=bool)
+        for c in (geo.A, geo.B):
+            live &= _length(np.subtract(VT, c[:, None], out=w), w, ab) > _TOL_CHORD
         # W and E from rows_matmul, so that each row rounds as in any batch
         wt = rows_matmul(V, to_w.T, t.out((k, 3)))
         np.copyto(W, wt.T)
         np.copyto(E, rows_matmul(V, to_e.T, wt).T)
         P = (VT, np.broadcast_to(geo.A[:, None], (3, k)), W,
              np.broadcast_to(geo.C[:, None], (3, k)), E, np.broadcast_to(geo.B[:, None], (3, k)))
-        w, ab, tb = t.out((3, k)), t.out(k), t.out(k)
         for a in range(6):
             u, v, nh, cn = P[a], P[(a + 1) % 6], NH[a], CN[a]
             _cross(u, v, nh, tb)
@@ -401,57 +397,49 @@ def _arcs(n: int, V: np.ndarray, s):
             live &= _length(np.add(u, v, out=w), w, ab) > ANTIPODAL_EPS
             # the normal cr / max(cn, _TINY), in place of the cross product
             np.divide(nh, np.maximum(cn, _TINY, out=ab), out=nh)
-    return rows, P, NH, CN, live
+    return P, NH, CN, live
 
 
 def _pair_hits(i, j, adj, P, NH, CN, at, s):
     """Whether arcs i and j meet on the rows at of _arcs, as is_simple
     decides it: a candidate +-m/|m| within DEFAULT_TOL of both arcs and
     (adjacent arcs) beyond VERTEX_SLACK of the shared vertex, or one circle
-    on which the arcs overlap by more than DEFAULT_TOL.  Its gathered
-    columns, tangents and m take the scratch frame s."""
+    on which the arcs overlap by more than DEFAULT_TOL.
+
+    After gathering its operands on the rows at, from the scratch frame s,
+    it decides every row by masks: one per sign of the candidate, which
+    flips the sign of its dot products exactly, so each angle keeps its
+    bits, and the overlap rule where |m| < DEFAULT_TOL.
+    """
     ni, nj = _gather(NH[i], at, s), _gather(NH[j], at, s)
     ui, vi, uj, vj = (_gather(P[a % 6], at, s) for a in (i, i + 1, j, j + 1))
-    # each arc's unit tangent at its start, and its length
+    # each arc's length, and its unit tangent at its start
+    li, lj = np.arctan2(CN[i].take(at), _dot(ui, vi)), np.arctan2(CN[j].take(at), _dot(uj, vj))
     tb = s.out(at.size)
     e2i, e2j = _cross(ni, ui, s.empty(ni.shape), tb), _cross(nj, uj, s.empty(nj.shape), tb)
-    li, lj = np.arctan2(CN[i].take(at), _dot(ui, vi)), np.arctan2(CN[j].take(at), _dot(uj, vj))
     m = _cross(ni, nj, s.empty(ni.shape), tb)
     nm = _length(m, s.out(m.shape), s.out(at.size))
-    cop = nm < DEFAULT_TOL
-    out = np.zeros(at.size, dtype=bool)
-    tr = np.flatnonzero(~cop)
-    if tr.size:
-        # the candidates +-m/|m|, first on arc i, then on arc j, away
-        # from the vertex the arcs share
-        mh = _gather(m, tr, s) / np.maximum(nm.take(tr), _TINY)
-        xi, yi = _dot(mh, _gather(ui, tr, s)), _dot(mh, _gather(e2i, tr, s))
-        lt = li.take(tr)
-        for sgn in (1.0, -1.0):
-            ai = np.arctan2(sgn * yi, sgn * xi)
-            h = np.flatnonzero((ai >= -DEFAULT_TOL) & (ai <= lt + DEFAULT_TOL))
-            if not h.size:
-                continue
-            cand, ah = sgn * _gather(mh, h, s), tr.take(h)
-            aj = np.arctan2(_dot(cand, _gather(e2j, ah, s)), _dot(cand, _gather(uj, ah, s)))
-            hit = (aj >= -DEFAULT_TOL) & (aj <= lj.take(ah) + DEFAULT_TOL)
-            if adj >= 0:
-                hit &= _length(cand - _gather(ui if adj == i else uj, ah, s)) > VERTEX_CHORD
-            out[ah] |= hit
-    cp = np.flatnonzero(cop)
-    if cp.size:
-        # one circle: arc j's span in arc i's frame may overlap arc i by
-        # at most DEFAULT_TOL
-        u, e2, lc = _gather(ui, cp, s), _gather(e2i, cp, s), li.take(cp)
-        a0, a1 = (np.arctan2(_dot(q, e2), _dot(q, u))
-                  for q in (_gather(uj, cp, s), _gather(vj, cp, s)))
-        lo, hi = np.minimum(a0, a1), np.maximum(a0, a1)
-        wrap = hi - lo > math.pi
-        lo, hi = np.where(wrap, hi, lo), np.where(wrap, lo + 2.0 * math.pi, hi)
-        ova = np.minimum(lc, hi) - np.maximum(0.0, lo)
-        ovb = np.minimum(lc, hi - 2.0 * math.pi) - np.maximum(0.0, lo - 2.0 * math.pi)
-        out[cp] = np.maximum(ova, ovb) > DEFAULT_TOL
-    return out
+    mh = np.divide(m, np.maximum(nm, _TINY, out=tb), out=m)
+    # each candidate's angle along arc i and along arc j from its start; it
+    # hits inside both windows and away from the vertex the arcs share
+    xi, yi, xj, yj = (_dot(mh, q) for q in (ui, e2i, uj, e2j))
+    hits = np.zeros(at.size, dtype=bool)
+    for sgn in (1.0, -1.0):
+        ai, aj = np.arctan2(sgn * yi, sgn * xi), np.arctan2(sgn * yj, sgn * xj)
+        hit = (ai >= -DEFAULT_TOL) & (ai <= li + DEFAULT_TOL)
+        hit &= (aj >= -DEFAULT_TOL) & (aj <= lj + DEFAULT_TOL)
+        if adj >= 0:
+            hit &= _length(sgn * mh - (ui if adj == i else uj)) > VERTEX_CHORD
+        hits |= hit
+    # one circle: arc j's span in arc i's frame may overlap arc i by at
+    # most DEFAULT_TOL
+    a0, a1 = (np.arctan2(_dot(q, e2i), _dot(q, ui)) for q in (uj, vj))
+    lo, hi = np.minimum(a0, a1), np.maximum(a0, a1)
+    wrap = hi - lo > math.pi
+    lo, hi = np.where(wrap, hi, lo), np.where(wrap, lo + 2.0 * math.pi, hi)
+    ova = np.minimum(li, hi) - np.maximum(0.0, lo)
+    ovb = np.minimum(li, hi - 2.0 * math.pi) - np.maximum(0.0, lo - 2.0 * math.pi)
+    return np.where(nm < DEFAULT_TOL, np.maximum(ova, ovb) > DEFAULT_TOL, hits)
 
 
 def oracle_in_moduli_batch(n: int, pts: np.ndarray) -> np.ndarray:
@@ -467,36 +455,30 @@ def oracle_in_moduli_batch(n: int, pts: np.ndarray) -> np.ndarray:
 def _oracle(n: int, V: np.ndarray) -> np.ndarray:
     """oracle_in_moduli_batch for points already validated by as_points.
 
-    The filter's products (_SLOTS) go into four k-buffers, a pair at a time.
-    A crossing it decides rules its row out, and only the rows that no pair
-    decided and no decided crossing ruled out go through the exact path,
-    pair by pair.
+    Every row stays in place under one mask, alive: live in _arcs and not
+    yet found crossing.  One pass over _PAIRS and _SLOTS runs each pair's
+    filter rule on all rows, its products in four k-buffers; a crossing it
+    decides clears the row, and the alive rows it leaves undecided go at
+    once to the exact path, _pair_hits, whose hits clear them too.  The
+    mask at the end is the answer.
     """
-    with scratch(len(V)) as s:
-        rows, P, NH, CN, alive = _arcs(n, V, s)
-        k = rows.size
+    k = len(V)
+    with scratch(k) as s:
+        P, NH, CN, alive = _arcs(n, V, s)
         chord = np.min(CN, axis=0, out=s.out(k))
         margins = _margins(np.maximum(chord, DEGENERATE_EPS, out=chord))
-        undecided = s.empty((len(_PAIRS), k), dtype=bool)
-        done = 0
-        with scratch(k) as t:
-            prod, bufs = t.out((3, k)), [t.out(k) for _ in range(4)]
-            for rule, slots in _SLOTS:
-                if not np.count_nonzero(alive):
-                    break
-                decided, crosses = rule([_dot(NH[a], P[v], prod, out)
-                                         for (a, v), out in zip(slots, bufs)], margins)
-                alive &= ~crosses
-                np.logical_not(decided, out=undecided[done])
-                done += 1
-        for (i, j, adj), slow in zip(_PAIRS, undecided[:done]):
-            slow = np.flatnonzero(np.logical_and(slow, alive, out=slow))
-            if slow.size:
-                with scratch(slow.size) as h:
-                    alive[slow] = ~_pair_hits(i, j, adj, P, NH, CN, slow, h)
-    simple = np.zeros(V.shape[0], dtype=bool)
-    simple[rows[alive]] = True
-    return simple
+        prod, bufs, pend = s.out((3, k)), [s.out(k) for _ in range(4)], s.out(k, bool)
+        for (i, j, adj), (rule, slots) in zip(_PAIRS, _SLOTS):
+            if not np.count_nonzero(alive):
+                break
+            decided, crosses = rule([_dot(NH[a], P[v], prod, out)
+                                     for (a, v), out in zip(slots, bufs)], margins)
+            alive &= ~crosses
+            at = np.flatnonzero(np.less(decided, alive, out=pend))
+            if at.size:
+                with scratch(at.size) as h:
+                    alive[at] = ~_pair_hits(i, j, adj, P, NH, CN, at, h)
+    return alive
 
 
 def face_pentagons(n: int, V: np.ndarray) -> tuple[Pentagon, Pentagon, Pentagon]:

@@ -11,6 +11,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentamod import (analytic_in_moduli, analytic_in_moduli_batch, anchor_pentagon,
                       boundary_band_mask, charts, moduli, oracle_in_moduli,
@@ -128,13 +130,16 @@ def _off(q, d, offsets):
     return pts / np.linalg.norm(pts, axis=1)[:, None]
 
 
+def _m_chart_point(n, r, t):
+    return charts.to_sphere(ChartPoint(cmath.rect(r, t), "M", n))
+
+
 def _off_loci(n, offsets):
     """Anchors on 16 samples of each of gamma_A, gamma_B, gamma_C (M-chart
     forms) and of the a=c and b=c loci, and moved off them along the normal
     by each offset, on both sides."""
     def m_chart(r, t):
-        return np.array([charts.to_sphere(ChartPoint(cmath.rect(ri, ti), "M", n))
-                         for ri, ti in zip(r, t)])
+        return np.array([_m_chart_point(n, ri, ti) for ri, ti in zip(r, t)])
 
     loci = [lambda t, w=which: m_chart([moduli.gamma_m_chart(w, n, x).r for x in t], t)
             for which in moduli.M_THETA_RANGE]
@@ -197,13 +202,13 @@ def _exact_oracle(n, pts):
     """oracle_in_moduli_batch with every pair on every live row decided by
     the exact path behind the sign filter, pentagon._pair_hits."""
     with sphere.scratch(len(pts)) as s:
-        rows, P, NH, CN, live = pentagon._arcs(n, sphere.as_points(pts), s)
+        P, NH, CN, live = pentagon._arcs(n, sphere.as_points(pts), s)
         live = np.flatnonzero(live)
         for i, j, adj in pentagon._PAIRS:
             with sphere.scratch(live.size) as t:
                 live = live[~pentagon._pair_hits(i, j, adj, P, NH, CN, live, t)]
     simple = np.zeros(len(pts), dtype=bool)
-    simple[rows[live]] = True
+    simple[live] = True
     return simple
 
 
@@ -230,6 +235,75 @@ def test_oracle_filter_agrees_with_exact_path(n):
     pts = np.vstack([_oracle_mix(n, 50 + n), _off_loci(n, _FILTER_OFFSETS),
                      _short_c(n, _FILTER_OFFSETS)])
     assert np.array_equal(oracle_in_moduli_batch(n, pts), _exact_oracle(n, pts))
+
+
+def _tangent(q, phi):
+    """The unit vector at angle phi in the plane normal to the unit q."""
+    e1 = np.cross(q, (1.0, 0.0, 0.0) if abs(q[0]) < 0.9 else (0.0, 1.0, 0.0))
+    e1 /= np.linalg.norm(e1)
+    return math.cos(phi) * e1 + math.sin(phi) * np.cross(q, e1)
+
+
+def _locus_anchor(n, locus, k, u, v, delta):
+    """The point q of a locus of the oracle's answer moved delta rad along
+    the unit tangent d:
+    - "circle": q at angle 2 pi u on division circle k, d its normal;
+    - "gamma", "reduction": q at fraction u of the M-chart angle range of
+      gamma curve k, or of the a=c (k even) or b=c (k odd) locus, d across
+      the curve;
+    - "vertex", "short_c": q division vertex k, or the anchor that sends W
+      (k even) or E (k odd) to C, d at angle 2 pi v."""
+    div = moduli.division(n)
+    if locus == "circle":
+        nrm = div.normals[k % len(div.normals)]
+        q, d = _tangent(nrm, 2.0 * math.pi * u), nrm
+    elif locus in ("gamma", "reduction"):
+        if locus == "gamma":
+            which = list(moduli.M_THETA_RANGE)[k % 3]
+            lo, hi = moduli.M_THETA_RANGE[which]
+
+            def radius(t):
+                return moduli.gamma_m_chart(which, n, t).r
+        else:
+            kind = ("a=c", "b=c")[k % 2]
+            lo, hi = -math.pi, math.pi
+
+            def radius(t):
+                return moduli.reduction_point(kind, n, t).r
+        t = lo + (hi - lo) * u
+        t0, t1 = max(lo, t - 1e-6), min(hi, t + 1e-6)
+        q = _m_chart_point(n, radius(t), t)
+        d = np.cross(q, _m_chart_point(n, radius(t1), t1) - _m_chart_point(n, radius(t0), t0))
+        d /= np.linalg.norm(d)
+    else:
+        if locus == "vertex":
+            q = div.vertex_points[k % len(div.vertex_points)]
+        else:
+            to_w, to_e = pentagon._rotations(n)
+            q = (to_w, to_e)[k % 2].T @ charts.geometry(n).C
+        d = _tangent(q, 2.0 * math.pi * v)
+    p = math.cos(delta) * q + math.sin(delta) * d
+    return p / np.linalg.norm(p)
+
+
+_LOCUS_OFFSETS = (0.0,) + tuple(s * d for d in (1e-12, 1e-10, 1e-9, 2e-9, 1e-8, 1e-6)
+                               for s in (1.0, -1.0))
+_LOCUS_ANCHOR = st.tuples(st.sampled_from(("circle", "vertex", "gamma", "reduction", "short_c")),
+                          st.integers(0, 5), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                          st.sampled_from(_LOCUS_OFFSETS))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((3, 4, 5)), st.lists(_LOCUS_ANCHOR, min_size=1, max_size=16))
+def test_one_pass_oracle_agrees_with_exact_path_near_every_locus(n, anchors):
+    # the oracle sends each pair's undecided rows to the exact path as the
+    # pass reaches it; every row must get the answer of the exact path on
+    # every pair, in the batch and alone.  A counterexample is a defect in
+    # the margin proof above pentagon._ROUND
+    pts = np.array([_locus_anchor(n, *a) for a in anchors])
+    whole = oracle_in_moduli_batch(n, pts)
+    assert np.array_equal(whole, _exact_oracle(n, pts))
+    assert [oracle_in_moduli_batch(n, p[None])[0] for p in pts] == whole.tolist()
 
 
 # per n, the first 16 hex digits of the sha256 of each pair's _pair_hits
@@ -261,7 +335,7 @@ def test_exact_path_answers_are_pinned(n):
     pts = _exact_path_anchors(n)
     branches = set()
     with sphere.scratch(len(pts)) as s:
-        _, P, NH, CN, live = pentagon._arcs(n, sphere.as_points(pts), s)
+        P, NH, CN, live = pentagon._arcs(n, sphere.as_points(pts), s)
         live = np.flatnonzero(live)
         got = []
         for i, j, adj in pentagon._PAIRS:
@@ -289,14 +363,11 @@ def _row_major_arcs(n, V):
     def norm(a):
         return np.sqrt(a[:, 0] * a[:, 0] + a[:, 1] * a[:, 1] + a[:, 2] * a[:, 2])
 
-    rows = np.flatnonzero((norm(V - geo.A) > pentagon._TOL_CHORD)
-                          & (norm(V - geo.B) > pentagon._TOL_CHORD))
-    V = V[rows]
+    live = (norm(V - geo.A) > pentagon._TOL_CHORD) & (norm(V - geo.B) > pentagon._TOL_CHORD)
     k = len(V)
     P = [V, np.broadcast_to(geo.A, (k, 3)), sphere.rows_matmul(V, to_w.T),
          np.broadcast_to(geo.C, (k, 3)), sphere.rows_matmul(V, to_e.T),
          np.broadcast_to(geo.B, (k, 3))]
-    live = np.ones(k, dtype=bool)
     NH, CN = [], []
     for a in range(6):
         u, v = P[a], P[(a + 1) % 6]
@@ -305,7 +376,7 @@ def _row_major_arcs(n, V):
         live &= (cn > sphere.DEGENERATE_EPS) & (norm(u + v) > sphere.ANTIPODAL_EPS)
         NH.append(cr / np.maximum(cn, pentagon._TINY)[:, None])
         CN.append(cn)
-    return rows, P, NH, CN, live
+    return P, NH, CN, live
 
 
 def _bits(a):
@@ -320,18 +391,22 @@ def test_arc_stage_keeps_the_row_major_bits(n):
     pts = sphere.as_points(np.vstack([
         _oracle_mix(n, 30 + n), _off_loci(n, _FILTER_OFFSETS), _off_division(n, _FILTER_OFFSETS),
         _short_c(n, _FILTER_OFFSETS), _antipodal_edge_anchors(n)]))
-    rows, _, _, _, live = _row_major_arcs(n, pts)
-    # rows near A or B, and arcs too short or with antipodal ends, are in
-    assert len(rows) < len(pts) and 0 < np.count_nonzero(live) < len(rows)
+    live = _row_major_arcs(n, pts)[3]
+    geo = charts.geometry(n)
+    near = np.linalg.norm(pts[:, None] - np.array([geo.A, geo.B]), axis=2).min(axis=1)
+    near = near <= pentagon._TOL_CHORD
+    # rows near A or B, and arcs too short or with antipodal ends, are in,
+    # and none of them is live
+    assert near.any() and not live[near].any()
+    assert 0 < np.count_nonzero(live) < np.count_nonzero(~near)
     for batch in [pts] + [pts[i:i + 1] for i in range(0, len(pts), 97)]:
         with sphere.scratch(len(batch)) as s:
             got = pentagon._arcs(n, batch, s)
-            rows, P, NH, CN, live = _row_major_arcs(n, batch)
-            assert np.array_equal(got[0], rows)
-            assert all(_bits(p.T) == _bits(q) for p, q in zip(got[1], P))
-            assert all(_bits(nh.T) == _bits(q) for nh, q in zip(got[2], NH))
-            assert _bits(got[3]) == _bits(np.array(CN).reshape(6, -1))
-            assert np.array_equal(got[4], live)
+            P, NH, CN, live = _row_major_arcs(n, batch)
+            assert all(_bits(p.T) == _bits(q) for p, q in zip(got[0], P))
+            assert all(_bits(nh.T) == _bits(q) for nh, q in zip(got[1], NH))
+            assert _bits(got[2]) == _bits(np.array(CN).reshape(6, -1))
+            assert np.array_equal(got[3], live)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -265,6 +265,12 @@ def test_gamma_point_out_of_range():
         moduli.curve_radius(spec, math.nan)
     with pytest.raises(OutOfRange):
         moduli.gamma_m_chart("gamma_B", 4, math.nan)
+    # a name that is no curve is rejected alike by every curve entry point
+    for call in (lambda: moduli.gamma_m_chart("gamma_X", 3, 1.0),
+                 lambda: moduli.curve_spec("gamma_X", 3),
+                 lambda: moduli.m_chart_cartesian_residual("gamma_X", 3, 0.5j)):
+        with pytest.raises(ValueError, match="unknown curve 'gamma_X'"):
+            call()
 
 
 def test_gamma_b_n4_dual_route():
@@ -655,19 +661,16 @@ def test_reduction_quartic_brackets_every_ray(n, kind):
 
 
 @pytest.mark.parametrize("kind", ("a=c", "b=c"))
-def test_reduction_radii_miss_exactly_where_reduction_point_raises(kind):
-    # every real ray meets both loci (the quartic is positive at r = 0 and
-    # negative at r = 1), so there are no misses here; a NaN angle is no
-    # ray, and test_curve_api_rejects_non_finite_angles rejects it
+def test_reduction_point_radius_is_its_reduction_radii_row(kind):
+    # every real ray meets both loci (test_reduction_quartic_brackets_every_ray),
+    # so no row is NaN; a NaN angle is no ray, and
+    # test_curve_api_rejects_non_finite_angles rejects it
     assert moduli.reduction_radii(kind, 4, np.array([])).shape == (0,)
     thetas = np.array([0.0, 1.2 * math.pi, 5.0, -7.5])
     for n in SOLIDS:
         radii = moduli.reduction_radii(kind, n, thetas)
         for t, r in zip(thetas, radii):
-            try:
-                assert moduli.reduction_point(kind, n, t).r == r
-            except NoRootInDisk:
-                assert math.isnan(r)
+            assert moduli.reduction_point(kind, n, t).r == r
         assert not np.isnan(radii).any()
 
 
