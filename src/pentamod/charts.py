@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,13 +69,19 @@ def _check_constants(c: SolidConstants) -> None:
     assert abs(lam_c2 - c.lambda_c) < _SELF_CHECK_TOL, "dual formula for lambda_c disagrees"
 
 
-@lru_cache(maxsize=None)
+# Every cache keyed on the family n is typed, so that a float or a bool equal
+# to 3, 4 or 5 never finds the entry of the int and reaches solid_constants.
+@lru_cache(maxsize=None, typed=True)
 def solid_constants(n: int) -> SolidConstants:
     """Closed-form constants for family n in {3, 4, 5}.
 
-    Values are the exact radicals; the defining tangent equation and the
-    dual formula for lambda_c are asserted on first construction.
+    n must be an integer (Python or numpy), not a bool: UnsupportedSolid
+    otherwise, and for any other value.  Values are the exact radicals; the
+    defining tangent equation and the dual formula for lambda_c are asserted
+    on first construction.
     """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise UnsupportedSolid(f"n must be the integer 3, 4 or 5, got {n!r}")
     if n == 3:
         c = SolidConstants(3, 4, 1.0 / SQ2, (SQ3 - 1.0) / SQ2, (SQ3 - 1.0) / SQ2,
                            1.0 / (4.0 * SQ2), 1.0 / (4.0 * SQ2), 1.0 / (2.0 * SQ2))
@@ -154,7 +161,7 @@ def _derive_frame(origin: np.ndarray, ref: np.ndarray, sign: float) -> np.ndarra
     return np.vstack([e1, np.cross(e3, e1), e3])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def geometry(n: int) -> SolidGeometry:
     """Base triangle A, B, M (and C) with all chart frames, for family n."""
     c = solid_constants(n)

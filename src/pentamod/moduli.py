@@ -86,7 +86,7 @@ class Division:
     vertex_points: np.ndarray    # (6, 3), the vertices in the order of the dict
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def division(n: int) -> Division:
     geo = geometry(n)
     names = ["AB", "A60", "A120"]
@@ -127,6 +127,7 @@ def _sector_region(n: int, jA, jB):
 
 def region_pair(n: int, m: int) -> tuple[int, int]:
     """(A-sector, B-sector) pair of region m; inverse of the lookup."""
+    solid_constants(n)
     if not 1 <= m <= 6 * n:
         raise ValueError(f"region index out of range: {m}")
     k, r = divmod(m - 1, 6)
@@ -183,8 +184,9 @@ def _classify(n: int, pts: np.ndarray, s) -> tuple[np.ndarray, np.ndarray, np.nd
     count = np.matmul(on, _tables(n).ones, out=s.out(k))
     circle = s.empty(k, np.intp)
     circle.fill(-1)
-    single = np.flatnonzero(count == 1.0)
-    circle[single] = on[single].argmax(axis=1)
+    single = (count == 1.0).nonzero()[0]
+    if single.size:
+        circle[single] = on[single].argmax(axis=1)
     # then where the sines are negative, in the same buffer
     negative = np.less(sines, 0.0, out=flags)
     region = _sign_region(n, negative, s.out(k, np.intp))
@@ -219,20 +221,20 @@ def region_of(n: int, p: np.ndarray):
     div = division(n)
     p = as_point(p)
     sines = _circle_sines(n, p[None])[0]
-    if not (np.abs(sines) <= _SLACK_SINE).any():
+    if not np.count_nonzero(np.abs(sines) <= _SLACK_SINE):
         # every division vertex lies on two circles (within 1e-15), so a
         # point within VERTEX_SLACK of no circle is within it of no vertex
         return int(_sign_region(n, sines[None] < 0.0)[0])
     on = np.abs(sines) <= ON_CIRCLE
     chords = np.linalg.norm(p - div.vertex_points, axis=1)
-    near = np.flatnonzero(chords <= VERTEX_CHORD)
+    near = (chords <= VERTEX_CHORD).nonzero()[0]
     if not (near.size or on.any()):
         return int(_sign_region(n, sines[None] < 0.0)[0])
     vertex_name = list(div.vertices)[near[0]] if near.size else None
     kind = "vertex" if (np.count_nonzero(on) >= 2 or vertex_name) else "arc"
     if near.size:
         on |= np.abs(div.normals @ div.vertex_points[near[0]]) <= ON_CIRCLE
-    k = np.flatnonzero(on)
+    k = on.nonzero()[0]
     flip = (np.arange(1 << k.size)[:, None] >> np.arange(k.size)) & 1
     patterns = np.tile(sines, (len(flip), 1))
     patterns[:, k] = 1.0 - 2.0 * flip
@@ -441,6 +443,7 @@ def m_chart_cartesian_residual(which: str, n: int, z: complex) -> float:
     """M-chart cartesian equation of the curve (quartic for gamma_A/B, cubic
     for gamma_C).  The n=3 linear terms are -2*sqrt2*x and -2*sqrt2*y; the
     source prints -x and -y, inconsistent with its own polar forms."""
+    solid_constants(n)
     z = _finite(z)
     x, y = z.real, z.imag
     rr = x * x + y * y
@@ -475,7 +478,7 @@ def m_chart_cartesian_residual(which: str, n: int, z: complex) -> float:
 def part_regions(n: int) -> dict[str, tuple[int, ...]]:
     """The regions of each moduli part (the n=5 fans A8 and A13 span two), by
     part name as in areas.AreaReport and in the order of the area JSON."""
-    wide = n == 5
+    wide = solid_constants(n).n == 5
     return {"A1": (1,), "A2": (2,), "A3": (3,), "A7": (7,), "A4": (4,), "A5": (5,),
             "A8": (8, 14) if wide else (8,), "A13": (13, 19) if wide else (13,)}
 
@@ -523,7 +526,7 @@ class _Tables:
     quadric: dict
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _tables(n: int) -> _Tables:
     fans = fan_parts(n)
     size = 6 * n + 1
@@ -586,7 +589,7 @@ def _membership(n: int, pts: np.ndarray) -> np.ndarray:
     k = len(pts)
     with scratch(k) as s:
         circle, region, negative = _classify(n, pts, s)
-        on = np.flatnonzero(circle >= 0)
+        on = (circle >= 0).nonzero()[0]
         if not on.size:
             return _inside(n, pts, region, s)
         # the regions across a row's circle c have the sign codes of its
@@ -607,7 +610,7 @@ def _inside(n: int, pts: np.ndarray, region: np.ndarray, s) -> np.ndarray:
     same row of region (0 for none), with arrays from the scratch frame s."""
     t = _tables(n)
     inside = t.core[region]
-    fan = np.flatnonzero(t.fan[region])
+    fan = t.fan[region].nonzero()[0]
     if fan.size:
         m = region[fan]
         th, r = _polar(n, pts.take(fan, 0, s.out((fan.size, 3)), "clip"), t.fan_b[m], s)
@@ -635,6 +638,7 @@ def boundary_band_mask(n: int, pts: np.ndarray, band: float) -> np.ndarray:
     Frobenius norm of S, so a row with |Q| > band G cannot be near the
     curve.  The gradient is formed only on the rows the screen keeps.
     """
+    solid_constants(n)
     return map_rows(partial(_band_mask, n, band=band), pts)
 
 
@@ -662,7 +666,7 @@ def _band_mask(n: int, pts: np.ndarray, band: float) -> np.ndarray:
             # G >= 0.7 for every curve, above the rule's 1e-12 floor; the factor
             # 1 + 1e-6 covers |p| <= 1 + 5e-10 (as_points) and the rounding of gn
             G = 2.0 * math.sqrt(float((S * S).sum())) * (1.0 + 1e-6)
-            rows = np.flatnonzero(np.abs(q, out=ub) <= band * G)
+            rows = (np.abs(q, out=ub) <= band * G).nonzero()[0]
             if not rows.size:
                 continue
             q = q.take(rows)
@@ -677,7 +681,7 @@ def _band_mask(n: int, pts: np.ndarray, band: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # reduction loci (a=b, a=c, b=c)
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def ab_plane(n: int) -> np.ndarray:
     """Coefficients (l1, l2, l3) of the a=b plane l.xi = 0 in the M-frame.
 

@@ -11,9 +11,14 @@ that reports every violation, and its vectorized form oracle_in_moduli_batch.
 Both test the 12 arc pairs of _PAIRS, leaving out the three adjacent pairs
 that cannot fail, through one sign filter, set out above _ROUND: the products
 each pair reads (_SLOTS), one margin rule (_margins) and each pair's rule.
-A pair the filter cannot clear goes through the exact path, arc_intersect in
-is_simple, so that its report is the one the exhaustive 15-pair loop gives,
-and _pair_hits in the batch.  The batch form keeps every anchor's arcs
+A pair the filter leaves undecided goes through the exact path, arc_intersect
+in is_simple and _pair_hits in the batch, and is_simple witnesses a pair the
+filter decides as crossing from the two arc normals, with the bits
+arc_intersect would give, so that its report is the one the exhaustive
+15-pair loop gives.  is_simple reads the stacks of its Pentagon: the vertex
+stack that anchor_pentagon builds in one pass with sphere.minor_arcs, the
+unit normals and the lengths; the GreatArcs are built only for a pair that
+reaches arc_intersect.  The batch form keeps every anchor's arcs
 component-major: _arcs holds V, W, E and each arc's unit normal as (3, k)
 rows of x, y and z on the thread's sphere.scratch, and every cross product,
 length and dot product, in the arcs, the filter and the exact path alike,
@@ -33,8 +38,8 @@ input in pieces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache, partial
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
 from operator import itemgetter
 
 import numpy as np
@@ -42,7 +47,8 @@ import numpy as np
 from . import charts
 from .errors import AntipodalConstruction, AntipodalEndpoints, DegenerateAnchor, DegenerateArc
 from .sphere import (ANTIPODAL_EPS, DEFAULT_TOL, DEGENERATE_EPS, VERTEX_CHORD, GreatArc,
-                     arc_intersect, as_point, map_rows, minor_arc, norm3, rows_matmul, scratch)
+                     arc_intersect, as_point, cross3, map_rows, minor_arcs, norm3, rows_matmul,
+                     scratch)
 
 EDGE_NAMES = ("a1", "a2", "c1", "c2", "b2", "b1")
 
@@ -52,28 +58,38 @@ _TINY = 1e-300
 _TOL_CHORD = 2.0 * math.sin(0.5 * DEFAULT_TOL)
 
 
+def _vertex(k: int) -> property:
+    return property(lambda p: p.vertices[k], doc=f"Vertex {'VAWCEB'[k]}, row {k} of vertices.")
+
+
+def _edge(a: int) -> property:
+    return property(lambda p: p.arcs[a], doc=f"Arc {EDGE_NAMES[a]}, item {a} of arcs.")
+
+
 @dataclass(frozen=True)
 class Pentagon:
-    """The five-vertex subdivision tile, with C splitting the c-edge."""
+    """The five-vertex subdivision tile, with C splitting the c-edge.
+
+    vertices holds V, A, W, C, E, B as a (6, 3) stack, and boundary arc a
+    (a1, a2, c1, c2, b2, b1) runs from vertex a to vertex a + 1 (mod 6),
+    with unit normal normals[a] and length lengths[a].  Its GreatArcs are
+    built from the stacks on first use.
+    """
 
     n: int
-    V: np.ndarray
-    A: np.ndarray
-    W: np.ndarray
-    C: np.ndarray
-    E: np.ndarray
-    B: np.ndarray
-    a1: GreatArc
-    a2: GreatArc
-    c1: GreatArc
-    c2: GreatArc
-    b2: GreatArc
-    b1: GreatArc
+    vertices: np.ndarray = field(repr=False)
+    normals: np.ndarray = field(repr=False)
+    lengths: tuple[float, ...]
 
-    @property
+    V, A, W, C, E, B = map(_vertex, range(6))
+    a1, a2, c1, c2, b2, b1 = map(_edge, range(6))
+
+    @cached_property
     def arcs(self) -> tuple[GreatArc, ...]:
         """Boundary arcs in traversal order a1, a2, c1, c2, b2, b1."""
-        return (self.a1, self.a2, self.c1, self.c2, self.b2, self.b1)
+        P = self.vertices
+        return tuple(GreatArc(u=P[a], v=P[(a + 1) % 6], normal=self.normals[a],
+                              length=self.lengths[a]) for a in range(6))
 
 
 @dataclass(frozen=True)
@@ -89,7 +105,7 @@ class SimplicityReport:
     violations: tuple[Violation, ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _rotations(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The rotations taking V to W (about A, chart angle -2pi/3) and to E
     (about B, chart angle +2pi/n)."""
@@ -107,25 +123,19 @@ def anchor_pentagon(n: int, V: np.ndarray) -> Pentagon:
     """
     geo = charts.geometry(n)
     V = as_point(V)
-    A, B, C = geo.A, geo.B, geo.C
-    if norm3(V - A) <= _TOL_CHORD or norm3(V - B) <= _TOL_CHORD:
-        raise DegenerateAnchor("anchor coincides with A or B")
     to_w, to_e = _rotations(n)
-    W = to_w @ V
-    E = to_e @ V
+    path = np.array([V, geo.A, to_w @ V, geo.C, to_e @ V, geo.B, V])
+    ab = V - path[1::4]
+    # the shorter of the chords |V - A| and |V - B|, with the bits of norm3
+    if math.sqrt(min(np.vecdot(ab, ab).tolist())) <= _TOL_CHORD:
+        raise DegenerateAnchor("anchor coincides with A or B")
     try:
-        a1 = minor_arc(V, A)
-        a2 = minor_arc(A, W)
-        c1 = minor_arc(W, C)
-        c2 = minor_arc(C, E)
-        b2 = minor_arc(E, B)
-        b1 = minor_arc(B, V)
+        normals, lengths = minor_arcs(path)
     except AntipodalEndpoints as exc:
         raise AntipodalConstruction(str(exc)) from exc
     except DegenerateArc as exc:
         raise DegenerateAnchor(str(exc)) from exc
-    return Pentagon(n=n, V=V, A=A, W=W, C=C, E=E, B=B,
-                    a1=a1, a2=a2, c1=c1, c2=c2, b2=b2, b1=b1)
+    return Pentagon(n, path[:6], normals, lengths)
 
 
 def _near(p: np.ndarray, q: np.ndarray) -> bool:
@@ -134,44 +144,54 @@ def _near(p: np.ndarray, q: np.ndarray) -> bool:
 
 
 def is_simple(p: Pentagon) -> SimplicityReport:
-    """Test the 12 arc pairs of _PAIRS, in (i, j) order; those the sign
-    filter clears skip arc_intersect.
+    """Test the 12 arc pairs of _PAIRS, in (i, j) order; only those the sign
+    filter leaves undecided run arc_intersect.
 
     Adjacent arcs may meet only at their shared vertex; non-adjacent arcs may
     not meet at all; coplanar overlaps of positive length are violations.  No
-    early exit, so the violation list is complete.  A pair the sign filter
-    (see _ROUND) decides as not crossing meets nowhere it would be reported,
-    and is skipped; every other pair goes through arc_intersect for its kind
-    and witness.  The three adjacent pairs _PAIRS leaves out never report one.
+    early exit, so the violation list is complete.  The products and margins
+    of the sign filter (see _ROUND) come from the stacks of p.  A pair it
+    decides as not crossing meets nowhere it would be reported, and is
+    skipped; a pair it decides as crossing meets at -sign(s1) m/|m| for m the
+    cross product of the two normals, its witness; every other pair goes
+    through arc_intersect, on p.arcs, for its kind and witness.  The three
+    adjacent pairs _PAIRS leaves out never report one.
     """
-    arcs = p.arcs
-    P = (p.V, p.A, p.W, p.C, p.E, p.B)
+    P, N = p.vertices, p.normals
     # dots[6 a + k] = n_a.P_k for the arc normals and the vertices
-    dots = (np.array([a.normal for a in arcs]) @ np.array(P).T).ravel().tolist()
+    dots = (N @ P.T).ravel().tolist()
     # sin(length) is the chord |u x v| of _arcs
-    margins = _margins(max(min(math.sin(a.length) for a in arcs), DEGENERATE_EPS))
+    margins = _margins(max(min(map(math.sin, p.lengths)), DEGENERATE_EPS))
     violations: list[Violation] = []
     # _near's VERTEX_SLACK is wider than DEFAULT_TOL, so a transversal
     # crossing within DEFAULT_TOL of the shared vertex is not re-reported
     for (i, j, adj), rule, products in _REPORT_PAIRS:
-        decided, crosses = rule(products(dots), margins)
+        s = products(dots)   # s1, s2, t1, t2 of _pair_rule, or s, t
+        decided, crosses = rule(s, margins)
         if decided and not crosses:
             continue
         pair = (EDGE_NAMES[i], EDGE_NAMES[j])
-        res = arc_intersect(arcs[i], arcs[j])
-        if res.overlap:
-            if res.shared and len(res.shared) == 2:
-                violations.append(Violation(pair, "overlap", res.shared[0]))
-            elif res.points and adj < 0:
-                violations.append(Violation(pair, "crossing", res.points[0]))
-            continue
-        for q in res.points:
+        if decided:
+            # arc j crosses circle i at -sign(s1) m/|m| (see _ROUND), the
+            # candidate of arc_intersect, bit for bit
+            m = cross3(N[i], N[j])
+            q = m / norm3(m)
+            points = (-q if s[0] > 0.0 else q,)
+        else:
+            arcs = p.arcs
+            res = arc_intersect(arcs[i], arcs[j])
+            if res.overlap:
+                if res.shared and len(res.shared) == 2:
+                    violations.append(Violation(pair, "overlap", res.shared[0]))
+                elif res.points and adj < 0:
+                    violations.append(Violation(pair, "crossing", res.points[0]))
+                continue
+            points = res.points
+        for q in points:
             if adj >= 0 and _near(q, P[adj]):
                 continue
-            kind = "crossing"
-            for a in (arcs[i], arcs[j]):
-                if _near(q, a.u) or _near(q, a.v):
-                    kind = "endpoint-degenerate"
+            ends = (P[i], P[(i + 1) % 6], P[j], P[(j + 1) % 6])
+            kind = "endpoint-degenerate" if any(_near(q, e) for e in ends) else "crossing"
             violations.append(Violation(pair, kind, q))
     return SimplicityReport(simple=not violations, violations=tuple(violations))
 
@@ -228,11 +248,12 @@ _PAIRS = tuple((i, j, j if j == i + 1 else (0 if (i, j) == (0, 5) else -1))
 # a multiply and an add.
 # The proof holds for either exact path.  is_simple's, arc_intersect,
 # tests the same candidates against the same DEFAULT_TOL windows, and its
-# ON_CIRCLE test and _near's extra 1e-15 can only drop a hit.  A GreatArc's
-# normal is cross3(u, v) / norm3 of it, which rounds within the same few ulps
-# as the component cross products and lengths of _arcs, and is_simple takes
-# the chord as sin(length), the |u x v| of _arcs to within the 5e-10 an
-# anchor may be off the sphere.
+# ON_CIRCLE test and _near's extra 1e-15 can only drop a hit.  The normals of
+# sphere.minor_arcs (the products and differences of cross3, divided by the
+# norm3 of the product) round within the same few ulps as the component cross
+# products and lengths of _arcs, and is_simple takes the chord as
+# sin(length), the |u x v| of _arcs to within the 5e-10 an anchor may be off
+# the sphere.
 #
 # A non-adjacent pair is decided where the values clear
 # clear = _CLEAR + slop = tan(DEFAULT_TOL) + slop:
@@ -259,8 +280,11 @@ _PAIRS = tuple((i, j, j if j == i + 1 else (0 if (i, j) == (0, 5) else -1))
 # - arc i's far end lies at least |t| > DEFAULT_TOL + 2 VERTEX_CHORD from -S,
 #   which is on circle j, so the window of arc i misses the candidate near
 #   -S, which is within 1.6 VERTEX_CHORD of -S.
-# Rows inside a margin go through the exact path, as do the pairs decided as
-# crossing in is_simple, which reports their kind and witness.
+# Rows inside a margin go through the exact path.  A pair decided as
+# crossing meets at -sign(s1) m/|m| alone, the one candidate of arc_intersect
+# inside both windows, so is_simple takes that point as its witness, from
+# the bits arc_intersect computes it from (cross3 of the normals over its
+# norm3), and only its kind from _near.
 _ROUND = 2.0 ** -46
 _CLEAR = math.tan(DEFAULT_TOL)
 _CLEAR_ADJ = DEFAULT_TOL + 2.0 * VERTEX_CHORD
@@ -474,7 +498,7 @@ def _oracle(n: int, V: np.ndarray) -> np.ndarray:
             decided, crosses = rule([_dot(NH[a], P[v], prod, out)
                                      for (a, v), out in zip(slots, bufs)], margins)
             alive &= ~crosses
-            at = np.flatnonzero(np.less(decided, alive, out=pend))
+            at = np.less(decided, alive, out=pend).nonzero()[0]
             if at.size:
                 with scratch(at.size) as h:
                     alive[at] = ~_pair_hits(i, j, adj, P, NH, CN, at, h)
@@ -492,10 +516,4 @@ def face_pentagons(n: int, V: np.ndarray) -> tuple[Pentagon, Pentagon, Pentagon]
 
 
 def _rotate_pentagon(p: Pentagon, rot: np.ndarray) -> Pentagon:
-    def rarc(a: GreatArc) -> GreatArc:
-        return GreatArc(u=rot @ a.u, v=rot @ a.v, normal=rot @ a.normal, length=a.length)
-
-    return Pentagon(n=p.n, V=rot @ p.V, A=p.A, W=rot @ p.W, C=rot @ p.C,
-                    E=rot @ p.E, B=rot @ p.B,
-                    a1=rarc(p.a1), a2=rarc(p.a2), c1=rarc(p.c1),
-                    c2=rarc(p.c2), b2=rarc(p.b2), b1=rarc(p.b1))
+    return Pentagon(p.n, p.vertices @ rot.T, p.normals @ rot.T, p.lengths)

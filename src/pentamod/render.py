@@ -49,6 +49,7 @@ class RenderOptions:
     anchor: complex | None = None     # A-chart anchor for face-subdivision
 
     def __post_init__(self):
+        charts.solid_constants(self.n)
         if self.samples_per_curve < 16:
             raise ValueError("samples_per_curve must be >= 16")
         if self.width_px < 64:

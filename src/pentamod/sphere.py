@@ -1,4 +1,5 @@
-"""Floating-point spherical primitives: unit vectors, minor arcs,
+"""Floating-point spherical primitives: unit vectors, minor arcs (one by
+minor_arc, or the arcs along a path of points as stacks by minor_arcs),
 input validation (as_point/as_points), rows_matmul, whose rows never depend
 on their batch, the uniform sampler sample_sphere and map_sample, which
 streams that sample through a function in bounded pieces, map_rows, which
@@ -17,8 +18,16 @@ differences as np.cross, in the same order, on Python floats: each is one
 IEEE double operation, so every component has the same bits.  norm3 is
 sqrt(a.dot(a)), which is what np.linalg.norm runs on a 1-D float array
 (ravel, x.dot(x), sqrt); the sum stays on numpy's dot, since BLAS may fuse
-it in an order plain float arithmetic would not reproduce.  Each arc keeps
-its tangent normal x u, computed once.
+it in an order plain float arithmetic would not reproduce.
+
+minor_arcs builds several arcs in one pass of numpy calls, with the
+bits of cross3 and norm3: its cross products are three ufuncs on column
+views of the points laid out x y z x y, which form the products and
+differences of cross3, and its sums of products come from np.vecdot, which
+rounds each row like ndarray.dot, so like norm3 and u @ v (a tier-1 test
+pins both on generic vectors).  minor_arc is its one-arc case, so one arc
+rule remains.  A GreatArc computes its tangent normal x u on first use, for
+point_on_arc and arc_intersect.
 """
 
 from __future__ import annotations
@@ -378,18 +387,44 @@ class GreatArc:
         return cross3(self.normal, self.u)
 
 
+def minor_arcs(path: np.ndarray) -> tuple[np.ndarray, tuple[float, ...]]:
+    """The minor arcs from each row of a (k + 1, 3) float array of unit
+    vectors to the next, as stacks: their unit normals, (k, 3), and their
+    lengths, each in (0, pi).
+
+    Raises AntipodalEndpoints or DegenerateArc for the first arc, in path
+    order, whose ends are antipodal or coincide, antipodal tested first.
+    The arc from u to v has the bits of the 3-vector forms: normal c /
+    norm3(c) and length atan2(norm3(c), u @ v) for c = cross3(u, v), and
+    antipodal ends where norm3(u + v) <= ANTIPODAL_EPS.  The column views of
+    the rows laid out x y z x y form the products and differences of cross3,
+    and np.vecdot rounds like ndarray.dot, so like norm3 and u @ v.
+    """
+    u, v = path[:-1], path[1:]
+    xyzxy = np.concatenate((path, path[:, :2]), axis=1)
+    a, b = xyzxy[:-1], xyzxy[1:]
+    c = a[:, 1:4] * b[:, 2:5]
+    c -= a[:, 2:5] * b[:, 1:4]
+    chord = np.sqrt(np.vecdot(c, c))
+    s = u + v
+    ends = np.sqrt(np.vecdot(s, s)).tolist()
+    # angular_distance(u, v), sharing the cross product with the normal
+    lengths = tuple(map(math.atan2, chord.tolist(), np.vecdot(u, v).tolist()))
+    for end, length in zip(ends, lengths):
+        if end <= ANTIPODAL_EPS:
+            raise AntipodalEndpoints("arc endpoints are antipodal")
+        if length < DEGENERATE_EPS:
+            raise DegenerateArc("arc endpoints coincide")
+    return c / chord[:, None], lengths
+
+
 def minor_arc(u: np.ndarray, v: np.ndarray) -> GreatArc:
-    """Minor arc between two non-antipodal, non-coincident unit vectors."""
+    """Minor arc between two non-antipodal, non-coincident unit vectors: the
+    one-arc path of minor_arcs."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if norm3(u + v) <= ANTIPODAL_EPS:
-        raise AntipodalEndpoints("arc endpoints are antipodal")
-    c = cross3(u, v)
-    nc = norm3(c)
-    length = math.atan2(nc, float(u @ v))   # angular_distance(u, v), sharing c with the normal
-    if length < DEGENERATE_EPS:
-        raise DegenerateArc("arc endpoints coincide")
-    return GreatArc(u=u, v=v, normal=c / nc, length=length)
+    normals, (length,) = minor_arcs(np.array([u, v]))
+    return GreatArc(u=u, v=v, normal=normals[0], length=length)
 
 
 def point_on_arc(p: np.ndarray, s: GreatArc) -> bool:

@@ -432,6 +432,58 @@ def test_is_simple_filter_keeps_every_report(n):
     assert built > len(pts) // 2
 
 
+def _undecided_pairs(p):
+    """The pairs (i, j) of pentagon._PAIRS, in (i, j) order, that the sign
+    filter leaves undecided on pentagon p."""
+    dots = (p.normals @ p.vertices.T).ravel().tolist()
+    margins = pentagon._margins(max(min(map(math.sin, p.lengths)), sphere.DEGENERATE_EPS))
+    return [(i, j) for (i, j, _), (rule, slots) in sorted(zip(pentagon._PAIRS, pentagon._SLOTS))
+            if not rule([dots[6 * a + k] for a, k in slots], margins)[0]]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_is_simple_runs_arc_intersect_only_on_undecided_pairs(n, monkeypatch):
+    # a speed guard without timers: is_simple witnesses the crossings the
+    # filter decides from the arc normals, so arc_intersect runs only on the
+    # pairs the filter leaves undecided, and a pentagon with none, every
+    # simple uniform anchor among them, never builds its GreatArcs
+    calls = []
+
+    def counting(s, t):
+        calls.append((s, t))
+        return sphere.arc_intersect(s, t)
+
+    monkeypatch.setattr(pentagon, "arc_intersect", counting)
+    pts = np.vstack([_oracle_mix(n, 50 + n), _off_loci(n, _FILTER_OFFSETS),
+                     _off_division(n, _FILTER_OFFSETS), _short_c(n, _FILTER_OFFSETS),
+                     _antipodal_edge_anchors(n)])[::4]
+    pts = np.vstack([pts, _ONE_ROW_ANCHOR, _DEFECT_ANCHOR])
+    decided, exact = {True: 0, False: 0}, 0
+    for V in pts:
+        try:
+            pent = anchor_pentagon(n, V)
+        except (DegenerateAnchor, AntipodalConstruction):
+            continue
+        calls.clear()
+        report = pentagon.is_simple(pent)
+        undecided = _undecided_pairs(pent)
+        if not undecided:
+            assert "arcs" not in vars(pent), V
+            decided[report.simple] += 1
+        arcs = pent.arcs
+        got = [tuple(next(a for a, arc in enumerate(arcs) if arc is x) for x in call)
+               for call in calls]
+        assert got == undecided, V
+        exact += len(got)
+    for V in sample_sphere(200, 70 + n):
+        pent = anchor_pentagon(n, V)
+        if pentagon.is_simple(pent).simple:
+            assert "arcs" not in vars(pent), V
+    # simple and crossing anchors with every pair decided occur, and
+    # undecided pairs too
+    assert min(decided.values()) > 0 and exact > 0
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_filter_tests_bite_without_the_margins(n, monkeypatch):
     # the two filter tests above must catch a filter that decides rows only

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pentamod import charts, sphere
+from pentamod import areas, charts, moduli, pentagon, render, sphere
 from pentamod.charts import SQ2, SQ3, SQ5, ChartPoint
 from pentamod.errors import AntipodeOfOrigin, UnsupportedSolid
 
@@ -50,6 +50,58 @@ def test_solid_constants_tan_equation_and_closed_form():
 def test_unsupported_solid():
     with pytest.raises(UnsupportedSolid):
         charts.solid_constants(6)
+
+
+_P = sphere.unit([0.2, -0.3, -0.9])
+
+# every public entry point that takes the family n, called with n
+_N_ENTRY_POINTS = {
+    "charts.solid_constants": lambda n: charts.solid_constants(n),
+    "charts.geometry": lambda n: charts.geometry(n),
+    "charts.to_sphere": lambda n: charts.to_sphere(ChartPoint(0.1 + 0.2j, "M", n)),
+    "charts.to_chart": lambda n: charts.to_chart(_P, "M", n),
+    "charts.mobius_m_to_a": lambda n: charts.mobius_m_to_a(n),
+    "charts.mobius_m_to_b": lambda n: charts.mobius_m_to_b(n),
+    "moduli.division": lambda n: moduli.division(n),
+    "moduli.region_pair": lambda n: moduli.region_pair(n, 1),
+    "moduli.region_of": lambda n: moduli.region_of(n, _P),
+    "moduli.curve_spec": lambda n: moduli.curve_spec("gamma_A", n),
+    "moduli.gamma_m_chart": lambda n: moduli.gamma_m_chart("gamma_A", n, 2.0),
+    "moduli.m_chart_cartesian_residual": lambda n: moduli.m_chart_cartesian_residual("gamma_A", n, 0.1j),
+    "moduli.part_regions": lambda n: moduli.part_regions(n),
+    "moduli.fan_parts": lambda n: moduli.fan_parts(n),
+    "moduli.analytic_in_moduli": lambda n: moduli.analytic_in_moduli(n, _P),
+    "moduli.analytic_in_moduli_batch": lambda n: moduli.analytic_in_moduli_batch(n, _P[None]),
+    # a zero band returns before any table is read
+    "moduli.boundary_band_mask": lambda n: moduli.boundary_band_mask(n, _P[None], 0.0),
+    "moduli.ab_plane": lambda n: moduli.ab_plane(n),
+    "moduli.ab_circle": lambda n: moduli.ab_circle(n),
+    "moduli.reduction_residual": lambda n: moduli.reduction_residual("a=c", n, _P),
+    "moduli.reduction_radii": lambda n: moduli.reduction_radii("a=c", n, [2.0]),
+    "moduli.reduction_point": lambda n: moduli.reduction_point("b=c", n, 2.0),
+    "moduli.check_bc_below_gammaA": lambda n: moduli.check_bc_below_gammaA(n),
+    "pentagon.anchor_pentagon": lambda n: pentagon.anchor_pentagon(n, _P),
+    "pentagon.oracle_in_moduli": lambda n: pentagon.oracle_in_moduli(n, _P),
+    "pentagon.oracle_in_moduli_batch": lambda n: pentagon.oracle_in_moduli_batch(n, _P[None]),
+    "pentagon.face_pentagons": lambda n: pentagon.face_pentagons(n, _P),
+    "areas.part_areas": lambda n: areas.part_areas(n),
+    "areas.part_areas_quadrature": lambda n: areas.part_areas_quadrature(n),
+    "areas.consistency_A2A4A8": lambda n: areas.consistency_A2A4A8(n),
+    "areas.monte_carlo_area": lambda n: areas.monte_carlo_area(n, 1000, 1),
+    "render.RenderOptions": lambda n: render.RenderOptions(n=n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_N_ENTRY_POINTS))
+def test_every_entry_point_takes_only_an_integral_family(name):
+    # n = 4 first fills the caches, which an equal float or bool must not
+    # find; numpy integers are integers
+    call = _N_ENTRY_POINTS[name]
+    call(4)
+    call(np.int64(4))
+    for bad in (4.0, np.float64(4.0), 4.5, True, np.bool_(True), "4", None, 6):
+        with pytest.raises(UnsupportedSolid):
+            call(bad)
 
 
 def test_chart_conventions():

@@ -8,7 +8,8 @@ import pytest
 
 from pentamod import charts, moduli, pentagon, sphere
 from pentamod.charts import ChartPoint
-from pentamod.errors import AntipodalConstruction, DegenerateAnchor
+from pentamod.errors import (AntipodalConstruction, AntipodalEndpoints, DegenerateAnchor,
+                             DegenerateArc)
 from pentamod.sphere import sample_sphere
 
 SOLIDS = (3, 4, 5)
@@ -294,6 +295,41 @@ def _antipodal_edge_anchors(n):
             for a in (1e-12, 5e-10, 1e-9 - 1e-12, 1e-9 + 1e-12, 2e-9, 1e-7, 1e-5):
                 pts.append(math.cos(a) * c + math.sin(a) * d)
     return np.array(pts)
+
+
+@pytest.mark.parametrize("n", SOLIDS)
+def test_minor_arc_is_each_arc_of_anchor_pentagon(n):
+    # anchor_pentagon builds its six arcs in one pass over the vertex stack,
+    # and minor_arc is the one-arc case of the same rule: on each arc's ends
+    # it gives the same bits, and where the construction fails, the first
+    # arc minor_arc cannot build fails the same way
+    geo = charts.geometry(n)
+    to_w, to_e = pentagon._rotations(n)
+    failures = {}
+    for V in list(_digest_anchors(n)) + list(_antipodal_edge_anchors(n)):
+        try:
+            pent = pentagon.anchor_pentagon(n, V)
+        except (DegenerateAnchor, AntipodalConstruction) as exc:
+            P = (V, geo.A, to_w @ V, geo.C, to_e @ V, geo.B)
+            want = None
+            if min(sphere.norm3(V - geo.A), sphere.norm3(V - geo.B)) <= pentagon._TOL_CHORD:
+                want = DegenerateAnchor
+            for a in range(6):
+                if want is not None:
+                    break
+                try:
+                    sphere.minor_arc(P[a], P[(a + 1) % 6])
+                except AntipodalEndpoints:
+                    want = AntipodalConstruction
+                except DegenerateArc:
+                    want = DegenerateAnchor
+            assert type(exc) is want, V
+            failures[want] = failures.get(want, 0) + 1
+            continue
+        for arc in pent.arcs:
+            ref = sphere.minor_arc(arc.u, arc.v)
+            assert (ref.normal.tobytes(), ref.length) == (arc.normal.tobytes(), arc.length), V
+    assert failures.keys() == {DegenerateAnchor, AntipodalConstruction}
 
 
 # the vertex that consecutive boundary arcs a1, a2, c1, c2, b2, b1 share

@@ -141,6 +141,11 @@ def test_cross3_and_norm3_match_numpy_on_generic_vectors():
     b = rng.normal(size=(4000, 3))
     assert all(sphere.cross3(x, y).tobytes() == np.cross(x, y).tobytes() for x, y in zip(a, b))
     assert all(np.float64(sphere.norm3(x)).tobytes() == np.linalg.norm(x).tobytes() for x in a)
+    # minor_arcs takes its dot products from np.vecdot: each row rounds as
+    # ndarray.dot, and so its square root as norm3
+    for x, y in ((a, b), (a, a), (b, b)):
+        assert np.vecdot(x, y).tobytes() == np.array([u.dot(v) for u, v in zip(x, y)]).tobytes()
+    assert np.sqrt(np.vecdot(a, a)).tobytes() == np.array([sphere.norm3(x) for x in a]).tobytes()
 
 
 def _whole_draw(samples, seed):
