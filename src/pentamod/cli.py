@@ -73,7 +73,7 @@ def cmd_check(args) -> int:
         oracle = report.simple
         violations = [
             {"pair": list(v.pair), "kind": v.kind,
-             "witness": None if v.witness is None else [float(x) for x in v.witness]}
+             "witness": [float(x) for x in v.witness]}
             for v in report.violations
         ]
     except (DegenerateAnchor, AntipodalConstruction) as exc:
@@ -116,9 +116,12 @@ def _curve_rows(which: str, n: int, chart: str, samples: int):
         return [(t, moduli.curve_radius(spec, t))
                 for t in np.linspace(spec.theta_lo, spec.theta_hi, samples)]
     if which == "a=b":
-        # parametrize the great circle, keep the in-disk hemisphere
-        pts = render.circle_points(moduli.ab_plane(n), max(4 * samples, 64))
-        zs = [complex(q[0], q[1]) / (1.0 - q[2]) for q in pts if q[2] < 0.0][:samples]
+        # the great circle's in-disk half (xi3 <= 0): circle_points starts on
+        # the chart equator, so its first and second halves run from one
+        # disk-edge end to the other
+        pts = render.circle_points(moduli.ab_plane(n), 2 * samples - 1)
+        half = pts[:samples] if pts[:samples, 2].sum() < 0.0 else pts[samples - 1:]
+        zs = [complex(q[0], q[1]) / (1.0 - q[2]) for q in half]
         return [(math.atan2(z.imag, z.real), abs(z)) for z in zs]
     thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
     return list(zip(thetas, moduli.reduction_radii(which, n, thetas)))

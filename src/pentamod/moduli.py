@@ -8,7 +8,9 @@ M-side of circle AB and even indices mirrored.  A point's region is read
 from the signs of its angles to the n + 2 dividing circles alone: they fix
 its sector in the fan of circles through A and in the fan through B, and
 circle AB, which belongs to both fans, is read once, so every point off the
-circles lands in a realized region.
+circles lands in a realized region.  Two sign codes lo and hi (see _codes
+and _Tables) place every point: off the circles both name its region, and
+on exactly one circle they name the regions on its two sides.
 
 The moduli boundary consists of two straight arcs (in the M-chart) plus the
 three curves gamma_A, gamma_B, gamma_C.  Every curve is carried in three
@@ -20,10 +22,11 @@ The moduli is a union of regions, four core triangles and four curve
 fans, and one inside rule decides membership (see _Tables): a point is in
 a core region, and in a fan region when it lies on the near side of the
 curve's singular end and inside the curve.  A point off the dividing
-circles takes the rule of its own region; a point on exactly one circle is
-in when the rule holds, at the point, for both regions across the circle,
-so the included internal arcs are those glued between two moduli regions;
-a point on two or more circles is out.
+circles takes the rule of its own region, sign_region[lo]; a point on
+exactly one circle is in when the rule holds, at the point, for both regions
+across the circle, sign_region[lo] and sign_region[hi], so the included
+internal arcs are those glued between two moduli regions; a point on two or
+more circles is out.
 
 Side of and nearness to the dividing circles, and with them nearness to
 the division vertices, come from the sines of _circle_sines (never turned
@@ -160,50 +163,25 @@ def _circle_sines(n: int, pts: np.ndarray, out: np.ndarray | None = None) -> np.
     return rows_matmul(pts, division(n).normals.T, out)
 
 
-def _classify(n: int, pts: np.ndarray, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Place each point of an (N, 3) array of unit vectors in the division:
-    (circle, region, negative), from the scratch frame s.
-
-    A point within DEFAULT_TOL (radians) of two or more dividing circles
-    gets neither a circle (-1) nor a region (0).  So does every point within
-    DEFAULT_TOL of a division vertex: the vertex lies within 1e-15 of two
-    circles, so the point's sines to both are within ON_CIRCLE.  A point
-    within DEFAULT_TOL of exactly one circle gets that circle's index into
-    Division.circle_names.  Every other point gets its region 1..6n, read
-    from the signs of its circle sines.  negative holds the (N, n+2) flags
-    (True or 1.0) of the negative sines, as _sign_region reads them.  The
-    points must already be validated by as_points.
+def _codes(n: int, pts: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
+    """The sign codes (lo, hi) of each point of an (N, 3) array of unit
+    vectors, as intp arrays, with temporaries from the scratch frame s: the
+    sums of sign_weights over the circles whose sine is below -ON_CIRCLE,
+    and over those whose sine is at most ON_CIRCLE (see _Tables).  A point
+    within DEFAULT_TOL of a division vertex is on two circles by these
+    codes: the vertex lies within 1e-15 of two circles, so the point's sines
+    to both are within ON_CIRCLE.  The points must already be validated by
+    as_points.
     """
     k = len(pts)
+    w = _tables(n).sign_weights
     sines = _circle_sines(n, pts, s.out((k, n + 2)))
-    # 1.0 (or True) on the circles a point is on: a float product sums the
-    # rows of such a matrix several times faster than sum or argmax, so
-    # argmax runs on the rare rows it decides
+    # 1.0 (or True) on the flagged circles: a float product sums them
+    # exactly, several times faster than sum or an integer product
     flags = s.out((k, n + 2))
-    on = np.less_equal(np.abs(sines, out=flags), ON_CIRCLE, out=flags)
-    count = np.matmul(on, _tables(n).ones, out=s.out(k))
-    circle = s.empty(k, np.intp)
-    circle.fill(-1)
-    single = (count == 1.0).nonzero()[0]
-    if single.size:
-        circle[single] = on[single].argmax(axis=1)
-    # then where the sines are negative, in the same buffer
-    negative = np.less(sines, 0.0, out=flags)
-    region = _sign_region(n, negative, s.out(k, np.intp))
-    region[count != 0.0] = 0
-    return circle, region, negative
-
-
-def _sign_region(n: int, negative: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The region of each point off every dividing circle, read from its
-    (N, n+2) flags (True or 1.0) of negative circle sines (see _tables),
-    written into out when given."""
-    t = _tables(n)
-    # the product sums the weights of the flagged circles exactly; every
-    # code is below 6n, the table's length, so "clip", which spares take a
-    # buffered copy of out, clips none
-    code = (negative @ t.sign_weights).astype(np.intp)
-    return t.sign_region.take(code, 0, out, "clip")
+    lo = np.matmul(np.less(sines, -ON_CIRCLE, out=flags), w, out=s.out(k)).astype(np.intp)
+    hi = np.matmul(np.less_equal(sines, ON_CIRCLE, out=flags), w, out=s.out(k)).astype(np.intp)
+    return lo, hi
 
 
 def region_of(n: int, p: np.ndarray):
@@ -218,27 +196,29 @@ def region_of(n: int, p: np.ndarray):
     named vertex on every circle through the vertex, its other signs kept.
     """
     solid_constants(n)
-    div = division(n)
+    div, t = division(n), _tables(n)
     p = as_point(p)
     sines = _circle_sines(n, p[None])[0]
+    code = int((sines < 0.0) @ t.sign_weights)
     if not np.count_nonzero(np.abs(sines) <= _SLACK_SINE):
         # every division vertex lies on two circles (within 1e-15), so a
         # point within VERTEX_SLACK of no circle is within it of no vertex
-        return int(_sign_region(n, sines[None] < 0.0)[0])
+        return int(t.sign_region[code])
     on = np.abs(sines) <= ON_CIRCLE
     chords = np.linalg.norm(p - div.vertex_points, axis=1)
     near = (chords <= VERTEX_CHORD).nonzero()[0]
     if not (near.size or on.any()):
-        return int(_sign_region(n, sines[None] < 0.0)[0])
+        return int(t.sign_region[code])
     vertex_name = list(div.vertices)[near[0]] if near.size else None
     kind = "vertex" if (np.count_nonzero(on) >= 2 or vertex_name) else "arc"
     if near.size:
         on |= np.abs(div.normals @ div.vertex_points[near[0]]) <= ON_CIRCLE
-    k = on.nonzero()[0]
-    flip = (np.arange(1 << k.size)[:, None] >> np.arange(k.size)) & 1
-    patterns = np.tile(sines, (len(flip), 1))
-    patterns[:, k] = 1.0 - 2.0 * flip
-    neighbours = _sign_region(n, patterns < 0.0)
+    # the code with every circle in `on` positive, plus each subset sum of
+    # their weights: the codes of every sign pattern on those circles
+    w = t.sign_weights[on]
+    flip = (np.arange(1 << w.size)[:, None] >> np.arange(w.size)) & 1
+    codes = code - (sines[on] < 0.0) @ w + flip @ w
+    neighbours = t.sign_region[codes.astype(np.intp)]
     return Boundary(kind=kind, regions=tuple(sorted({int(m) for m in neighbours})),
                     vertex=vertex_name)
 
@@ -497,9 +477,15 @@ def fan_parts(n: int) -> dict[str, tuple[CurveSpec, float, float]]:
 class _Tables:
     """One family's division and membership rule as tables.
 
-    A point off the division circles has sign code (sines < 0) @
-    sign_weights and lies in region sign_region[code]; (|sines| <=
-    ON_CIRCLE) @ ones counts the circles a point is on.
+    A point's sign codes (see _codes) are lo = (sines < -ON_CIRCLE) @
+    sign_weights and hi = (sines <= ON_CIRCLE) @ sign_weights.  Off every
+    circle lo == hi and the point lies in region sign_region[lo].  Otherwise
+    hi - lo is the weight sum of the circles it is on, and single[hi - lo]
+    holds when that is one circle's weight, which is when the point is on
+    exactly one circle: the weights 3n, n, n and n - 1 ones sum to no weight
+    over two or more circles, and to at most 6n - 1 over all of them.  Then
+    sign_region[lo] and sign_region[hi] are the regions on the circle's two
+    sides.  (|sines| <= band) @ ones counts the circles a point is near.
 
     The inside rule: a point p counts as in region m when core[m], or, in a
     fan region (fan[m]), when cos(phi - alpha) > 0 and its chart radius is
@@ -514,6 +500,7 @@ class _Tables:
     """
 
     sign_weights: np.ndarray
+    single: np.ndarray
     ones: np.ndarray
     sign_region: np.ndarray
     core: np.ndarray
@@ -553,6 +540,8 @@ def _tables(n: int) -> _Tables:
     sign_weights = np.array([3.0 * n, n, n] + [1.0] * (n - 1))
     s, a, b = np.meshgrid(np.arange(2), np.arange(3), np.arange(n), indexing="ij")
     sign_region = _sector_region(n, np.where(s, a, 5 - a), np.where(s, b, 2 * n - 1 - b)).ravel()
+    single = np.zeros(6 * n, dtype=bool)
+    single[sign_weights.astype(np.intp)] = True
     # curve quadrics.  A curve is L (x1^2 + x2^2) + (c1 x1 + c2 x2) x3 = 0
     # in the coordinates x = F p of its chart frame F, that is x.Hx = 0, and
     # p.Sp = 0 for S = F^T H F, made exactly symmetric
@@ -565,7 +554,8 @@ def _tables(n: int) -> _Tables:
         L, F = k * spec.lam, geometry(n).frame(spec.chart)
         S = F.T @ np.array([[L, 0.0, 0.5 * c1], [0.0, L, 0.5 * c2], [0.5 * c1, 0.5 * c2, 0.0]]) @ F
         quadric[which] = 0.5 * (S + S.T)
-    return _Tables(sign_weights, np.ones(n + 2), sign_region, core, fan, fan_b, *params, quadric)
+    return _Tables(sign_weights, single, np.ones(n + 2), sign_region, core, fan, fan_b, *params,
+                   quadric)
 
 
 def analytic_in_moduli_batch(n: int, pts: np.ndarray) -> np.ndarray:
@@ -588,19 +578,20 @@ def _membership(n: int, pts: np.ndarray) -> np.ndarray:
     t = _tables(n)
     k = len(pts)
     with scratch(k) as s:
-        circle, region, negative = _classify(n, pts, s)
-        on = (circle >= 0).nonzero()[0]
+        lo, hi = _codes(n, pts, s)
+        region = t.sign_region.take(hi)
+        on = (lo != hi).nonzero()[0]
         if not on.size:
             return _inside(n, pts, region, s)
-        # the regions across a row's circle c have the sign codes of its
-        # flags with c's set and clear: the row takes the first, and a copy
-        # of it after the last row takes the second
-        c = circle[on]
-        w = t.sign_weights.take(c)
-        clear = negative.take(on, 0) @ t.sign_weights - w * negative.take(on * (n + 2) + c)
-        region[on] = t.sign_region.take((clear + w).astype(np.intp))
+        # a row on one circle keeps the region of its code hi, and a copy of
+        # it after the last row takes that of lo, across the circle; a row
+        # on two or more circles is in no region
+        lo = lo.take(on)
+        one = t.single.take(hi.take(on) - lo)
+        region[on[~one]] = 0
+        on = on[one]
         inside = _inside(n, np.concatenate((pts, pts.take(on, 0))),
-                         np.concatenate((region, t.sign_region.take(clear.astype(np.intp)))), s)
+                         np.concatenate((region, t.sign_region.take(lo[one]))), s)
         inside[on] &= inside[k:]
         return inside[:k]
 

@@ -96,7 +96,7 @@ class Pentagon:
 class Violation:
     pair: tuple[str, str]
     kind: str              # crossing | overlap | endpoint-degenerate
-    witness: np.ndarray | None
+    witness: np.ndarray
 
 
 @dataclass(frozen=True)

@@ -258,6 +258,21 @@ def test_identity_and_singular_mobius():
         charts.MobiusMap(1, 2, 2, 4)
 
 
+@pytest.mark.parametrize("n", SOLIDS)
+def test_mobius_at_infinity(n):
+    # INFINITY is the M-chart origin's antipode: each map sends it to that
+    # point's A- or B-chart coordinate, each inverse to -d/c (the point the
+    # forward map sends to INFINITY), and the identity keeps it
+    antipode = charts.to_sphere(ChartPoint(charts.INFINITY, "M", n))
+    for m, chart in ((charts.mobius_m_to_a(n), "A"), (charts.mobius_m_to_b(n), "B")):
+        want = charts.to_chart(antipode, chart, n).z
+        assert abs(charts.apply_mobius(m, charts.INFINITY) - want) < 1e-14, (n, chart)
+        pole = -m.d / m.c
+        assert abs(charts.apply_mobius(m.inverse(), charts.INFINITY) - pole) <= 1e-15 * abs(pole)
+        assert charts.apply_mobius(m, pole) == charts.INFINITY
+    assert charts.apply_mobius(charts.MobiusMap(1, 0, 0, 1), charts.INFINITY) == charts.INFINITY
+
+
 def test_chart_rotation_vs_world_rotation():
     # multiplying by e^(i*beta) in a chart is the world rotation about the
     # chart origin's axis by -beta (the origin sits at frame coordinates

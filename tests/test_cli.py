@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import json
 import math
@@ -178,6 +179,21 @@ def test_curve_ab_diagonal(capsys):
     for line in rows:
         vals = [float(v) for v in line.split(",")]
         assert abs(vals[2] - vals[3]) < 1e-9     # x = y
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_curve_ab_spans_the_disk(capsys, n):
+    # the whole in-disk half of the a=b circle, from one disk-edge end to
+    # the other, in exactly the rows asked for
+    samples = 64
+    code, out = run_cli(capsys, "curve", "a=b", "--solid", str(n), "--samples", str(samples))
+    assert code == 0
+    rows = [[float(v) for v in line.split(",")] for line in out.strip().splitlines()[1:]]
+    assert len(rows) == samples
+    assert rows[0][1] > 0.99 and rows[-1][1] > 0.99
+    for theta, r in cli._curve_rows("a=b", n, "M", samples):
+        xi = charts.to_sphere(ChartPoint(cmath.rect(r, theta), "M", n))
+        assert abs(moduli.reduction_residual("a=b", n, xi)) < 1e-12, (n, theta, r)
 
 
 def test_area_json(capsys):

@@ -23,10 +23,12 @@ CURVES = moduli.CURVE_NAMES
 
 
 def _classify(n, pts):
-    """moduli._classify on arrays that outlive its scratch frame."""
+    """(one, region) of each point from moduli._codes: whether it is on
+    exactly one dividing circle, and its region (0 on any circle)."""
+    t = moduli._tables(n)
     with sphere.scratch(len(pts)) as s:
-        circle, region, _ = moduli._classify(n, pts, s)
-        return circle.copy(), region.copy()
+        lo, hi = moduli._codes(n, pts, s)
+    return t.single[hi - lo], np.where(lo == hi, t.sign_region[lo], 0)
 
 
 def test_every_figure_label_classifies_to_its_region():
@@ -163,11 +165,11 @@ def _check_sign_regions(n, pts):
     tol = sphere.DEFAULT_TOL
     interior = ((_full_chord_screen(n, pts, tol) < 0)
                 & (np.abs(moduli._circle_sines(n, pts)) > math.sin(tol) + 1e-15).all(axis=1))
-    circle, region = _classify(n, pts)
+    one, region = _classify(n, pts)
     assert (region[interior] != 0).all()
     assert (region[~interior] == 0).all()
     assert np.array_equal(region[interior], _chart_regions(n, pts[interior]))
-    assert (circle[interior] == -1).all()
+    assert not one[interior].any()
     return int(np.count_nonzero(interior))
 
 
@@ -208,6 +210,22 @@ _UNIT = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: 1e-3 < sum(x * x
 def test_sign_regions_match_chart_sectors_hypothesis(v, n):
     p = np.array(v) / np.linalg.norm(v)
     _check_sign_regions(n, p[None])
+
+
+@pytest.mark.parametrize("n", SOLIDS)
+def test_one_circle_is_one_weight(n):
+    # over every subset of the n + 2 dividing circles, the weight sum is
+    # one circle's weight exactly when the subset is one circle, and below
+    # 6n, the length of the region table
+    t = moduli._tables(n)
+    w = t.sign_weights
+    assert len(w) == n + 2 and len(t.sign_region) == 6 * n
+    for mask in range(1 << (n + 2)):
+        members = [w[i] for i in range(n + 2) if mask >> i & 1]
+        total = sum(members)
+        assert total < 6 * n, (n, mask)
+        assert (total in w) == (len(members) == 1), (n, mask, total)
+        assert t.single[int(total)] == (len(members) == 1), (n, mask, total)
 
 
 def _check_region_of_matches_classify(n, pts):
@@ -781,7 +799,7 @@ def _around_vertices(n, radius, rng):
 
 
 def test_points_near_a_vertex_are_on_two_circles():
-    # so _classify needs no vertex screen: a point within DEFAULT_TOL of a
+    # so _codes needs no vertex screen: a point within DEFAULT_TOL of a
     # division vertex, even off the unit sphere by nearly the slack that
     # as_points allows, is within ON_CIRCLE of two circles through it
     rng = np.random.default_rng(17)
@@ -789,8 +807,8 @@ def test_points_near_a_vertex_are_on_two_circles():
         pts = _around_vertices(n, sphere.DEFAULT_TOL, rng)
         near = _full_chord_screen(n, pts, sphere.DEFAULT_TOL) >= 0
         assert near.any(), n
-        circle, region = _classify(n, pts[near])
-        assert (circle == -1).all() and (region == 0).all(), n
+        one, region = _classify(n, pts[near])
+        assert not one.any() and (region == 0).all(), n
 
 
 def test_near_curve_agreement_outside_band():

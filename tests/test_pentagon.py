@@ -477,6 +477,57 @@ def test_filter_slots_are_15_triple_products(n):
                    np.abs(triples[t] + triples[u]).max()) > 1e-3, (t, u)
 
 
+# the uniform draw of test_moduli_is_a_union_of_sign_cells, per n
+_SIGN_CELL_SEEDS = {3: 2029, 4: 2030, 5: 2031}
+
+
+@pytest.mark.parametrize("n", SOLIDS)
+def test_moduli_is_a_union_of_sign_cells(n):
+    # the moduli as sign cells of the oracle's own forms.  Over the slots of
+    # the nine non-adjacent pairs, with unnormalised normals, no margins and
+    # no exact path, a pair crosses where each arc straddles the other's
+    # circle (s1 s2 < 0, t1 t2 < 0) and the two crossing points agree
+    # (sign s1 != sign t1).  Outside the 1e-6 band this rule is both
+    # oracle_in_moduli_batch and analytic_in_moduli_batch, and each sign
+    # vector of the slots holds only inside or only outside rows of each
+    geo = charts.geometry(n)
+    to_w, to_e = pentagon._rotations(n)
+    # WCE is zero: E = to_e to_w^T W = 2 (C.W) C - W, the half-turn of W
+    # about C, so C x E = -C x W and det(W, C, E) = 0
+    assert np.abs(to_e @ to_w.T - (2.0 * np.outer(geo.C, geo.C) - np.eye(3))).max() <= 1e-15
+    V = sample_sphere(200_000, _SIGN_CELL_SEEDS[n])
+    P = _vertices(n, V)
+    triple = {s: t for _, row in _SLOT_TRIPLES for s, t, _ in row}
+    edge = pentagon.EDGE_NAMES
+    pairs =[slots for (_, _, adj), (_, slots) in zip(pentagon._PAIRS, _filter_slots())
+             if adj < 0]
+    assert len(pairs) == 9
+    value = {}
+    for arc, v in {s for slots in pairs for s in slots}:
+        a = edge.index(arc)
+        value[arc, v] = (np.zeros(len(V)) if triple[arc, v] == "WCE" else
+                         _det(P, (_VERTEX_NAMES[a], _VERTEX_NAMES[(a + 1) % 6], v)))
+    crosses = np.zeros(len(V), dtype=bool)
+    for slots in pairs:
+        s1, s2, t1, t2 = (value[s] for s in slots)
+        crosses |= (s1 * s2 < 0.0) & (t1 * t2 < 0.0) & ((s1 > 0.0) != (t1 > 0.0))
+    keep = ~moduli.boundary_band_mask(n, V, 1e-6)
+    rule = ~crosses[keep]
+    # each row's sign vector as the bits of its positive slots; no other
+    # slot is zero on these rows
+    live = sorted(s for s in value if triple[s] != "WCE")
+    assert len(value) - len(live) == 2
+    assert all(np.count_nonzero(value[s][keep]) == len(rule) for s in live)
+    code = sum((value[s][keep] > 0.0).astype(np.int64) << b for b, s in enumerate(live))
+    cell = np.unique(code, return_inverse=True)[1].ravel()
+    size = np.bincount(cell)
+    for predicate in (pentagon.oracle_in_moduli_batch, moduli.analytic_in_moduli_batch):
+        inside = predicate(n, V)[keep]
+        assert np.array_equal(rule, inside), predicate.__name__
+        hits = np.bincount(cell, weights=inside)
+        assert ((hits == 0) | (hits == size)).all(), predicate.__name__
+
+
 # per n, each dividing circle of moduli.division and the slots of the sign
 # filter whose product is linear in V (one of its three vertices is V, W or
 # E) and vanishes on that circle; n = 5's B2 has none
