@@ -8,9 +8,10 @@ M-side of circle AB and even indices mirrored.  A point's region is read
 from the signs of its angles to the n + 2 dividing circles alone: they fix
 its sector in the fan of circles through A and in the fan through B, and
 circle AB, which belongs to both fans, is read once, so every point off the
-circles lands in a realized region.  Two sign codes lo and hi (see _codes
-and _Tables) place every point: off the circles both name its region, and
-on exactly one circle they name the regions on its two sides.
+circles lands in a realized region.  One pair code of two sign codes lo
+and hi (see _codes and _Tables) places every point: off the circles both
+name its region, and on exactly one circle they name the regions on its two
+sides.
 
 The moduli boundary consists of two straight arcs (in the M-chart) plus the
 three curves gamma_A, gamma_B, gamma_C.  Every curve is carried in three
@@ -22,11 +23,12 @@ The moduli is a union of regions, four core triangles and four curve
 fans, and one inside rule decides membership (see _Tables): a point is in
 a core region, and in a fan region when it lies on the near side of the
 curve's singular end and inside the curve.  A point off the dividing
-circles takes the rule of its own region, sign_region[lo]; a point on
-exactly one circle is in when the rule holds, at the point, for both regions
-across the circle, sign_region[lo] and sign_region[hi], so the included
-internal arcs are those glued between two moduli regions; a point on two or
-more circles is out.
+circles takes the rule of its own region; a point on exactly one circle is
+in when the rule holds, at the point, for both regions across the circle,
+so the included internal arcs are those glued between two moduli regions; a
+point on two or more circles is out.  The table rule maps each pair code to
+the one region whose rule gives that answer, so the rule runs once per
+point.
 
 Side of and nearness to the dividing circles, and with them nearness to
 the division vertices, come from the sines of _circle_sines (never turned
@@ -163,25 +165,26 @@ def _circle_sines(n: int, pts: np.ndarray, out: np.ndarray | None = None) -> np.
     return rows_matmul(pts, division(n).normals.T, out)
 
 
-def _codes(n: int, pts: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
-    """The sign codes (lo, hi) of each point of an (N, 3) array of unit
-    vectors, as intp arrays, with temporaries from the scratch frame s: the
-    sums of sign_weights over the circles whose sine is below -ON_CIRCLE,
-    and over those whose sine is at most ON_CIRCLE (see _Tables).  A point
-    within DEFAULT_TOL of a division vertex is on two circles by these
-    codes: the vertex lies within 1e-15 of two circles, so the point's sines
-    to both are within ON_CIRCLE.  The points must already be validated by
-    as_points.
+def _codes(n: int, pts: np.ndarray, s) -> np.ndarray:
+    """The pair code lo 6n + hi of each point of an (N, 3) array of unit
+    vectors, as an intp array, with temporaries from the scratch frame s:
+    lo and hi are the sums of sign_weights over the circles whose sine is
+    below -ON_CIRCLE, and over those whose sine is at most ON_CIRCLE (see
+    _Tables).  A point within DEFAULT_TOL of a division vertex is on two
+    circles by these codes: the vertex lies within 1e-15 of two circles, so
+    the point's sines to both are within ON_CIRCLE.  The points must
+    already be validated by as_points.
     """
     k = len(pts)
-    w = _tables(n).sign_weights
+    t = _tables(n)
     sines = _circle_sines(n, pts, s.out((k, n + 2)))
     # 1.0 (or True) on the flagged circles: a float product sums them
-    # exactly, several times faster than sum or an integer product
+    # exactly (every code is below 36 n^2), several times faster than sum
+    # or an integer product
     flags = s.out((k, n + 2))
-    lo = np.matmul(np.less(sines, -ON_CIRCLE, out=flags), w, out=s.out(k)).astype(np.intp)
-    hi = np.matmul(np.less_equal(sines, ON_CIRCLE, out=flags), w, out=s.out(k)).astype(np.intp)
-    return lo, hi
+    code = np.matmul(np.less(sines, -ON_CIRCLE, out=flags), t.lo_weights, out=s.out(k))
+    code += np.matmul(np.less_equal(sines, ON_CIRCLE, out=flags), t.sign_weights, out=s.out(k))
+    return code.astype(np.intp)
 
 
 def region_of(n: int, p: np.ndarray):
@@ -477,15 +480,16 @@ def fan_parts(n: int) -> dict[str, tuple[CurveSpec, float, float]]:
 class _Tables:
     """One family's division and membership rule as tables.
 
-    A point's sign codes (see _codes) are lo = (sines < -ON_CIRCLE) @
-    sign_weights and hi = (sines <= ON_CIRCLE) @ sign_weights.  Off every
-    circle lo == hi and the point lies in region sign_region[lo].  Otherwise
-    hi - lo is the weight sum of the circles it is on, and single[hi - lo]
-    holds when that is one circle's weight, which is when the point is on
-    exactly one circle: the weights 3n, n, n and n - 1 ones sum to no weight
-    over two or more circles, and to at most 6n - 1 over all of them.  Then
-    sign_region[lo] and sign_region[hi] are the regions on the circle's two
-    sides.  (|sines| <= band) @ ones counts the circles a point is near.
+    A point's sign codes are lo = (sines < -ON_CIRCLE) @ sign_weights and
+    hi = (sines <= ON_CIRCLE) @ sign_weights, and _codes gives its pair
+    code lo 6n + hi, with lo_weights = 6n sign_weights.  Off every circle
+    lo == hi and the point lies in region sign_region[lo].  Otherwise hi -
+    lo is the weight sum of the circles it is on, which is one circle's
+    weight exactly when the point is on one circle: the weights 3n, n, n
+    and n - 1 ones sum to no weight over two or more circles, and to at
+    most 6n - 1 over all of them.  Then sign_region[lo] and sign_region[hi]
+    are the regions on the circle's two sides.  (|sines| <= band) @ ones
+    counts the circles a point is near.
 
     The inside rule: a point p counts as in region m when core[m], or, in a
     fan region (fan[m]), when cos(phi - alpha) > 0 and its chart radius is
@@ -495,14 +499,25 @@ class _Tables:
     cos(phi - alpha) = 0 at the curve's singular end, and the fan's other
     ends lie on dividing circles, which the region implies.
 
+    A point is in when the rule holds for its region, or on one circle for
+    the regions on both sides; rule[code] names one region whose rule says
+    the same (0, in no region, for out), so membership runs the rule once.
+    Off the circles that is the point's region.  On one circle it is 0
+    beside an outside region, the fan beside a core region (always in),
+    and either side between two core regions or two fans of one curve (n =
+    5's 8|14 and 13|19 across B2, whose rules are one).  No arc separates
+    fans of two curves, and a point on two or more circles has no entry,
+    so it is out.
+
     Curve `which` (of CURVE_NAMES) lies on the quadric p.Sp = 0 of the
     symmetric matrix S = quadric[which], in world coordinates.
     """
 
     sign_weights: np.ndarray
-    single: np.ndarray
+    lo_weights: np.ndarray
     ones: np.ndarray
     sign_region: np.ndarray
+    rule: np.ndarray
     core: np.ndarray
     fan: np.ndarray
     fan_b: np.ndarray
@@ -540,8 +555,16 @@ def _tables(n: int) -> _Tables:
     sign_weights = np.array([3.0 * n, n, n] + [1.0] * (n - 1))
     s, a, b = np.meshgrid(np.arange(2), np.arange(3), np.arange(n), indexing="ij")
     sign_region = _sector_region(n, np.where(s, a, 5 - a), np.where(s, b, 2 * n - 1 - b)).ravel()
-    single = np.zeros(6 * n, dtype=bool)
-    single[sign_weights.astype(np.intp)] = True
+    # the deciding region of each pair code lo 6n + hi (see _Tables): off
+    # the circles, then across one circle of weight w
+    rule = np.zeros(36 * n * n, dtype=np.intp)
+    rule[np.arange(6 * n) * (6 * n + 1)] = sign_region
+    for w in (1, n, 3 * n):
+        lo = np.arange(6 * n - w)
+        r0, r1 = sign_region[lo], sign_region[lo + w]
+        one_curve = (fan_b[r0] == fan_b[r1]) & (params[:, r0] == params[:, r1]).all(axis=0)
+        keep = (core | fan)[r0] & (core | fan)[r1] & ~(fan[r0] & fan[r1] & ~one_curve)
+        rule[lo * 6 * n + lo + w] = np.where(keep, np.where(fan[r1] > fan[r0], r1, r0), 0)
     # curve quadrics.  A curve is L (x1^2 + x2^2) + (c1 x1 + c2 x2) x3 = 0
     # in the coordinates x = F p of its chart frame F, that is x.Hx = 0, and
     # p.Sp = 0 for S = F^T H F, made exactly symmetric
@@ -554,8 +577,8 @@ def _tables(n: int) -> _Tables:
         L, F = k * spec.lam, geometry(n).frame(spec.chart)
         S = F.T @ np.array([[L, 0.0, 0.5 * c1], [0.0, L, 0.5 * c2], [0.5 * c1, 0.5 * c2, 0.0]]) @ F
         quadric[which] = 0.5 * (S + S.T)
-    return _Tables(sign_weights, single, np.ones(n + 2), sign_region, core, fan, fan_b, *params,
-                   quadric)
+    return _Tables(sign_weights, 6 * n * sign_weights, np.ones(n + 2), sign_region, rule, core,
+                   fan, fan_b, *params, quadric)
 
 
 def analytic_in_moduli_batch(n: int, pts: np.ndarray) -> np.ndarray:
@@ -574,40 +597,19 @@ def analytic_in_moduli_batch(n: int, pts: np.ndarray) -> np.ndarray:
 
 
 def _membership(n: int, pts: np.ndarray) -> np.ndarray:
-    """analytic_in_moduli_batch for points already validated by as_points."""
+    """analytic_in_moduli_batch for points already validated by as_points:
+    the inside rule of _Tables, once per row, for the region rule names."""
     t = _tables(n)
-    k = len(pts)
-    with scratch(k) as s:
-        lo, hi = _codes(n, pts, s)
-        region = t.sign_region.take(hi)
-        on = (lo != hi).nonzero()[0]
-        if not on.size:
-            return _inside(n, pts, region, s)
-        # a row on one circle keeps the region of its code hi, and a copy of
-        # it after the last row takes that of lo, across the circle; a row
-        # on two or more circles is in no region
-        lo = lo.take(on)
-        one = t.single.take(hi.take(on) - lo)
-        region[on[~one]] = 0
-        on = on[one]
-        inside = _inside(n, np.concatenate((pts, pts.take(on, 0))),
-                         np.concatenate((region, t.sign_region.take(lo[one]))), s)
-        inside[on] &= inside[k:]
-        return inside[:k]
-
-
-def _inside(n: int, pts: np.ndarray, region: np.ndarray, s) -> np.ndarray:
-    """The inside rule of _Tables for each row of pts in the region of the
-    same row of region (0 for none), with arrays from the scratch frame s."""
-    t = _tables(n)
-    inside = t.core[region]
-    fan = t.fan[region].nonzero()[0]
-    if fan.size:
-        m = region[fan]
-        th, r = _polar(n, pts.take(fan, 0, s.out((fan.size, 3)), "clip"), t.fan_b[m], s)
-        cos = np.cos(t.phi_const[m] + t.phi_sign[m] * th - t.alpha[m])
-        inside[fan] = (cos > 0.0) & (r < _eqd_radius(t.lam[m], cos) - CURVE_EXCLUSION)
-    return inside
+    with scratch(len(pts)) as s:
+        region = t.rule.take(_codes(n, pts, s))
+        inside = t.core[region]
+        fan = t.fan[region].nonzero()[0]
+        if fan.size:
+            m = region[fan]
+            th, r = _polar(n, pts.take(fan, 0, s.out((fan.size, 3)), "clip"), t.fan_b[m], s)
+            cos = np.cos(t.phi_const[m] + t.phi_sign[m] * th - t.alpha[m])
+            inside[fan] = (cos > 0.0) & (r < _eqd_radius(t.lam[m], cos) - CURVE_EXCLUSION)
+        return inside
 
 
 def analytic_in_moduli(n: int, p: np.ndarray) -> bool:
@@ -813,15 +815,13 @@ def _ab_point(n: int, theta: float) -> CurveSample:
             raise NoRootInDisk("diagonal locus does not meet this ray")
         r = 0.5 * gamma_m_chart("gamma_C", n, theta).r if math.pi <= theta <= 1.5 * math.pi else 0.25
         return _sample(theta, r, "M", n, line_locus=True)
+    # radius^2 = |center|^2 + 1, so the ray's two crossings multiply to -1:
+    # the one at positive r is b + sqrt(b^2 + 1)
     b = (u.real * center.real + u.imag * center.imag)
-    disc = b * b - (abs(center) ** 2 - radius * radius)
-    if disc < 0.0:
-        raise NoRootInDisk("ray misses the a=b circle")
-    roots = [b - math.sqrt(disc), b + math.sqrt(disc)]
-    roots = [r for r in roots if 1e-12 < r < 1.0]
-    if not roots:
+    r = b + math.sqrt(b * b - (abs(center) ** 2 - radius * radius))
+    if r >= 1.0:
         raise NoRootInDisk("a=b circle crossing lies outside the unit disk")
-    return _sample(theta, min(roots), "M", n)
+    return _sample(theta, r, "M", n)
 
 
 @dataclass(frozen=True)

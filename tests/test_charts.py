@@ -125,6 +125,20 @@ def test_chart_conventions():
         assert abs(charts.to_chart(geo.A_prime, "M", n).z - c.d_am) < 1e-12
 
 
+def test_frame_rejects_an_unknown_chart():
+    with pytest.raises(ValueError, match="unknown chart 'X'"):
+        charts.geometry(3).frame("X")
+
+
+def test_circle_points_about_the_z_axis():
+    # a normal along +-z, where the first helper axis would be parallel to it
+    for z in (1.0, -1.0):
+        nrm = np.array([0.0, 0.0, z])
+        pts = render.circle_points(nrm, 17)
+        assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, rtol=0.0, atol=1e-15)
+        assert np.abs(pts @ nrm).max() < 1e-15
+
+
 def test_chart_origin_and_equator():
     p = charts.to_sphere(ChartPoint(0j, "M", 3))
     assert np.allclose(p, charts.geometry(3).M, atol=1e-15)

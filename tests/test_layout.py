@@ -239,13 +239,15 @@ def test_thread_local_check_catches_each_kind(tmp_path):
 
 
 def test_import_does_not_load_scipy():
-    # scipy is a test-only dependency: the package runs on numpy alone, and
-    # importing it must not pull scipy in through another package either.
-    # The thread pool of map_sample and the quadrature rule load on first
-    # use, so importing starts no thread and pays for neither.
+    # scipy and mpmath are test-only dependencies, as sympy would be: the
+    # package runs on numpy alone, and importing it must not pull them in
+    # through another package either.  The thread pool of map_sample and the
+    # quadrature rule load on first use, so importing starts no thread and
+    # pays for neither.
     code = ("import sys, threading, pentamod, pentamod.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy', 'concurrent.futures', 'numpy.polynomial')))); "
+            "if m.startswith(('scipy', 'mpmath', 'sympy', 'concurrent.futures', "
+            "'numpy.polynomial')))); "
             "print(threading.active_count())")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,

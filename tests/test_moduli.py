@@ -23,12 +23,13 @@ CURVES = moduli.CURVE_NAMES
 
 
 def _classify(n, pts):
-    """(one, region) of each point from moduli._codes: whether it is on
-    exactly one dividing circle, and its region (0 on any circle)."""
+    """(one, region) of each point from its pair code lo 6n + hi of
+    moduli._codes: whether it is on exactly one dividing circle, and its
+    region (0 on any circle)."""
     t = moduli._tables(n)
     with sphere.scratch(len(pts)) as s:
-        lo, hi = moduli._codes(n, pts, s)
-    return t.single[hi - lo], np.where(lo == hi, t.sign_region[lo], 0)
+        lo, hi = np.divmod(moduli._codes(n, pts, s), 6 * n)
+    return np.isin(hi - lo, t.sign_weights), np.where(lo == hi, t.sign_region[lo], 0)
 
 
 def test_every_figure_label_classifies_to_its_region():
@@ -48,6 +49,9 @@ def test_region_pair_round_trip():
             assert pair not in seen
             seen.add(pair)
             assert moduli._sector_region(n, *pair) == m
+    for m in (0, 6 * 3 + 1):
+        with pytest.raises(ValueError, match="region index out of range"):
+            moduli.region_pair(3, m)
 
 
 def test_region_of_division_vertex_m():
@@ -225,7 +229,53 @@ def test_one_circle_is_one_weight(n):
         total = sum(members)
         assert total < 6 * n, (n, mask)
         assert (total in w) == (len(members) == 1), (n, mask, total)
-        assert t.single[int(total)] == (len(members) == 1), (n, mask, total)
+
+
+def _circle_arc_midpoints(n, i):
+    """One midpoint on each arc of dividing circle i: its crossings with
+    every other circle, sorted along it (crossings that coincide, as at A
+    and B, taken once), cut it into the arcs."""
+    div = moduli.division(n)
+    c = div.normals[i]
+    x = np.cross(c, np.delete(div.normals, i, 0))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    x = np.vstack([x, -x])
+    e1, e2 = x[0], np.cross(c, x[0])
+    ang = np.sort(np.arctan2(x @ e2, x @ e1) % (2.0 * math.pi))
+    ang = ang[np.diff(ang, append=ang[0] + 2.0 * math.pi) > 1e-12]
+    mid = 0.5 * (ang + np.append(ang[1:], ang[0] + 2.0 * math.pi))
+    return np.cos(mid)[:, None] * e1 + np.sin(mid)[:, None] * e2
+
+
+@pytest.mark.parametrize("n", SOLIDS)
+def test_rule_on_every_arc_of_every_circle(n):
+    # every arc of every dividing circle, enumerated exactly: its midpoint
+    # is on that circle alone, the regions on its two sides are never fans
+    # of two curves, and rule names the region whose inside rule is that of
+    # both sides: none beside an outside region, the fan beside a core
+    # region, and the lo side between two core regions or two fans of one
+    # part (n = 5's 8|14 and 13|19 across B2)
+    t = moduli._tables(n)
+    fans = moduli.fan_parts(n)
+    part_of = {m: part for part, regions in moduli.part_regions(n).items() for m in regions}
+    fan_pairs = set()
+    for i, w in enumerate(t.sign_weights):
+        pts = _circle_arc_midpoints(n, i)
+        with sphere.scratch(len(pts)) as s:
+            code = moduli._codes(n, pts, s)
+        for lo, hi in zip(*np.divmod(code, 6 * n)):
+            assert hi - lo == w, (n, i, lo, hi)
+            a, b = int(t.sign_region[lo]), int(t.sign_region[hi])
+            pa, pb = part_of.get(a), part_of.get(b)
+            if pa in fans and pb in fans:
+                assert pa == pb, (n, i, a, b)
+                fan_pairs.add(frozenset((a, b)))
+            if pa is None or pb is None:
+                want = 0
+            else:
+                want = b if pb in fans and pa not in fans else a
+            assert t.rule[lo * 6 * n + hi] == want, (n, i, a, b)
+    assert fan_pairs == ({frozenset((8, 14)), frozenset((13, 19))} if n == 5 else set())
 
 
 def _check_region_of_matches_classify(n, pts):
@@ -391,6 +441,17 @@ def test_gamma_m_chart_octahedron_right_angle():
     # K=0 and L=4 at theta=pi/2 give R=2, r=sqrt2-1
     s = moduli.gamma_m_chart("gamma_A", 4, math.pi / 2)
     assert s.r == pytest.approx(SQ2 - 1.0, abs=1e-12)
+
+
+def test_gamma_m_chart_takes_an_angle_one_turn_off():
+    # an angle one turn above or below the curve's range is taken back into it
+    for n in SOLIDS:
+        want = moduli.gamma_m_chart("gamma_A", n, 0.75 * math.pi)
+        for turn in (2.0 * math.pi, -2.0 * math.pi):
+            got = moduli.gamma_m_chart("gamma_A", n, 0.75 * math.pi + turn)
+            assert got.theta == pytest.approx(want.theta, abs=1e-15)
+            assert got.r == pytest.approx(want.r, abs=1e-15)
+            assert np.allclose(got.xi, want.xi, rtol=0.0, atol=1e-15)
 
 
 def test_gamma_m_chart_against_cartesian():
@@ -611,6 +672,23 @@ def test_ab_line_locus_n3():
         moduli.reduction_point("a=b", 3, 1.1 * math.pi)
 
 
+@pytest.mark.parametrize("n", (4, 5))
+def test_ab_point_is_the_one_crossing_in_the_disk(n):
+    # the a=b circle's two crossings of a ray multiply to -1, so the ray
+    # meets it at one positive radius, which lies in the unit disk on some
+    # rays and outside it on others
+    missed = 0
+    for theta in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False):
+        try:
+            s = moduli.reduction_point("a=b", n, theta)
+        except NoRootInDisk:
+            missed += 1
+            continue
+        assert 0.0 < s.r < 1.0, (n, theta)
+        assert abs(moduli.reduction_residual("a=b", n, s.xi)) < 1e-12, (n, theta)
+    assert 0 < missed < 64, n
+
+
 def test_reduction_length_equalities_on_locus():
     # pentagons anchored on each locus satisfy the corresponding edge-length
     # equality; c = 2*c1 so a=c and b=c mean a = 2 MV and b = 2 MV
@@ -826,6 +904,83 @@ def test_near_curve_agreement_outside_band():
                     p = charts.to_sphere(ChartPoint(cmath.rect(r + off, theta), chart, n))
                     assert (moduli.analytic_in_moduli(n, p)
                             == pentagon.oracle_in_moduli(n, p)), (n, which, theta, off)
+
+
+def test_bc_leaves_gamma_a_at_one_certified_angle():
+    # at M-chart angle 2.1747 for n = 5, interval arithmetic certifies that
+    # the b=c locus lies beyond gamma_A (README "Known red test"): rebuilt
+    # from the closed forms of moduli._m_chart_R and
+    # moduli._reduction_quartic, the b=c quartic changes sign across
+    # r_bc +- 1e-9 and is positive on [0, r_bc - 1e-9], so its smallest
+    # root lies in that bracket, and gamma_A's radius is below it
+    from mpmath import iv, mpf
+
+    theta = 2.1747
+    r_bc = float(moduli.reduction_radii("b=c", 5, np.array([theta]))[0])
+    dps = iv.dps
+    iv.dps = 30
+    try:
+        t = iv.mpf("2.1747")
+        sq2, sq5 = iv.sqrt(2), iv.sqrt(5)
+        q = iv.sqrt(sq5)   # 5^(1/4); iv.root fails in mpmath 1.3
+        big_r = (1 - sq5) * iv.cos(t) + iv.sqrt(11 + sq5 + (5 - sq5) * iv.cos(2 * t))
+        r_ga = (iv.sqrt(big_r * big_r + 4) - big_r) / 2
+        p = (sq5 + 1) * iv.sqrt(sq5 + 1)
+        c1 = sq2 * iv.sqrt(sq5 + 1) * q - sq5 - 1
+        c2 = 3 * (p * q / sq2 - sq5 - 5)
+        c0 = -p * q / sq2 + sq5 + 4
+        sin = iv.sin(t)
+
+        def quartic(r):
+            return r ** 4 + c2 * r * r + c0 + c1 * r * (r * r + 1) * sin
+
+        # the rebuilt forms are the code's, to its rounding
+        for box, x in zip((c1, c2, c0, r_ga), moduli._reduction_quartic("b=c", 5)
+                          + (moduli.gamma_m_chart("gamma_A", 5, theta).r,)):
+            assert box.a - 1e-14 <= x <= box.b + 1e-14, (box, x)
+        lo = (iv.mpf(r_bc) - iv.mpf("1e-9")).a
+        hi = (iv.mpf(r_bc) + iv.mpf("1e-9")).b
+        assert quartic(iv.mpf(lo)).a > 0 and quartic(iv.mpf(hi)).b < 0
+        # positive on [0, lo], by bisection down to boxes the interval form
+        # decides
+        boxes = [(mpf(0), lo)]
+        while boxes:
+            a, b = boxes.pop()
+            if quartic(iv.mpf([a, b])).a <= 0:
+                assert b - a > 1e-20, (a, b)
+                boxes += [(a, (a + b) / 2), ((a + b) / 2, b)]
+        gap = r_ga - iv.mpf(lo)
+        assert gap.b < -0.0302, gap
+    finally:
+        iv.dps = dps
+
+
+def _mirror_ab(n, pts):
+    """The reflection of each row across the a=b plane, whose normal is A - B."""
+    geo = charts.geometry(n)
+    u = (geo.A - geo.B) / np.linalg.norm(geo.A - geo.B)
+    return pts - 2.0 * (pts @ u)[:, None] * u
+
+
+def _check_mirror_symmetry(pts):
+    """For n = 3 the a=b plane is a mirror of the construction: outside
+    the 1e-6 rad band both predicates answer alike at a point and its
+    image.  Returns how many rows were outside the band."""
+    img = _mirror_ab(3, pts)
+    keep = ~(moduli.boundary_band_mask(3, pts, 1e-6) | moduli.boundary_band_mask(3, img, 1e-6))
+    for predicate in (moduli.analytic_in_moduli_batch, pentagon.oracle_in_moduli_batch):
+        assert np.array_equal(predicate(3, pts)[keep], predicate(3, img)[keep]), predicate
+    return int(np.count_nonzero(keep))
+
+
+def test_n3_mirror_symmetry():
+    assert _check_mirror_symmetry(sphere.sample_sphere(20000, 29)) > 19900
+
+
+@settings(max_examples=200, deadline=None)
+@given(_UNIT)
+def test_n3_mirror_symmetry_hypothesis(v):
+    _check_mirror_symmetry((np.array(v) / np.linalg.norm(v))[None])
 
 
 def test_bc_quartic_decimal_sanity():
