@@ -18,7 +18,14 @@ arc_intersect would give, so that its report is the one the exhaustive
 15-pair loop gives.  is_simple reads the stacks of its Pentagon: the vertex
 stack that anchor_pentagon builds in one pass with sphere.minor_arcs, the
 unit normals and the lengths; the GreatArcs are built only for a pair that
-reaches arc_intersect.  The batch form keeps every anchor's arcs
+reaches arc_intersect.  The batch form decides most rows before building
+any arc: every slot product is, up to the positive factor |N_a|, a linear
+or quadratic form in V, and one product of _forms' coefficient matrix with
+the monomials of V gives each row's 14 non-zero forms and its six squared
+chords.  A row whose forms all clear their margins takes its answer from
+_forms' table of sign codes, which the pair rules themselves fill in on
++-1 signs; the other rows, and those whose code leaves a pair undecided, go
+under one index through the pair pass, which keeps every anchor's arcs
 component-major: _arcs holds V, W, E and each arc's unit normal as (3, k)
 rows of x, y and z on the thread's sphere.scratch, and every cross product,
 length and dot product, in the arcs, the filter and the exact path alike,
@@ -29,10 +36,12 @@ dead row, then one pass over the pairs in which each pair's filter runs on
 all rows and its alive undecided rows go at once to _pair_hits, which
 decides them by masks alone.  An anchor's answer is the AND over the pairs
 and each row is computed on its own, so neither the order of the pairs nor
-which rows reach the exact path changes an answer.  W and E come from
-sphere.rows_matmul and every other product is elementwise, so one anchor
-gets the answer of its row in any batch, and sphere.map_rows takes a long
-input in pieces.
+which rows reach the exact path changes an answer.  In the pair pass W and
+E come from sphere.rows_matmul and every other product is elementwise; the
+forms' product may round a row by its batch, but only within the bound its
+margins carry, and every row it decides the pair pass would decide alike.
+So one anchor gets the answer of its row in any batch, and sphere.map_rows
+takes a long input in pieces.
 """
 
 from __future__ import annotations
@@ -285,9 +294,44 @@ _PAIRS = tuple((i, j, j if j == i + 1 else (0 if (i, j) == (0, 5) else -1))
 # inside both windows, so is_simple takes that point as its witness, from
 # the bits arc_intersect computes it from (cross3 of the normals over its
 # norm3), and only its kind from _near.
+#
+# The batch oracle's forms stage decides most rows before any arc is built.
+# Each arc has one end constant (A, C, B) and one linear in V (V, W, E), so
+# N_a = P_a x P_a+1 is linear in V, each slot N_a.P_k is a linear or
+# quadratic form in V, and so is each squared chord |N_a|^2.  _forms writes
+# them over the monomials x^2, y^2, z^2, xy, xz, yz, x, y, z; the 24
+# distinct slots are 14 forms and the zero form det(W, C, E) (E is the
+# half-turn of W about C).  A row is clear where its chord c, the root of
+# its least squared chord, exceeds _CHORD_MIN and every form F beats
+#   (1 + 1e-9) m + _FORM_ROUND,  m = _margins(c / 2)[0],
+# or [1] for a form an adjacent pair reads.  On a clear row every slot of
+# the pair pass, the filter and exact path above, clears its margin with
+# the sign of its form:
+# - _FORM_ROUND, 2^-40, bounds |F - N_a.P_k| for each slot of the form,
+#   N_a.P_k exact on the pass's float W and E: the coefficients are sums of
+#   at most three products of constants of modulus <= 1, the product adds
+#   nine terms of total modulus below 4, the pass's W and E round by an ulp,
+#   and one form stands for several slots through identities (the
+#   half-turn) the constants hold to 1e-15.  That is a few hundred ulps of 1.
+# - |N_a| <= |P_a| |P_a+1| <= 1 + 1e-9, an anchor being off the sphere by
+#   at most 5e-10 (as_points), so |n_a.P_k| >= |N_a.P_k| / (1 + 1e-9).
+# - With c^2 > _CHORD_MIN^2 = 2^-32 the squared chords' _FORM_ROUND makes c
+#   at most a factor 1 + 2^-9 above the pass's shortest chord, so the slop
+#   at c / 2 exceeds the pass's by over _ROUND / chord, ten times the
+#   rounding of the pass's products.
+# - The row is live in _arcs: |V - A| >= |V x A|, |V - B| >= |B x V| and,
+#   for the ends of an arc, |u + v| >= |u x v| (to 1e-24), while
+#   _CHORD_MIN is far above _TOL_CHORD, DEGENERATE_EPS and ANTIPODAL_EPS.
+# So the pass would decide each pair of a clear row by its rule on the
+# signs of the forms, the slots of the zero form never clear (its products
+# are rounding, far inside the margin).  _forms tabulates that decision per
+# sign code; only the rows that are not clear, or whose code leaves a pair
+# undecided, take the pair pass.
 _ROUND = 2.0 ** -46
 _CLEAR = math.tan(DEFAULT_TOL)
 _CLEAR_ADJ = DEFAULT_TOL + 2.0 * VERTEX_CHORD
+_FORM_ROUND = 2.0 ** -40
+_CHORD_MIN = 2.0 ** -16
 
 
 def _margins(chord):
@@ -337,6 +381,73 @@ _SLOTS = tuple((_pair_rule, ((i, j), (i, (j + 1) % 6), (j, i), (j, i + 1))) if a
 # the getter of its products from the flat n_a.P_k at 6 a + k
 _REPORT_PAIRS = tuple(sorted((pair, rule, itemgetter(*(6 * a + k for a, k in slots)))
                              for pair, (rule, slots) in zip(_PAIRS, _SLOTS)))
+
+# the forms stage's answer per sign code (int8): a pair decided as
+# crossing, every pair decided as not crossing, or the pair pass
+_OUT, _IN, _UNDECIDED = 0, 1, -1
+# the weight of each form's sign in the uint16 code
+_BITS = (1 << np.arange(16, dtype=np.uint16))[:, None]
+
+
+@lru_cache(maxsize=None, typed=True)
+def _forms(n: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """The forms stage's constants for n (see _ROUND): (coef, adj, table).
+
+    coef is the (f + 6, 9) matrix of the f non-zero forms of the slots, then
+    the six squared chords |N_a|^2, over the monomials x^2, y^2, z^2, xy, xz,
+    yz, x, y, z of V; the forms from row adj on are those an adjacent pair
+    reads.  table maps a sign code, bit t set where form t is positive, to
+    the filter's answer on those signs.
+    """
+    geo = charts.geometry(n)
+    to_w, to_e = _rotations(n)
+    # V, A, W, C, E, B as their linear map of V, or as their point
+    maps = (np.eye(3), None, to_w, None, to_e, None)
+    points = (None, geo.A, None, geo.C, None, geo.B)
+    # N_a = K_a V: c x (L V) for arc a from the point c to the image L V,
+    # (L V) x c = -c x (L V) the other way
+    K = []
+    for a in range(6):
+        b = (a + 1) % 6
+        L, c, sign = (maps[b], points[a], 1.0) if maps[a] is None else (maps[a], points[b], -1.0)
+        K.append(sign * np.array([cross3(c, col) for col in L.T]).T)
+
+    def quadratic(S):
+        """V^T S V over the monomials."""
+        return np.array([S[0, 0], S[1, 1], S[2, 2], S[0, 1] + S[1, 0], S[0, 2] + S[2, 0],
+                         S[1, 2] + S[2, 1], 0.0, 0.0, 0.0])
+
+    # each slot N_a.P_k: (K_a^T P_k).V for a point, V^T K_a^T L_k V for an
+    # image; rows of one form differ by the rounding of the constants (under
+    # 1e-15) and rows of two forms by over 0.08, and the zero form is None
+    rows, form = [], {}
+    for a, k in (s for _, slots in _SLOTS for s in slots):
+        r = (np.r_[np.zeros(6), K[a].T @ points[k]] if maps[k] is None
+             else quadratic(K[a].T @ maps[k]))
+        same = [t for t, q in enumerate(rows) if np.abs(q - r).max() <= 1e-12]
+        if np.abs(r).max() <= 1e-12:
+            form[a, k] = None
+        elif same:
+            form[a, k] = same[0]
+        else:
+            form[a, k] = len(rows)
+            rows.append(r)
+    # the forms an adjacent pair reads take its wider margin: put them last
+    read_adj = {form[s] for rule, slots in _SLOTS if rule is _adjacent_rule for s in slots}
+    order = sorted(range(len(rows)), key=read_adj.__contains__)
+    coef = np.array([rows[t] for t in order] + [quadratic(Ka.T @ Ka) for Ka in K])
+    # each rule on the signs +-1 of every code, the zero form's slots 0,
+    # with zero margins
+    codes = np.arange(1 << len(rows))
+    signs = {t: np.where(codes >> order.index(t) & 1, 1, -1).astype(np.int8) for t in order}
+    signs[None] = np.zeros(len(codes), np.int8)
+    crosses, decided = np.zeros(len(codes), bool), np.ones(len(codes), bool)
+    for rule, slots in _SLOTS:
+        d, c = rule([signs[form[s]] for s in slots], (0, 0))
+        crosses |= c
+        decided &= d
+    table = np.where(crosses, _OUT, np.where(decided, _IN, _UNDECIDED)).astype(np.int8)
+    return coef, len(rows) - len(read_adj), table
 
 
 # The batch oracle's arithmetic, on (3, k) component rows: each row of
@@ -469,15 +580,55 @@ def _pair_hits(i, j, adj, P, NH, CN, at, s):
 def oracle_in_moduli_batch(n: int, pts: np.ndarray) -> np.ndarray:
     """oracle_in_moduli over an (N, 3) array of unit vectors.
 
-    Builds every anchor's six arcs at once and runs the sign filter (see
-    _ROUND) on every pair and row; _pair_hits, with the tolerances of
-    is_simple, decides the rows the filter leaves undecided.
+    The forms stage (see _ROUND) answers every row whose forms all clear
+    their margins from the table of sign codes; the other rows take the
+    pair pass: every anchor's six arcs at once, the sign filter on every
+    pair and row, and _pair_hits, with the tolerances of is_simple, on the
+    rows the filter leaves undecided.
     """
     return map_rows(partial(_oracle, n), pts)
 
 
 def _oracle(n: int, V: np.ndarray) -> np.ndarray:
-    """oracle_in_moduli_batch for points already validated by as_points.
+    """oracle_in_moduli_batch for points already validated by as_points:
+    the forms stage (see _ROUND) on every row, in one scratch frame, then
+    _pair_pass on the rows it leaves, all of them under one index."""
+    k = len(V)
+    coef, adj, table = _forms(n)
+    f = len(coef) - 6
+    with scratch(k) as s:
+        # the largest array first: the buffer doubles as it grows, and this
+        # order keeps a full piece within what the pair pass takes
+        F, X = s.empty((len(coef), k)), s.empty((9, k))
+        np.copyto(X[6:], V.T)
+        x, y, z = X[6:]
+        for r, (a, b) in enumerate(((x, x), (y, y), (z, z), (x, y), (x, z), (y, z))):
+            np.multiply(a, b, out=X[r])
+        np.matmul(coef, X, out=F)
+        # the sign code, bit t set where form t is positive, before |F|
+        # replaces the forms in place
+        bits = np.multiply(np.greater(F[:f], 0.0, out=s.out((f, k), bool)), _BITS[:f],
+                           out=s.out((f, k), np.uint16))
+        verdict = table.take(np.add.reduce(bits, axis=0, out=s.out(k, np.uint16)))
+        # the least squared chord, then half the chord c, for the margins
+        chord = np.minimum.reduce(F[f:], axis=0, out=s.out(k))
+        unclear = np.less_equal(chord, _CHORD_MIN ** 2, out=s.out(k, bool))
+        half = np.sqrt(np.maximum(chord, _CHORD_MIN ** 2, out=chord), out=chord)
+        half *= 0.5
+        forms, least = np.abs(F[:f], out=F[:f]), s.out(k)
+        for rows, m in zip((forms[:adj], forms[adj:]), _margins(half)):
+            unclear |= np.minimum.reduce(rows, axis=0, out=least) <= (1.0 + 1e-9) * m + _FORM_ROUND
+        np.copyto(verdict, _UNDECIDED, where=unclear)
+    simple = verdict == _IN
+    at = np.flatnonzero(verdict == _UNDECIDED)
+    if at.size:
+        simple[at] = _pair_pass(n, V.take(at, 0))
+    return simple
+
+
+def _pair_pass(n: int, V: np.ndarray) -> np.ndarray:
+    """The oracle by the pair pass on validated points: the answer of every
+    row that the forms stage leaves to it.
 
     Every row stays in place under one mask, alive: live in _arcs and not
     yet found crossing.  One pass over _PAIRS and _SLOTS runs each pair's

@@ -485,6 +485,43 @@ def test_is_simple_runs_arc_intersect_only_on_undecided_pairs(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
+def test_forms_stage_leaves_few_rows_to_the_pair_pass(n, monkeypatch):
+    # a speed guard without timers: the batch oracle's forms stage answers
+    # all but a few uniform rows from its sign table, and only the rows it
+    # leaves build arcs; a one-row call it answers builds none
+    rows = []
+    arcs = pentagon._arcs
+
+    def counting(n, V, s):
+        rows.append(len(V))
+        return arcs(n, V, s)
+
+    monkeypatch.setattr(pentagon, "_arcs", counting)
+    pts = sample_sphere(200_000, 120 + n)
+    oracle_in_moduli_batch(n, pts)
+    assert sum(rows) <= len(pts) // 1000, sum(rows)
+    rows.clear()
+    ones = [oracle_in_moduli_batch(n, p[None])[0] for p in pts[:200]]
+    assert rows == []
+    assert ones == oracle_in_moduli_batch(n, pts[:200]).tolist()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_forms_stage_keeps_the_oracle_scratch_footprint(n):
+    # the forms stage's frame (the forms and squared chords, the monomials,
+    # the sign code) takes the largest array first, so that a 16384-row
+    # piece grows a fresh thread's buffer no further than the 6 MiB the
+    # pair pass alone grew it to
+    pts = sample_sphere(sphere._CHUNK, 130 + n)
+
+    def run():
+        oracle_in_moduli_batch(n, pts)
+        return sphere._THREAD_SCRATCH.buf.size
+
+    assert _in_new_thread(run) <= 6 << 20
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_filter_tests_bite_without_the_margins(n, monkeypatch):
     # the two filter tests above must catch a filter that decides rows only
     # the exact path can: with _CLEAR and _CLEAR_ADJ zero (the slop kept),

@@ -647,12 +647,8 @@ def test_reduction_point_frozen_and_bracket():
     # a=c at theta=3pi/2 for n=3: root of r^4 - 3sqrt3(sqrt3-1)r^2 + 2 - sqrt3
     s = moduli.reduction_point("a=c", 3, 1.5 * math.pi)
     assert s.r == pytest.approx(0.2679491924311073, abs=1e-11)
-    # and at theta=pi/3 either a root in (0,1) exists or the error is raised
-    try:
-        s = moduli.reduction_point("a=c", 3, math.pi / 3)
-        assert abs(moduli.reduction_residual("a=c", 3, s.xi)) < 1e-10
-    except NoRootInDisk:
-        pass
+    s = moduli.reduction_point("a=c", 3, math.pi / 3)
+    assert abs(moduli.reduction_residual("a=c", 3, s.xi)) < 1e-10
 
 
 def test_bc_is_diagonal_mirror_of_ac_n3():

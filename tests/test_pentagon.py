@@ -528,6 +528,46 @@ def test_moduli_is_a_union_of_sign_cells(n):
         assert ((hits == 0) | (hits == size)).all(), predicate.__name__
 
 
+@pytest.mark.parametrize("n", SOLIDS)
+def test_forms_are_the_slot_triple_products_and_squared_chords(n):
+    # the batch oracle's forms stage reads every row from one product,
+    # coef @ (x^2, y^2, z^2, xy, xz, yz, x, y, z): its first 14 rows are the
+    # 14 non-zero triple products of _SLOT_TRIPLES (every slot sign +1), the
+    # last of them the three an adjacent pair reads, and its last six rows
+    # the squared chords CN[a]^2 of _arcs, all within the bound written above
+    # pentagon._ROUND.  Its table answers each sign code as the pair rules do
+    # on the slots' signs, det(W, C, E) zero by the half-turn identity
+    geo = charts.geometry(n)
+    to_w, to_e = pentagon._rotations(n)
+    assert np.abs(to_e @ to_w.T - (2.0 * np.outer(geo.C, geo.C) - np.eye(3))).max() <= 1e-15
+    _filter_slots()
+    coef, adj, table = pentagon._forms(n)
+    V = sample_sphere(4096, 60 + n)
+    x, y, z = V.T
+    F = coef @ np.array([x * x, y * y, z * z, x * y, x * z, y * z, x, y, z])
+    P = _vertices(n, V)
+    slots = [s for _, row in _SLOT_TRIPLES for s in row]
+    det = {t: _det(P, t) for _, t, _ in slots if t != "WCE"}
+    assert coef.shape == (20, 9) and len(det) == 14
+    bound = pentagon._FORM_ROUND
+    form = [next(t for t in det if np.abs(F[r] - det[t]).max() <= bound) for r in range(14)]
+    assert sorted(form) == sorted(det)
+    assert set(form[adj:]) == {t for _, row in _SLOT_TRIPLES if len(row) == 2 for _, t, _ in row}
+    with sphere.scratch(len(V)) as s:
+        CN = pentagon._arcs(n, V, s)[2]
+        assert np.abs(F[14:] - CN * CN).max() <= bound
+    codes = np.arange(1 << 14)
+    sign = {t: np.where(codes >> form.index(t) & 1, 1.0, -1.0) for t in form}
+    sign["WCE"] = np.zeros(len(codes))
+    crosses, decided = np.zeros(len(codes), bool), np.ones(len(codes), bool)
+    for (_, row), (rule, _) in zip(_SLOT_TRIPLES, pentagon._SLOTS):
+        d, c = rule([sign[t] for _, t, _ in row], (0.5, 0.5))
+        crosses |= c
+        decided &= d
+    want = np.where(crosses, pentagon._OUT, np.where(decided, pentagon._IN, pentagon._UNDECIDED))
+    assert np.array_equal(table, want)
+
+
 # per n, each dividing circle of moduli.division and the slots of the sign
 # filter whose product is linear in V (one of its three vertices is V, W or
 # E) and vanishes on that circle; n = 5's B2 has none
