@@ -176,6 +176,7 @@ def cmd_area(args) -> int:
             "samples": est.samples, "seed": est.seed, "hits": est.hits,
             "estimate": est.estimate, "stderr": est.stderr,
             "sigma_from_analytic": abs(est.estimate - rep.total) / est.stderr,
+            "top_z": moduli.top_z(n), "evaluated": est.evaluated,
         }
     _emit(args, payload)
     return 0

@@ -454,6 +454,55 @@ def m_chart_cartesian_residual(which: str, n: int, z: complex) -> float:
     raise ValueError(f"unknown curve {which!r}")
 
 
+# top_z's margin above the moduli's highest world z, ample for the search's
+# 1e-12 rad tolerance and the double rounding of _m_chart_R
+_TOP_MARGIN = 1e-9
+
+
+@lru_cache(maxsize=None, typed=True)
+def top_z(n: int) -> float:
+    """The largest world z on the closure of the moduli, plus _TOP_MARGIN:
+    no point of the moduli lies above the plane z = top_z(n), so a sampler
+    may leave out the rows above it.  Computed on first call.
+
+    Why the three curves hold the highest point.  On the sphere the height
+    z has no critical point but the two poles, so on the compact closure of
+    the moduli it peaks on the boundary, unless the north pole lies inside.
+    It does not: the north pole is the M-chart's point at infinity, and the
+    closure is bounded in the M-chart.  In the M-chart, centred at M = (0,
+    0, -1), z = (r^2 - 1)/(r^2 + 1) rises with the chart radius r.  The
+    boundary is gamma_A, gamma_B and gamma_C over M_THETA_RANGE and the
+    radial arcs M-B' and M-A'; on a radial arc r, and so z, peaks at the far
+    end, which is an endpoint of a curve.  On a curve r = (sqrt(R^2 + 4) -
+    R)/2 for R = _m_chart_R, so z = -R/sqrt(R^2 + 4), which falls as R
+    rises.  The top is therefore at the least R over the three closed
+    curves: found on a grid of 1024 steps per curve and refined by golden
+    section over the grid steps beside the least grid value, to 1e-12 rad.
+    tests/test_moduli.py certifies the bound in interval arithmetic.
+    """
+    solid_constants(n)
+    least = min(_least_m_chart_R(which, n) for which in M_THETA_RANGE)
+    return -least / math.sqrt(least * least + 4.0) + _TOP_MARGIN
+
+
+def _least_m_chart_R(which: str, n: int) -> float:
+    """The least _m_chart_R(which, n, theta) over M_THETA_RANGE[which]."""
+    R = partial(_m_chart_R, which, n)
+    lo, hi = M_THETA_RANGE[which]
+    steps = 1024
+    grid = [lo + (hi - lo) * k / steps for k in range(steps + 1)]
+    k = min(range(steps + 1), key=lambda k: R(grid[k]))
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, steps)]
+    g = 0.5 * (SQ5 - 1.0)
+    while b - a > 1e-12:
+        c, d = b - g * (b - a), a + g * (b - a)
+        if R(c) <= R(d):
+            b = d
+        else:
+            a = c
+    return min(R(a), R(b), R(grid[k]))
+
+
 # ---------------------------------------------------------------------------
 # analytic membership
 

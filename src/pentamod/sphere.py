@@ -2,9 +2,10 @@
 minor_arc, or the arcs along a path of points as stacks by minor_arcs),
 input validation (as_point/as_points), rows_matmul, whose rows never depend
 on their batch, the uniform sampler sample_sphere and map_sample, which
-streams that sample through a function in bounded pieces, map_rows, which
-runs a batch kernel on a long input in bounded pieces, and scratch, the one
-per-thread buffer the batch kernels write their large temporaries into.
+streams that sample, or its rows under a height cap, through a function in
+bounded pieces, map_rows, which runs a batch kernel on a long input in
+bounded pieces, and scratch, the one per-thread buffer the batch kernels
+write their large temporaries into.
 
 Points on the sphere are plain numpy arrays of shape (3,), kept unit length.
 All angles are radians.  Distances are computed with atan2 of cross-norm and
@@ -300,16 +301,25 @@ def _uniform(seed: int, draw: int, count: int, low: float, high: float,
     return u
 
 
-def _sample_rows(samples: int, seed: int, start: int, stop: int) -> np.ndarray:
-    """Rows start .. stop - 1 of sample_sphere(samples, seed), bit for bit:
-    one Philox(seed) stream holds all z values, uniform in [-1, 1] so the
-    points spread uniformly by area, then all azimuths.  Row i takes draws i
-    and samples + i, which the counter-based generator jumps straight to."""
+def _sample_rows(samples: int, seed: int, start: int, stop: int, top: float = 1.0) -> np.ndarray:
+    """The rows of start .. stop - 1 of sample_sphere(samples, seed) whose z
+    is at most top, in row order and bit for bit: one Philox(seed) stream
+    holds all z values, uniform in [-1, 1] so the points spread uniformly by
+    area, then all azimuths.  Row i takes draws i and samples + i, which the
+    counter-based generator jumps straight to.  Both streams are drawn for
+    the whole range; the rows above top are dropped before the square root,
+    cosine and sine, which act row by row, so a kept row has the bits it has
+    in the whole sample.  At top = 1.0 every row is kept (z < 1)."""
     k = stop - start
-    rows = np.empty((k, 3))
     with scratch(k) as s:
         z = _uniform(seed, start, k, -1.0, 1.0, s.out(k))
         az = _uniform(seed, samples + start, k, 0.0, 2.0 * math.pi, s.out(k))
+        if top < 1.0:
+            keep = np.less_equal(z, top, out=s.empty(k, bool))
+            k = int(np.count_nonzero(keep))
+            z = np.compress(keep, z, out=s.out(k))
+            az = np.compress(keep, az, out=s.out(k))
+        rows = np.empty((k, 3))
         # sqrt(max(0, 1 - z z)), in place
         t = np.multiply(z, z, out=s.out(k))
         np.subtract(1.0, t, out=t)
@@ -323,9 +333,13 @@ def _sample_rows(samples: int, seed: int, start: int, stop: int) -> np.ndarray:
 
 def sample_sphere(samples: int, seed: int) -> np.ndarray:
     """`samples` uniform points on the sphere, deterministic given (seed, samples)."""
+    _check_samples(samples)
+    return _sample_rows(samples, seed, 0, samples)
+
+
+def _check_samples(samples: int) -> None:
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    return _sample_rows(samples, seed, 0, samples)
 
 
 def _cores() -> int:
@@ -335,20 +349,27 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def map_sample(samples: int, seed: int, fn) -> list:
-    """fn of each piece of sample_sphere(samples, seed), in row order.
+def map_sample(samples: int, seed: int, fn, top: float = 1.0) -> list:
+    """fn of each piece of sample_sphere(samples, seed), in row order, where
+    a piece holds only its rows whose z is at most top.
 
     The pieces are ceil(samples / _CHUNK) near-equal row ranges, each drawn
-    on its own, so memory stays bounded.  One zero-row call of fn fills its
-    caches, then a thread pool of one worker per available core, at most one
-    per piece, maps them.  A one-piece call runs inline on the whole sample.
+    on its own, so memory stays bounded.  A caller whose fn answers the
+    same on every row above some height passes that height as top: the
+    rows above it are drawn, to keep the stream's place, and dropped before
+    the trigonometry, so fn sees each kept row with its bits in the whole
+    sample and never sees the others.  At top = 1.0 fn sees every row.  One
+    zero-row call of fn fills its caches, then a thread pool of one worker
+    per available core, at most one per piece, maps them.  A one-piece call
+    runs inline on the whole sample.
     """
-    if samples <= _CHUNK:   # sample_sphere rejects samples < 1
-        return [fn(sample_sphere(samples, seed))]
+    _check_samples(samples)
+    if samples <= _CHUNK:
+        return [fn(_sample_rows(samples, seed, 0, samples, top))]
     cuts = _cuts(samples)
 
     def piece(start: int, stop: int):
-        return fn(_sample_rows(samples, seed, start, stop))
+        return fn(_sample_rows(samples, seed, start, stop, top))
 
     from concurrent.futures import ThreadPoolExecutor
     fn(np.empty((0, 3)))

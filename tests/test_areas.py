@@ -174,26 +174,60 @@ def test_monte_carlo_hits_do_not_depend_on_pieces_or_workers(monkeypatch, chunk,
 
 
 def test_monte_carlo_streams_bounded_pieces(monkeypatch):
-    seen = {"sampler": [], "membership": []}
+    # each piece draws a near-equal row range of the whole sample and hands
+    # membership its rows under moduli.top_z, with their bits in the whole
+    # sample; membership sees those rows and no others
+    whole = sphere.sample_sphere(1_000_000, 42)
+    drawn, kept, tested = [], {}, []
+    sample_rows = sphere._sample_rows
 
-    def recorded(name, f):
-        def call(*args):
-            out = f(*args)
-            seen[name].append(len(out) if name == "sampler" else len(args[1]))
-            return out
-        return call
+    def sampler(samples, seed, start, stop, top=1.0):
+        rows = sample_rows(samples, seed, start, stop, top)
+        drawn.append((start, stop, top))
+        kept[start] = rows
+        return rows
 
-    monkeypatch.setattr(sphere, "_sample_rows", recorded("sampler", sphere._sample_rows))
-    monkeypatch.setattr(areas, "analytic_in_moduli_batch",
-                        recorded("membership", areas.analytic_in_moduli_batch))
+    def membership(n, pts):
+        tested.append(pts.tobytes())
+        return moduli.analytic_in_moduli_batch(n, pts)
+
+    monkeypatch.setattr(sphere, "_sample_rows", sampler)
+    monkeypatch.setattr(areas, "analytic_in_moduli_batch", membership)
     # the pinned hits of the benchmark's baseline call
-    assert areas.monte_carlo_area(4, 1_000_000, 42).hits == 114897
-    assert sum(seen["sampler"]) == 1_000_000
-    for rows in seen.values():
-        assert max(rows) <= sphere._CHUNK
+    est = areas.monte_carlo_area(4, 1_000_000, 42)
+    assert est.hits == 114897
+    top = moduli.top_z(4)
+    assert {t for _, _, t in drawn} == {top}
+    drawn.sort()
+    assert drawn[0][0] == 0 and drawn[-1][1] == 1_000_000
+    assert all(b == c for (_, b, _), (c, _, _) in zip(drawn, drawn[1:]))
     # near-equal pieces: never a lone row cut from a larger batch
-    assert min(seen["sampler"]) >= sphere._CHUNK // 2
-    assert sorted(r for r in seen["membership"] if r) == sorted(seen["sampler"])
+    assert all(sphere._CHUNK // 2 <= b - a <= sphere._CHUNK for a, b, _ in drawn)
+    for a, b, _ in drawn:
+        piece = whole[a:b]
+        assert kept[a].tobytes() == piece[piece[:, 2] <= top].tobytes(), (a, b)
+    assert est.evaluated == np.count_nonzero(whole[:, 2] <= top) == sum(map(len, kept.values()))
+    assert sorted(t for t in tested if t) == sorted(rows.tobytes() for rows in kept.values())
+
+
+@pytest.mark.parametrize("samples", [12_345, 3 * (1 << 14) + 77])
+@pytest.mark.parametrize("cores", [1, 2])
+def test_monte_carlo_hits_are_those_of_the_whole_sample(monkeypatch, samples, cores):
+    # the rows above the cap are never tested, and the hits are still those
+    # of membership on every row: one inline piece, and pieces that do not
+    # divide the sample, on one worker or two
+    monkeypatch.setattr(sphere, "_cores", lambda: cores)
+    pts = sphere.sample_sphere(samples, 9)
+    for n in SOLIDS:
+        est = areas.monte_carlo_area(n, samples, 9)
+        assert est.hits == np.count_nonzero(moduli.analytic_in_moduli_batch(n, pts)), n
+        assert est.evaluated == np.count_nonzero(pts[:, 2] <= moduli.top_z(n)) < samples
+
+
+def test_one_piece_map_sample_rejects_an_empty_sample():
+    for samples in (0, -1):
+        with pytest.raises(ValueError):
+            sphere.map_sample(samples, 1, len, moduli.top_z(3))
 
 
 def test_one_piece_monte_carlo_starts_no_thread(monkeypatch):

@@ -80,6 +80,7 @@ _N_ENTRY_POINTS = {
     "moduli.reduction_radii": lambda n: moduli.reduction_radii("a=c", n, [2.0]),
     "moduli.reduction_point": lambda n: moduli.reduction_point("b=c", n, 2.0),
     "moduli.check_bc_below_gammaA": lambda n: moduli.check_bc_below_gammaA(n),
+    "moduli.top_z": lambda n: moduli.top_z(n),
     "pentagon.anchor_pentagon": lambda n: pentagon.anchor_pentagon(n, _P),
     "pentagon.oracle_in_moduli": lambda n: pentagon.oracle_in_moduli(n, _P),
     "pentagon.oracle_in_moduli_batch": lambda n: pentagon.oracle_in_moduli_batch(n, _P[None]),

@@ -211,7 +211,14 @@ def test_area_with_mc(capsys):
     code, out = run_cli(capsys, "area", "--solid", "4", "--mc", "50000", "42")
     data = json.loads(out)
     assert code == 0
-    assert data["monte_carlo"]["sigma_from_analytic"] < 3.0
+    mc = data["monte_carlo"]
+    assert mc["sigma_from_analytic"] < 3.0
+    # the cap and the rows under it, the ones membership tested
+    top = moduli.top_z(4)
+    assert mc["top_z"] == top
+    assert mc["evaluated"] == np.count_nonzero(sphere.sample_sphere(50000, 42)[:, 2] <= top)
+    assert list(mc) == ["samples", "seed", "hits", "estimate", "stderr", "sigma_from_analytic",
+                        "top_z", "evaluated"]
 
 
 def test_verify_agrees(capsys):

@@ -1,7 +1,8 @@
 """Layering rules: no module of the package reaches into another's privates,
 the scalar geometry stays off numpy's 3-vector cross and norm, the circle
 tests of moduli stay off arcsin, the batch oracle and the band mask stay
-off einsum, only sphere builds a thread pool or keeps a per-thread cache,
+off einsum, only sphere builds a thread pool, keeps a per-thread cache or
+draws the uniform sample, only moduli computes the sampler's height cap,
 importing the package loads neither scipy nor what only some calls need
 and starts no thread, and every command runs with scipy blocked."""
 
@@ -236,6 +237,86 @@ def test_thread_local_check_catches_each_kind(tmp_path):
     assert sorted(_thread_local_uses(src)) == ["line 3: imports threading.local",
                                                 "line 4: uses th.local",
                                                 "line 6: uses threading.local"]
+
+
+# sphere owns the uniform sample: only it builds a Philox generator or
+# draws rows through _sample_rows, so every caller's rows are the sample's.
+# moduli alone computes the height cap of the moduli (top_z, from the
+# M-chart forms _m_chart_R); areas takes it from there and keeps no copy
+SAMPLE_OWNER = "sphere.py"
+_SAMPLE_NAMES = ("Philox", "_sample_rows")
+CAP_OWNER = "moduli.py"
+_CAP_NAMES = ("top_z", "_m_chart_R")
+
+
+def _defines_or_uses(path, names):
+    """Where path defines, imports or reads a function or name of names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in names:
+            found.append(f"line {node.lineno}: defines {node.name}")
+        elif isinstance(node, ast.Name) and node.id in names:
+            found.append(f"line {node.lineno}: uses {node.id}")
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            found.append(f"line {node.lineno}: uses {_dotted(node) or node.attr}")
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"line {node.lineno}: imports {a.name}" for a in node.names
+                      if a.name in names]
+    return found
+
+
+def _near_constants(path, values, tol=1e-3):
+    """The float literals of path within tol of any of values, up to sign
+    (a literal -x is the unary minus of x)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [f"line {node.lineno}: {node.value!r}" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, float)
+            and any(abs(node.value - abs(v)) < tol for v in values)]
+
+
+def test_only_sphere_draws_the_sample():
+    bad = {p.name: v for p in sorted(PACKAGE.glob("*.py"))
+           if p.name != SAMPLE_OWNER and (v := _defines_or_uses(p, _SAMPLE_NAMES))}
+    assert not bad, bad
+    assert len(_defines_or_uses(PACKAGE / SAMPLE_OWNER, _SAMPLE_NAMES)) >= 3
+
+
+def test_only_moduli_computes_the_cap():
+    # the caps of n = 4 and 5 (n = 3's is 0) appear as no literal elsewhere;
+    # other modules may read moduli.top_z, never define or rebuild it
+    from pentamod import moduli
+
+    caps = [moduli.top_z(n) for n in (4, 5)]
+    for p in sorted(PACKAGE.glob("*.py")):
+        if p.name != CAP_OWNER:
+            found = _defines_or_uses(p, _CAP_NAMES)
+            assert not [f for f in found if "_m_chart_R" in f or "defines" in f], (p.name, found)
+            assert not _near_constants(p, caps), p.name
+    assert any(f.endswith("imports top_z") for f in _defines_or_uses(PACKAGE / "areas.py",
+                                                                      _CAP_NAMES))
+    # and it is computed on first use, not at import
+    code = "import pentamod, pentamod.cli; print(pentamod.moduli.top_z.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.split() == ["0"]
+
+
+def test_sample_and_cap_checks_catch_each_kind(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text('"""A Philox in a docstring is fine."""\n'
+                   "import numpy as np\n"
+                   "from .sphere import _sample_rows\n"
+                   "g = np.random.Philox(3)\n"
+                   "def top_z(n):\n"
+                   "    return -0.4704 + _m_chart_R(n)\n", encoding="utf-8")
+    assert _defines_or_uses(src, _SAMPLE_NAMES) == ["line 3: imports _sample_rows",
+                                                    "line 4: uses np.random.Philox"]
+    assert sorted(_defines_or_uses(src, _CAP_NAMES)) == ["line 5: defines top_z",
+                                                         "line 6: uses _m_chart_R"]
+    assert _near_constants(src, [-0.470415]) == ["line 6: 0.4704"]
+    assert _near_constants(src, [-0.4725]) == []
 
 
 def test_import_does_not_load_scipy():

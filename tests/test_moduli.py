@@ -951,6 +951,126 @@ def test_bc_leaves_gamma_a_at_one_certified_angle():
         iv.dps = dps
 
 
+
+# ---------------------------------------------------------------------------
+# the height cap of the Monte Carlo sampler
+
+
+class _Dual:
+    """v + d e with e e = 0 over mpmath intervals: a function's enclosure
+    and its derivative's, carried through the arithmetic of the M-chart
+    forms."""
+
+    def __init__(self, v, d=0):
+        self.v, self.d = v, d
+
+    def __add__(self, o):
+        o = o if isinstance(o, _Dual) else _Dual(o)
+        return _Dual(self.v + o.v, self.d + o.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Dual(-self.v, -self.d)
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        o = o if isinstance(o, _Dual) else _Dual(o)
+        return _Dual(self.v * o.v, self.d * o.v + self.v * o.d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        return _Dual(self.v / o.v, (self.d * o.v - self.v * o.d) / (o.v * o.v))
+
+
+def _m_chart_R_box(which, n, t):
+    """moduli._m_chart_R rebuilt over a _Dual angle t of mpmath intervals."""
+    from mpmath import iv
+
+    def sqrt(x):
+        r = iv.sqrt(x.v)
+        return _Dual(r, x.d / (2 * r))
+
+    c, s = _Dual(iv.cos(t.v), -iv.sin(t.v) * t.d), _Dual(iv.sin(t.v), iv.cos(t.v) * t.d)
+    c2 = c * c - s * s
+    sq2, sq5 = _Dual(iv.sqrt(2)), _Dual(iv.sqrt(5))
+    if which == "gamma_A":
+        return {3: lambda: sq2 * c + sqrt(5 + 3 * c2), 4: lambda: sqrt(6 + 2 * c2),
+                5: lambda: (1 - sq5) * c + sqrt(11 + sq5 + (5 - sq5) * c2)}[n]()
+    if which == "gamma_B":
+        return {3: lambda: sq2 * s + sqrt(5 - 3 * c2), 4: lambda: 2 * s + 2 * sqrt(3 - c2),
+                5: lambda: (1 + sq5) * s + sqrt(19 + 7 * sq5 - (5 + sq5) * c2)}[n]()
+    return {3: lambda: sq2 * (2 * c * s - 1) / (c + s),
+            4: lambda: 2 * (c * s - sq2) / (c + sq2 * s),
+            5: lambda: 2 * (sq5 - 1) * (c * s - sq5 - 2) / (2 * c + (sq5 + 1) * s)}[n]()
+
+
+@pytest.mark.parametrize("n", SOLIDS)
+def test_top_z_bounds_every_curve_certified(n):
+    # interval arithmetic certifies that no point of gamma_A, gamma_B or
+    # gamma_C over M_THETA_RANGE (widened by 1e-15 for the rounding of its
+    # ends) lies above top_z(n), so, by the argument of top_z's docstring,
+    # no point of the moduli does.  Each box of angles X is bisected until
+    # the mean value form R(m) + R'(X) (X - m), m its midpoint, puts R above
+    # the R of top_z; the chart radius r = (sqrt(R^2 + 4) - R)/2 falls as R
+    # rises.  The form is second order, so boxes near the peak stay wide
+    from mpmath import iv, mpf
+
+    dps = iv.dps
+    iv.dps = 30
+    try:
+        z = iv.mpf(moduli.top_z(n))
+        r_top = iv.sqrt((1 + z) / (1 - z)).a
+        for which, (lo, hi) in moduli.M_THETA_RANGE.items():
+            # the rebuilt forms are the code's, to its rounding
+            for t in np.linspace(lo, hi, 9).tolist():
+                box = _m_chart_R_box(which, n, _Dual(iv.mpf(t))).v
+                assert box.a - 1e-14 <= moduli._m_chart_R(which, n, t) <= box.b + 1e-14
+            boxes = [(mpf(lo) - mpf("1e-15"), mpf(hi) + mpf("1e-15"))]
+            while boxes:
+                a, b = boxes.pop()
+                m = (a + b) / 2
+                low = (_m_chart_R_box(which, n, _Dual(iv.mpf(m))).v
+                       + _m_chart_R_box(which, n, _Dual(iv.mpf([a, b]), 1)).d
+                       * iv.mpf([a - m, b - m]))
+                low = iv.mpf(low.a)
+                if ((iv.sqrt(low * low + 4) - low) / 2).b > r_top:
+                    assert b - a > 1e-12, (which, a, b)
+                    boxes += [(a, m), (m, b)]
+    finally:
+        iv.dps = dps
+
+
+@pytest.mark.parametrize("n", SOLIDS)
+def test_no_anchor_above_top_z_is_in(n):
+    # on a seeded uniform draw and the near-locus anchor sets of
+    # test_backends, neither predicate finds a point above the cap, and the
+    # highest point either finds lies within 1e-4 below it: a loose bound
+    # fails here, a low one in the certificate above
+    from test_backends import _exact_path_anchors
+
+    top = moduli.top_z(n)
+    pts = np.vstack([sphere.sample_sphere(200_000, 150 + n), _exact_path_anchors(n)])
+    above = pts[:, 2] > top
+    assert 0.4 * len(pts) < np.count_nonzero(above)
+    for inside in (moduli.analytic_in_moduli_batch(n, pts), pentagon.oracle_in_moduli_batch(n, pts)):
+        assert not (inside & above).any()
+        assert top - 1e-4 < pts[inside, 2].max() <= top
+
+
+def test_top_z_values():
+    # the highest points, each on gamma_C: z = 0 for n = 3 exactly (R = 0 at
+    # theta = 5 pi/4), and the cap keeps 50%, 26% and 11% of the sphere
+    for n, want in ((3, 0.0), (4, -0.470415), (5, -0.774730)):
+        assert abs(moduli.top_z(n) - want) < 1e-6
+
+
 def _mirror_ab(n, pts):
     """The reflection of each row across the a=b plane, whose normal is A - B."""
     geo = charts.geometry(n)

@@ -170,11 +170,20 @@ def test_sample_sphere_rows_equal_slice_of_whole_draw(size, monkeypatch):
         stop = min(start + size, samples)
         rows = sphere._sample_rows(samples, seed, start, stop)
         assert rows.tobytes() == whole[start:stop].tobytes(), (start, stop)
-    # the pieces map_sample streams, put together, give the whole draw
+        # under a height cap, the rows of the slice at most that high, some
+        # slices keeping none
+        for top in (0.3, -0.77, -1.0):
+            piece = whole[start:stop]
+            rows = sphere._sample_rows(samples, seed, start, stop, top)
+            assert rows.tobytes() == piece[piece[:, 2] <= top].tobytes(), (start, stop, top)
+    # the pieces map_sample streams, put together, give the whole draw, and
+    # under a cap its rows at most that high
     monkeypatch.setattr(sphere, "_CHUNK", max(size, 997))
     pieces = sphere.map_sample(samples, seed, lambda pts: pts)
     assert max(len(p) for p in pieces) <= sphere._CHUNK
     assert np.vstack(pieces).tobytes() == sphere.sample_sphere(samples, seed).tobytes()
+    pieces = sphere.map_sample(samples, seed, lambda pts: pts, -0.5)
+    assert np.vstack(pieces).tobytes() == whole[whole[:, 2] <= -0.5].tobytes()
 
 
 def test_scratch_frames_never_hand_out_live_memory():
