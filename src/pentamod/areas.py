@@ -12,11 +12,14 @@ Monte Carlo counts its sample through sphere.map_sample, the one streaming
 owner it shares with the `verify` command: near-equal pieces of bounded size,
 each regenerated on its own from the counter-based sample and counted on
 every available core.  So the hits depend on (seed, samples) alone, never on
-the piece size or the worker count, and memory stays bounded.  No point of
-the moduli lies above the height moduli.top_z(n), so the count asks
-map_sample for the rows under it alone: the rows above (half the sphere or
-more) cost their draws but no trigonometry and no membership test, and the
-hits are those of the whole sample.
+the piece size or the worker count, and memory stays bounded.  In each of
+the sphere.SECTORS azimuth sectors no point of the moduli lies above
+moduli.sector_caps(n)'s outer height, and every point under its inner
+height (off M) lies inside, so map_sample decides those rows from their
+draws alone: the count adds the rows under the inner caps to membership's
+hits on the thin band between the caps, the only rows that get
+trigonometry and a membership test, and the hits are those of the whole
+sample.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .charts import solid_constants
-from .moduli import analytic_in_moduli_batch, curve_radius, fan_parts, top_z
+from .moduli import analytic_in_moduli_batch, curve_radius, fan_parts, sector_caps
 from .sphere import map_sample
 
 
@@ -137,15 +140,18 @@ class MonteCarloEstimate:
     hits: int
     estimate: float
     stderr: float
-    evaluated: int    # the sample's rows under moduli.top_z(n), the ones tested
+    evaluated: int      # the sample's rows between moduli.sector_caps(n), the ones tested
+    under_inner: int    # its rows under the inner caps, hits with no test
 
 
 def monte_carlo_area(n: int, samples: int, seed: int) -> MonteCarloEstimate:
     """Area estimate from uniform sphere sampling of the analytic predicate.
 
     The hits sum integer counts of the pieces map_sample streams, so they
-    depend only on (seed, samples), not on scheduling.  Only the rows under
-    top_z(n) are tested: the others cannot be in, so the hits are those of
+    depend only on (seed, samples), not on scheduling.  Only the rows
+    between the two caps of their azimuth sector, sector_caps(n), are
+    tested: the rows above the outer cap cannot be in, those under the
+    inner cap (off M) are in, so the hits are those of
     analytic_in_moduli_batch on the whole of sample_sphere(samples, seed).
     """
     if samples < 1000:
@@ -154,9 +160,12 @@ def monte_carlo_area(n: int, samples: int, seed: int) -> MonteCarloEstimate:
     def count(pts: np.ndarray) -> tuple[int, int]:
         return len(pts), int(np.count_nonzero(analytic_in_moduli_batch(n, pts)))
 
-    evaluated, total = map(sum, zip(*map_sample(samples, seed, count, top_z(n))))
+    under, counts = zip(*map_sample(samples, seed, count, sector_caps(n)))
+    evaluated, hits = map(sum, zip(*counts))
+    total = sum(under) + hits
     p = total / samples
     area = 4.0 * math.pi * p
     err = 4.0 * math.pi * math.sqrt(max(p * (1.0 - p), 0.0) / samples)
     return MonteCarloEstimate(n=n, samples=samples, seed=seed, hits=total,
-                              estimate=area, stderr=err, evaluated=evaluated)
+                              estimate=area, stderr=err, evaluated=evaluated,
+                              under_inner=sum(under))

@@ -177,6 +177,7 @@ def cmd_area(args) -> int:
             "estimate": est.estimate, "stderr": est.stderr,
             "sigma_from_analytic": abs(est.estimate - rep.total) / est.stderr,
             "top_z": moduli.top_z(n), "evaluated": est.evaluated,
+            "under_inner": est.under_inner,
         }
     _emit(args, payload)
     return 0
@@ -206,7 +207,7 @@ def cmd_verify(args) -> int:
         return len(kept), len(bad), [{"point": kept[i].tolist(), "analytic": bool(analytic[i]),
                                       "oracle": bool(oracle[i])} for i in bad[:50]]
 
-    checked, bad, found = zip(*map_sample(args.samples, args.seed, check))
+    checked, bad, found = zip(*(piece for _, piece in map_sample(args.samples, args.seed, check)))
     checked, bad = sum(checked), sum(bad)
     payload = {
         "schema": SCHEMA,

@@ -59,8 +59,8 @@ import numpy as np
 from . import charts
 from .charts import SQ2, SQ3, SQ5, ChartPoint, geometry, solid_constants
 from .errors import NoRootInDisk, OutOfRange
-from .sphere import (ON_CIRCLE, VERTEX_CHORD, VERTEX_SLACK, as_point, map_rows, rows_matmul,
-                     scratch)
+from .sphere import (ON_CIRCLE, SECTORS, VERTEX_CHORD, VERTEX_SLACK, as_point, map_rows,
+                     rows_matmul, scratch)
 
 # clamp width at the sec-singular curve endpoints (eqD blows up there; the
 # limiting radius 0 is substituted inside this band)
@@ -454,16 +454,30 @@ def m_chart_cartesian_residual(which: str, n: int, z: complex) -> float:
     raise ValueError(f"unknown curve {which!r}")
 
 
-# top_z's margin above the moduli's highest world z, ample for the search's
-# 1e-12 rad tolerance and the double rounding of _m_chart_R
+# top_z's and sector_caps' margin above the moduli's highest world z, ample
+# for the 1e-12 rad tolerance of _m_chart_R_turns and the double rounding of
+# _m_chart_R
 _TOP_MARGIN = 1e-9
+
+# sector_caps' margin below the moduli's lowest boundary z in a sector, far
+# above CURVE_EXCLUSION and the rounding of a row and of membership's
+# curve radius, and its widening of each sector's angles, far above the few
+# ulps by which a row's azimuth can miss its sector
+_INNER_MARGIN = 1e-6
+_SECTOR_WIDEN = 1e-12
+
+
+def _m_chart_z(R: float) -> float:
+    """World z of the M-chart point at radius r = (sqrt(R^2 + 4) - R)/2;
+    it falls as R rises."""
+    return -R / math.sqrt(R * R + 4.0)
 
 
 @lru_cache(maxsize=None, typed=True)
 def top_z(n: int) -> float:
     """The largest world z on the closure of the moduli, plus _TOP_MARGIN:
-    no point of the moduli lies above the plane z = top_z(n), so a sampler
-    may leave out the rows above it.  Computed on first call.
+    no point of the moduli lies above the plane z = top_z(n).  Computed on
+    first call.
 
     Why the three curves hold the highest point.  On the sphere the height
     z has no critical point but the two poles, so on the compact closure of
@@ -476,31 +490,101 @@ def top_z(n: int) -> float:
     end, which is an endpoint of a curve.  On a curve r = (sqrt(R^2 + 4) -
     R)/2 for R = _m_chart_R, so z = -R/sqrt(R^2 + 4), which falls as R
     rises.  The top is therefore at the least R over the three closed
-    curves: found on a grid of 1024 steps per curve and refined by golden
-    section over the grid steps beside the least grid value, to 1e-12 rad.
-    tests/test_moduli.py certifies the bound in interval arithmetic.
+    curves, at an end of a curve's range or where R turns
+    (_m_chart_R_turns).  tests/test_moduli.py certifies the bound in
+    interval arithmetic.
     """
     solid_constants(n)
-    least = min(_least_m_chart_R(which, n) for which in M_THETA_RANGE)
-    return -least / math.sqrt(least * least + 4.0) + _TOP_MARGIN
+    least = min(_m_chart_R(which, n, t) for which, (lo, hi) in M_THETA_RANGE.items()
+                for t in (lo, hi, *_m_chart_R_turns(which, n)))
+    return _m_chart_z(least) + _TOP_MARGIN
 
 
-def _least_m_chart_R(which: str, n: int) -> float:
-    """The least _m_chart_R(which, n, theta) over M_THETA_RANGE[which]."""
+@lru_cache(maxsize=None, typed=True)
+def sector_caps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(inner, outer): two read-only arrays of sphere.SECTORS world heights,
+    one per azimuth sector, for sphere.map_sample.  Each row of sector s
+    (M-chart angles [2 pi s, 2 pi (s + 1)] / SECTORS) above outer[s] is
+    out of the moduli, and each row under inner[s] and off M is in.
+    Computed on first call.
+
+    Why.  The moduli is the M-chart region theta in [pi/2, 2 pi], r <
+    rho(theta), bounded by gamma_A, gamma_B and gamma_C over M_THETA_RANGE
+    (see top_z): on a ray from M through an angle of the range the moduli
+    holds the points with z below the curve's z, and on a ray through any
+    other angle it holds none.  The M-chart angle is the world azimuth.
+    Over each sector, widened by _SECTOR_WIDEN for the rounding of a row's
+    azimuth, R = _m_chart_R is monotone between the sector's ends and the
+    angles where it turns (_m_chart_R_turns), so its least and greatest
+    values there are among those angles' values.  outer[s] is z at the
+    least R, plus _TOP_MARGIN, or -1 + _TOP_MARGIN where the sector meets
+    no curve (M alone of the closure lies there).  inner[s] is z at the
+    greatest R, less _INNER_MARGIN, for the sectors wholly inside (pi/2, 2
+    pi), and -inf elsewhere, so that the rows beside the radial arcs M-B'
+    and M-A', which bound the moduli at pi/2 and 2 pi, stay in the band.  A
+    row under inner[s] lies inside the moduli, by at least the margin, and
+    membership finds it in unless it is on two dividing circles.  Every
+    crossing of two circles but M lies on the moduli's boundary or outside,
+    so at least the margin above the inner caps around it, and the rows
+    within sphere.POLE_GAP of M's height stay in the band.
+    tests/test_moduli.py certifies both caps in interval arithmetic and
+    checks the crossings.
+    """
+    solid_constants(n)
+    ends = [2.0 * math.pi * s / SECTORS for s in range(SECTORS + 1)]
+    lo_end = [t - _SECTOR_WIDEN for t in ends[:-1]]
+    hi_end = [t + _SECTOR_WIDEN for t in ends[1:]]
+    least = [math.inf] * SECTORS
+    most = [-math.inf] * SECTORS
+    for which, (lo, hi) in M_THETA_RANGE.items():
+        R = partial(_m_chart_R, which, n)
+        turns = _m_chart_R_turns(which, n)
+        for s in range(SECTORS):
+            # sector 0, widened, reaches below 0, which is 2 pi
+            for shift in (0.0, 2.0 * math.pi):
+                a, b = max(lo_end[s] + shift, lo), min(hi_end[s] + shift, hi)
+                if a <= b:
+                    values = [R(a), R(b)] + [R(t) for t in turns if a < t < b]
+                    least[s] = min(least[s], *values)
+                    most[s] = max(most[s], *values)
+    outer = np.array([_m_chart_z(R) + _TOP_MARGIN if R < math.inf else -1.0 + _TOP_MARGIN
+                      for R in least])
+    inner = np.array([_m_chart_z(R) - _INNER_MARGIN
+                      if lo_end[s] > 0.5 * math.pi and hi_end[s] < 2.0 * math.pi else -math.inf
+                      for s, R in enumerate(most)])
+    inner.setflags(write=False)
+    outer.setflags(write=False)
+    return inner, outer
+
+
+@lru_cache(maxsize=None)
+def _m_chart_R_turns(which: str, n: int) -> tuple[float, ...]:
+    """The angles inside M_THETA_RANGE[which] where _m_chart_R(which, n)
+    turns, its interior local extrema: found on a grid of 1024 steps and
+    refined by golden section over the grid steps beside each, to 1e-12
+    rad."""
     R = partial(_m_chart_R, which, n)
     lo, hi = M_THETA_RANGE[which]
     steps = 1024
     grid = [lo + (hi - lo) * k / steps for k in range(steps + 1)]
-    k = min(range(steps + 1), key=lambda k: R(grid[k]))
-    a, b = grid[max(k - 1, 0)], grid[min(k + 1, steps)]
+    values = [R(t) for t in grid]
     g = 0.5 * (SQ5 - 1.0)
-    while b - a > 1e-12:
-        c, d = b - g * (b - a), a + g * (b - a)
-        if R(c) <= R(d):
-            b = d
-        else:
-            a = c
-    return min(R(a), R(b), R(grid[k]))
+    turns = []
+    for k in range(1, steps):
+        sign = 1.0 if values[k] <= min(values[k - 1], values[k + 1]) else (
+            -1.0 if values[k] >= max(values[k - 1], values[k + 1]) else 0.0)
+        if not sign or values[k - 1] == values[k] == values[k + 1]:
+            continue
+        # golden section on sign R, a minimum of it beside grid[k]
+        a, b = grid[k - 1], grid[k + 1]
+        while b - a > 1e-12:
+            c, d = b - g * (b - a), a + g * (b - a)
+            if sign * R(c) <= sign * R(d):
+                b = d
+            else:
+                a = c
+        turns.append(0.5 * (a + b))
+    return tuple(turns)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 minor_arc, or the arcs along a path of points as stacks by minor_arcs),
 input validation (as_point/as_points), rows_matmul, whose rows never depend
 on their batch, the uniform sampler sample_sphere and map_sample, which
-streams that sample, or its rows under a height cap, through a function in
-bounded pieces, map_rows, which runs a batch kernel on a long input in
-bounded pieces, and scratch, the one per-thread buffer the batch kernels
-write their large temporaries into.
+streams that sample, or its rows between two height caps per azimuth
+sector, through a function in bounded pieces, map_rows, which runs a batch
+kernel on a long input in bounded pieces, and scratch, the one per-thread
+buffer the batch kernels write their large temporaries into.
 
 Points on the sphere are plain numpy arrays of shape (3,), kept unit length.
 All angles are radians.  Distances are computed with atan2 of cross-norm and
@@ -66,6 +66,24 @@ UNIT_NORM_EPS = 1e-9
 # a touch found within DEFAULT_TOL of a vertex is not reported twice.
 VERTEX_SLACK = 1e-7
 VERTEX_CHORD = 2.0 * math.sin(0.5 * VERTEX_SLACK)
+
+# The azimuth sectors of map_sample's height caps: a row's sector is the top
+# byte of the Philox word its azimuth is scaled from, so sector s holds the
+# azimuths in [2 pi s / SECTORS, 2 pi (s + 1) / SECTORS], to their rounding.
+SECTORS = 256
+
+# Every sector meets at the poles, so a row within this height of the south
+# pole is never counted under a cap: it stays in the band.
+POLE_GAP = 1e-12
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# The caps that decide no row: none under, none over.
+NO_CAPS = (_frozen(np.full(SECTORS, -np.inf)), _frozen(np.full(SECTORS, np.inf)))
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -221,11 +239,14 @@ class Scratch:
             # an anonymous mapping of its own, outside glibc's heap, so that
             # neither it nor its release moves glibc's trim and mmap
             # thresholds; the arrays taken so far keep the old one mapped
-            # until they go
+            # until they go.  Its size is the least power of two that holds
+            # the request, at least twice the old one, so the size a thread
+            # ends with is set by its deepest stack of requests alone, not
+            # by their order
             import mmap
             count = shape if isinstance(shape, int) else math.prod(shape)
-            size = start + -(-np.dtype(dtype).itemsize * count // 64) * 64
-            size = max(size, 2 * t.buf.size)
+            need = start + -(-np.dtype(dtype).itemsize * count // 64) * 64
+            size = max(1 << (need - 1).bit_length(), 2 * t.buf.size)
             t.buf = np.frombuffer(mmap.mmap(-1, size), np.uint8)
             a = np.ndarray(shape, dtype, t.buf, start)
         t.top = start + -(-a.nbytes // 64) * 64   # each array on its own cache lines
@@ -285,40 +306,81 @@ def scratch(rows: int) -> Scratch | _Fresh:
     return Scratch() if _SCRATCH_ROWS <= rows <= _CHUNK else _FRESH
 
 
-def _uniform(seed: int, draw: int, count: int, low: float, high: float,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """Draws draw .. draw + count - 1 of the Philox(seed) stream, as uniform
-    doubles in [low, high), written into out when given.  Each double takes
-    one 64-bit output and each Philox counter step gives four, so the stream
-    is advanced by whole steps and the remainder discarded.  The scaling is
-    Generator.uniform's, low + (high - low) u for u in [0, 1), with the same
-    two roundings."""
-    bits = np.random.Philox(seed).advance(draw // 4)
+def _draws(bits: np.random.Philox, fresh: dict, draw: int, count: int) -> np.ndarray:
+    """Draws draw .. draw + count - 1 of the Philox stream whose state at
+    the start is fresh, as raw 64-bit words, through bits.  Each counter
+    step gives four words, so the stream is advanced by whole steps and the
+    remainder discarded."""
+    bits.state = fresh
+    bits.advance(draw // 4)
     bits.random_raw(draw % 4)
-    u = np.random.Generator(bits).random(count, out=out)
-    u *= high - low
-    u += low
-    return u
+    return bits.random_raw(count)
 
 
-def _sample_rows(samples: int, seed: int, start: int, stop: int, top: float = 1.0) -> np.ndarray:
-    """The rows of start .. stop - 1 of sample_sphere(samples, seed) whose z
-    is at most top, in row order and bit for bit: one Philox(seed) stream
-    holds all z values, uniform in [-1, 1] so the points spread uniformly by
-    area, then all azimuths.  Row i takes draws i and samples + i, which the
-    counter-based generator jumps straight to.  Both streams are drawn for
-    the whole range; the rows above top are dropped before the square root,
-    cosine and sine, which act row by row, so a kept row has the bits it has
-    in the whole sample.  At top = 1.0 every row is kept (z < 1)."""
+# A draw's word w gives Generator.random's u = (w >> 11) 2^-53, so the
+# sampler's z = 2 u - 1 = m 2^-52 - 1 for m = w >> 11, exactly (m < 2^53),
+# and its azimuth (w >> 11) 2^-53 2 pi, the two roundings of
+# Generator.uniform(-1, 1) and Generator.uniform(0, 2 pi).  z < c, z <= c
+# and z > c are thus m < ceil(2^52 c) + 2^52, m < floor(2^52 c) + 2^52 + 1
+# and m >= floor(2^52 c) + 2^52 + 1: every float here is an integer below
+# 2^53, or clipped to [0, 2^53], so exact.
+_M_ONE = 2.0 ** 52
+
+
+def _m_bounds(caps: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(under, keep), two uint64 arrays of SECTORS bounds on m: a row of
+    sector s lies under inner[s] when m < under[s], and not above outer[s]
+    when m < keep[s]."""
+    inner, outer = (np.clip(np.asarray(c, dtype=float), -2.0, 2.0) * _M_ONE for c in caps)
+    if inner.shape != (SECTORS,) or outer.shape != (SECTORS,) or np.isnan([inner, outer]).any():
+        raise ValueError(f"caps must be two arrays of {SECTORS} heights, none NaN")
+    bounds = np.clip([np.ceil(inner) + _M_ONE, np.floor(outer) + _M_ONE + 1.0], 0.0, 2.0 * _M_ONE)
+    return tuple(bounds.astype(np.uint64))
+
+
+# z > -1 + POLE_GAP for m at least this
+_M_POLE = int(math.floor((-1.0 + POLE_GAP) * _M_ONE) + _M_ONE + 1.0)
+
+
+def _sample_rows(samples: int, seed: int, start: int, stop: int,
+                 bounds: tuple[np.ndarray, np.ndarray]) -> tuple[int, np.ndarray]:
+    """The rows of start .. stop - 1 of sample_sphere(samples, seed) between
+    height caps, in row order and bit for bit, and how many rows lie under
+    them; bounds = _m_bounds(caps).
+
+    One Philox(seed) stream holds all z values, uniform in [-1, 1] so the
+    points spread uniformly by area, then all azimuths.  Row i takes draws i
+    and samples + i, which the counter-based generator jumps straight to,
+    each a raw word (see _M_ONE).  For caps = (inner, outer), each a float
+    array of SECTORS heights, a row whose azimuth word has the top byte s
+    (see SECTORS) and whose z is above outer[s] is dropped, one with z below
+    inner[s] and above -1 + POLE_GAP is counted under, both decided from the
+    z word alone, and the rest, the band, are scaled to z and azimuth and
+    get their square root, cosine and sine, which act row by row, so a band
+    row has the bits it has in the whole sample.  Under NO_CAPS every row is
+    in the band.
+    """
     k = stop - start
+    bits = np.random.Philox(seed)
+    fresh = bits.state
     with scratch(k) as s:
-        z = _uniform(seed, start, k, -1.0, 1.0, s.out(k))
-        az = _uniform(seed, samples + start, k, 0.0, 2.0 * math.pi, s.out(k))
-        if top < 1.0:
-            keep = np.less_equal(z, top, out=s.empty(k, bool))
-            k = int(np.count_nonzero(keep))
-            z = np.compress(keep, z, out=s.out(k))
-            az = np.compress(keep, az, out=s.out(k))
+        m = _draws(bits, fresh, start, k)
+        np.right_shift(m, 11, out=m)
+        words = _draws(bits, fresh, samples + start, k)
+        sector = np.right_shift(words, 56, out=s.out(k, np.uint64)).view(np.int64)
+        lim = s.empty(k, np.uint64)
+        under = np.less(m, bounds[0].take(sector, 0, lim, "clip"), out=s.empty(k, bool))
+        under &= np.greater_equal(m, _M_POLE, out=s.empty(k, bool))
+        band = np.less(m, bounds[1].take(sector, 0, lim, "clip"), out=s.empty(k, bool))
+        np.greater(band, under, out=band)     # band and not under
+        idx = band.nonzero()[0]
+        k = idx.size
+        z = np.multiply(m.take(idx, 0, s.out(k, np.uint64), "clip"), 1.0 / _M_ONE, out=s.out(k))
+        z -= 1.0
+        az = np.right_shift(words.take(idx, 0, s.out(k, np.uint64), "clip"), 11,
+                            out=s.out(k, np.uint64))
+        az = np.multiply(az, 0.5 / _M_ONE, out=s.out(k))
+        az *= 2.0 * math.pi
         rows = np.empty((k, 3))
         # sqrt(max(0, 1 - z z)), in place
         t = np.multiply(z, z, out=s.out(k))
@@ -328,13 +390,13 @@ def _sample_rows(samples: int, seed: int, start: int, stop: int, top: float = 1.
         np.multiply(t, np.cos(az, out=s.out(k)), out=rows[:, 0])
         np.multiply(t, np.sin(az, out=az), out=rows[:, 1])
         rows[:, 2] = z
-    return rows
+        return int(np.count_nonzero(under)), rows
 
 
 def sample_sphere(samples: int, seed: int) -> np.ndarray:
     """`samples` uniform points on the sphere, deterministic given (seed, samples)."""
     _check_samples(samples)
-    return _sample_rows(samples, seed, 0, samples)
+    return _sample_rows(samples, seed, 0, samples, _m_bounds(NO_CAPS))[1]
 
 
 def _check_samples(samples: int) -> None:
@@ -349,28 +411,35 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def map_sample(samples: int, seed: int, fn, top: float = 1.0) -> list:
-    """fn of each piece of sample_sphere(samples, seed), in row order, where
-    a piece holds only its rows whose z is at most top.
+def map_sample(samples: int, seed: int, fn,
+               caps: tuple[np.ndarray, np.ndarray] = NO_CAPS) -> list[tuple[int, object]]:
+    """(under, fn(band)) of each piece of sample_sphere(samples, seed), in
+    row order: band holds the piece's rows between the caps and under counts
+    its rows under them (see _sample_rows).
 
     The pieces are ceil(samples / _CHUNK) near-equal row ranges, each drawn
     on its own, so memory stays bounded.  A caller whose fn answers the
-    same on every row above some height passes that height as top: the
-    rows above it are drawn, to keep the stream's place, and dropped before
-    the trigonometry, so fn sees each kept row with its bits in the whole
-    sample and never sees the others.  At top = 1.0 fn sees every row.  One
-    zero-row call of fn fills its caches, then a thread pool of one worker
-    per available core, at most one per piece, maps them.  A one-piece call
-    runs inline on the whole sample.
+    same on every row above outer[s], and another answer on every row under
+    inner[s] (away from the south pole, where every sector meets), passes
+    those heights as caps: every row is drawn, to keep the stream's place,
+    the rows outside the band are decided from their z and their sector
+    before any scaling or trigonometry, and fn sees each band row with its
+    bits in the whole sample and never sees the others.  Under NO_CAPS fn
+    sees every row and under is 0.  One zero-row call of fn fills its
+    caches, then a thread pool of one worker per available core, at most
+    one per piece, maps them.  A one-piece call runs inline on the whole
+    sample.
     """
     _check_samples(samples)
+    bounds = _m_bounds(caps)
+
+    def piece(start: int, stop: int) -> tuple[int, object]:
+        under, rows = _sample_rows(samples, seed, start, stop, bounds)
+        return under, fn(rows)
+
     if samples <= _CHUNK:
-        return [fn(_sample_rows(samples, seed, 0, samples, top))]
+        return [piece(0, samples)]
     cuts = _cuts(samples)
-
-    def piece(start: int, stop: int):
-        return fn(_sample_rows(samples, seed, start, stop, top))
-
     from concurrent.futures import ThreadPoolExecutor
     fn(np.empty((0, 3)))
     with ThreadPoolExecutor(max_workers=min(_cores(), len(cuts) - 1)) as pool:

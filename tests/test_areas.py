@@ -6,6 +6,7 @@ import pytest
 
 from pentamod import areas, moduli, sphere
 from pentamod.charts import solid_constants
+from test_sphere import _azimuth_words, _split
 
 SOLIDS = (3, 4, 5)
 
@@ -174,18 +175,23 @@ def test_monte_carlo_hits_do_not_depend_on_pieces_or_workers(monkeypatch, chunk,
 
 
 def test_monte_carlo_streams_bounded_pieces(monkeypatch):
-    # each piece draws a near-equal row range of the whole sample and hands
-    # membership its rows under moduli.top_z, with their bits in the whole
-    # sample; membership sees those rows and no others
+    # each piece draws a near-equal row range of the whole sample, counts
+    # its rows under the inner caps of moduli.sector_caps and hands
+    # membership its rows between the caps, the band, with their bits in
+    # the whole sample; membership sees those rows and no others
     whole = sphere.sample_sphere(1_000_000, 42)
+    over, under = _split(whole, _azimuth_words(1_000_000, 42), moduli.sector_caps(4))
+    band = ~over & ~under
     drawn, kept, tested = [], {}, []
     sample_rows = sphere._sample_rows
+    bounds = sphere._m_bounds(moduli.sector_caps(4))
 
-    def sampler(samples, seed, start, stop, top=1.0):
-        rows = sample_rows(samples, seed, start, stop, top)
-        drawn.append((start, stop, top))
+    def sampler(samples, seed, start, stop, given):
+        counted, rows = sample_rows(samples, seed, start, stop, given)
+        assert all(np.array_equal(a, b) for a, b in zip(given, bounds))
+        drawn.append((start, stop, counted))
         kept[start] = rows
-        return rows
+        return counted, rows
 
     def membership(n, pts):
         tested.append(pts.tobytes())
@@ -196,38 +202,47 @@ def test_monte_carlo_streams_bounded_pieces(monkeypatch):
     # the pinned hits of the benchmark's baseline call
     est = areas.monte_carlo_area(4, 1_000_000, 42)
     assert est.hits == 114897
-    top = moduli.top_z(4)
-    assert {t for _, _, t in drawn} == {top}
     drawn.sort()
     assert drawn[0][0] == 0 and drawn[-1][1] == 1_000_000
     assert all(b == c for (_, b, _), (c, _, _) in zip(drawn, drawn[1:]))
     # near-equal pieces: never a lone row cut from a larger batch
     assert all(sphere._CHUNK // 2 <= b - a <= sphere._CHUNK for a, b, _ in drawn)
-    for a, b, _ in drawn:
-        piece = whole[a:b]
-        assert kept[a].tobytes() == piece[piece[:, 2] <= top].tobytes(), (a, b)
-    assert est.evaluated == np.count_nonzero(whole[:, 2] <= top) == sum(map(len, kept.values()))
+    for a, b, counted in drawn:
+        assert kept[a].tobytes() == whole[a:b][band[a:b]].tobytes(), (a, b)
+        assert counted == np.count_nonzero(under[a:b]), (a, b)
+    assert est.evaluated == np.count_nonzero(band) == sum(map(len, kept.values()))
+    assert est.under_inner == np.count_nonzero(under)
     assert sorted(t for t in tested if t) == sorted(rows.tobytes() for rows in kept.values())
+    # the hits are membership's on every row: none above the outer caps is
+    # in, every one under the inner caps is
+    inside = moduli.analytic_in_moduli_batch(4, whole)
+    assert not (inside & over).any() and inside[under].all()
+    assert est.hits == np.count_nonzero(inside)
 
 
 @pytest.mark.parametrize("samples", [12_345, 3 * (1 << 14) + 77])
 @pytest.mark.parametrize("cores", [1, 2])
 def test_monte_carlo_hits_are_those_of_the_whole_sample(monkeypatch, samples, cores):
-    # the rows above the cap are never tested, and the hits are still those
-    # of membership on every row: one inline piece, and pieces that do not
-    # divide the sample, on one worker or two
+    # the rows outside the band are never tested, and the hits are still
+    # those of membership on every row: one inline piece, and pieces that
+    # do not divide the sample, on one worker or two.  The caps test fewer
+    # rows than the one cap top_z did, and count most hits untested
     monkeypatch.setattr(sphere, "_cores", lambda: cores)
     pts = sphere.sample_sphere(samples, 9)
+    words = _azimuth_words(samples, 9)
     for n in SOLIDS:
         est = areas.monte_carlo_area(n, samples, 9)
         assert est.hits == np.count_nonzero(moduli.analytic_in_moduli_batch(n, pts)), n
-        assert est.evaluated == np.count_nonzero(pts[:, 2] <= moduli.top_z(n)) < samples
+        over, under = _split(pts, words, moduli.sector_caps(n))
+        assert est.evaluated == np.count_nonzero(~over & ~under) < samples
+        assert est.under_inner == np.count_nonzero(under) > est.hits // 2
+        assert est.evaluated + est.under_inner <= np.count_nonzero(pts[:, 2] <= moduli.top_z(n))
 
 
 def test_one_piece_map_sample_rejects_an_empty_sample():
     for samples in (0, -1):
         with pytest.raises(ValueError):
-            sphere.map_sample(samples, 1, len, moduli.top_z(3))
+            sphere.map_sample(samples, 1, len, moduli.sector_caps(3))
 
 
 def test_one_piece_monte_carlo_starts_no_thread(monkeypatch):

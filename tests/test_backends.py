@@ -507,18 +507,30 @@ def test_forms_stage_leaves_few_rows_to_the_pair_pass(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_forms_stage_keeps_the_oracle_scratch_footprint(n):
+def test_forms_stage_keeps_the_oracle_scratch_footprint(n, monkeypatch):
     # the forms stage's frame (the forms and squared chords, the monomials,
     # the sign code) takes the largest array first, so that a 16384-row
-    # piece grows a fresh thread's buffer no further than the 6 MiB the
-    # pair pass alone grew it to
+    # piece takes no more of a fresh thread's scratch than the 6 MiB the
+    # pair pass alone took, and the buffer is the least power of two that
+    # holds that peak
     pts = sample_sphere(sphere._CHUNK, 130 + n)
+    empty = sphere.Scratch.empty
+    peak = []
+
+    def recording(self, shape, dtype=float):
+        a = empty(self, shape, dtype)
+        peak.append(sphere._THREAD_SCRATCH.top)
+        return a
+
+    monkeypatch.setattr(sphere.Scratch, "empty", recording)
+    monkeypatch.setattr(sphere.Scratch, "out", recording)
 
     def run():
         oracle_in_moduli_batch(n, pts)
         return sphere._THREAD_SCRATCH.buf.size
 
-    assert _in_new_thread(run) <= 6 << 20
+    size = _in_new_thread(run)
+    assert max(peak) <= 6 << 20 and size == 1 << (max(peak) - 1).bit_length()
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -662,9 +674,12 @@ def _in_new_thread(fn):
 
 
 def _every_batch_kernel(n, pts):
+    # the sampler's count and rows, every row and between the sector caps
     return [analytic_in_moduli_batch(n, pts), oracle_in_moduli_batch(n, pts),
             boundary_band_mask(n, pts, 1e-6), boundary_band_mask(n, pts, 1e-9),
-            sphere._sample_rows(10 * len(pts), n, 3, 3 + len(pts))]
+            *(part for caps in (sphere.NO_CAPS, moduli.sector_caps(n))
+              for part in sphere._sample_rows(10 * len(pts), n, 3, 3 + len(pts),
+                                              sphere._m_bounds(caps)))]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

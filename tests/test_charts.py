@@ -81,6 +81,7 @@ _N_ENTRY_POINTS = {
     "moduli.reduction_point": lambda n: moduli.reduction_point("b=c", n, 2.0),
     "moduli.check_bc_below_gammaA": lambda n: moduli.check_bc_below_gammaA(n),
     "moduli.top_z": lambda n: moduli.top_z(n),
+    "moduli.sector_caps": lambda n: moduli.sector_caps(n),
     "pentagon.anchor_pentagon": lambda n: pentagon.anchor_pentagon(n, _P),
     "pentagon.oracle_in_moduli": lambda n: pentagon.oracle_in_moduli(n, _P),
     "pentagon.oracle_in_moduli_batch": lambda n: pentagon.oracle_in_moduli_batch(n, _P[None]),

@@ -12,6 +12,7 @@ import pytest
 
 from pentamod import charts, cli, moduli, pentagon, sphere
 from pentamod.charts import ChartPoint
+from test_sphere import _azimuth_words, _split
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -213,12 +214,18 @@ def test_area_with_mc(capsys):
     assert code == 0
     mc = data["monte_carlo"]
     assert mc["sigma_from_analytic"] < 3.0
-    # the cap and the rows under it, the ones membership tested
+    # the cap, the rows between the sector caps, the ones membership
+    # tested, and the rows under them, counted as hits untested
     top = moduli.top_z(4)
     assert mc["top_z"] == top
-    assert mc["evaluated"] == np.count_nonzero(sphere.sample_sphere(50000, 42)[:, 2] <= top)
+    pts = sphere.sample_sphere(50000, 42)
+    over, under = _split(pts, _azimuth_words(50000, 42), moduli.sector_caps(4))
+    assert mc["evaluated"] == np.count_nonzero(~over & ~under)
+    assert mc["under_inner"] == np.count_nonzero(under)
+    assert mc["evaluated"] + mc["under_inner"] < np.count_nonzero(pts[:, 2] <= top)
+    assert mc["hits"] == np.count_nonzero(moduli.analytic_in_moduli_batch(4, pts))
     assert list(mc) == ["samples", "seed", "hits", "estimate", "stderr", "sigma_from_analytic",
-                        "top_z", "evaluated"]
+                        "top_z", "evaluated", "under_inner"]
 
 
 def test_verify_agrees(capsys):

@@ -241,12 +241,14 @@ def test_thread_local_check_catches_each_kind(tmp_path):
 
 # sphere owns the uniform sample: only it builds a Philox generator or
 # draws rows through _sample_rows, so every caller's rows are the sample's.
-# moduli alone computes the height cap of the moduli (top_z, from the
-# M-chart forms _m_chart_R); areas takes it from there and keeps no copy
+# moduli alone computes the height caps of the moduli (top_z and the
+# sector caps, from the M-chart forms _m_chart_R and where they turn);
+# areas takes them from there and keeps no copy, and sphere applies the
+# caps it is given
 SAMPLE_OWNER = "sphere.py"
 _SAMPLE_NAMES = ("Philox", "_sample_rows")
 CAP_OWNER = "moduli.py"
-_CAP_NAMES = ("top_z", "_m_chart_R")
+_CAP_NAMES = ("top_z", "sector_caps", "_m_chart_R", "_m_chart_R_turns")
 
 
 def _defines_or_uses(path, names):
@@ -284,7 +286,9 @@ def test_only_sphere_draws_the_sample():
 
 def test_only_moduli_computes_the_cap():
     # the caps of n = 4 and 5 (n = 3's is 0) appear as no literal elsewhere;
-    # other modules may read moduli.top_z, never define or rebuild it
+    # other modules may read moduli.top_z and moduli.sector_caps, never
+    # define or rebuild them; sphere, which applies the sector caps, names
+    # none of them
     from pentamod import moduli
 
     caps = [moduli.top_z(n) for n in (4, 5)]
@@ -293,14 +297,16 @@ def test_only_moduli_computes_the_cap():
             found = _defines_or_uses(p, _CAP_NAMES)
             assert not [f for f in found if "_m_chart_R" in f or "defines" in f], (p.name, found)
             assert not _near_constants(p, caps), p.name
-    assert any(f.endswith("imports top_z") for f in _defines_or_uses(PACKAGE / "areas.py",
-                                                                      _CAP_NAMES))
-    # and it is computed on first use, not at import
-    code = "import pentamod, pentamod.cli; print(pentamod.moduli.top_z.cache_info().currsize)"
+    assert _defines_or_uses(PACKAGE / "sphere.py", _CAP_NAMES) == []
+    assert [f.split(": ")[1] for f in _defines_or_uses(PACKAGE / "areas.py", _CAP_NAMES)] == [
+        "imports sector_caps", "uses sector_caps"]
+    # and they are computed on first use, not at import
+    code = ("import pentamod, pentamod.cli; m = pentamod.moduli; "
+            "print(*(f.cache_info().currsize for f in (m.top_z, m.sector_caps, m._m_chart_R_turns)))")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
-    assert out.stdout.split() == ["0"]
+    assert out.stdout.split() == ["0", "0", "0"]
 
 
 def test_sample_and_cap_checks_catch_each_kind(tmp_path):

@@ -1071,6 +1071,175 @@ def test_top_z_values():
         assert abs(moduli.top_z(n) - want) < 1e-6
 
 
+def _sector_boxes(s, lo, hi):
+    """The angles of sector s within 1e-13 rad (a row's azimuth misses its
+    sector by a few ulps at most) that lie in [lo, hi] widened by 1e-15
+    (for the rounding of its ends), as mpf end pairs; sector 0 reaches
+    below 0, which is 2 pi."""
+    from mpmath import mpf, mp
+
+    width = 2 * mp.pi / sphere.SECTORS
+    boxes = []
+    for shift in (0, 2 * mp.pi):
+        a = max(s * width - mpf("1e-13") + shift, mpf(lo) - mpf("1e-15"))
+        b = min((s + 1) * width + mpf("1e-13") + shift, mpf(hi) + mpf("1e-15"))
+        if a <= b:
+            boxes.append((a, b))
+    return boxes
+
+
+def _R_holds(which, n, a, b, point, ok):
+    """Whether ok holds of an interval holding _m_chart_R(which, n) over
+    [a, b], bisecting the box until it does: where the derivative's
+    enclosure excludes 0, R is monotone and lies between its values at the
+    ends (point); elsewhere the mean value form R(m) + R'(X) (X - m) holds
+    it, m the midpoint, tight where R is flat."""
+    from mpmath import iv
+
+    d = _m_chart_R_box(which, n, _Dual(iv.mpf([a, b]), 1)).d
+    m = (a + b) / 2
+    if d.a > 0 or d.b < 0:
+        R = iv.mpf([min(point(a).a, point(b).a), max(point(a).b, point(b).b)])
+    else:
+        R = point(m) + d * iv.mpf([a - m, b - m])
+    if ok(R):
+        return True
+    assert b - a > 1e-12, (which, a, b)
+    return _R_holds(which, n, a, m, point, ok) and _R_holds(which, n, m, b, point, ok)
+
+
+@pytest.mark.parametrize("n", SOLIDS)
+def test_sector_caps_bound_every_curve_certified(n):
+    # interval arithmetic certifies, sector by sector, that no point of
+    # gamma_A, gamma_B or gamma_C over M_THETA_RANGE whose angle lies
+    # within 1e-13 rad of the sector lies above outer[s], and, where
+    # inner[s] is set, that none lies below inner[s] plus half its margin;
+    # by the argument of sector_caps' docstring no point of the moduli in
+    # the sector lies above outer[s], and every point of the sector under
+    # inner[s] lies inside.  In R = _m_chart_R, z = -R/sqrt(R^2 + 4) falls
+    # as R rises, and R = -2 z/sqrt(1 - z^2).  The inner caps are set on
+    # exactly the sectors wholly inside (pi/2, 2 pi), so the rows beside
+    # the radial arcs stay in the band, and no outer cap is above top_z
+    from mpmath import iv, mp
+
+    dps = iv.dps
+    iv.dps = 30
+    try:
+        inner, outer = moduli.sector_caps(n)
+        assert not (inner.flags.writeable or outer.flags.writeable)
+        assert outer.max() <= moduli.top_z(n)
+        width = 2 * math.pi / sphere.SECTORS
+        inside = [s * width - 1e-13 > 0.5 * math.pi and (s + 1) * width + 1e-13 < 2 * math.pi
+                  for s in range(sphere.SECTORS)]
+        assert np.array_equal(np.isfinite(inner), inside) and (inner < outer).all()
+        R_of = lambda z: -2 * z / iv.sqrt(1 - z * z)
+        met = [False] * sphere.SECTORS
+        for which, (lo, hi) in moduli.M_THETA_RANGE.items():
+            cache = {}
+
+            def point(t):
+                if t not in cache:
+                    cache[t] = _m_chart_R_box(which, n, _Dual(iv.mpf(t))).v
+                return cache[t]
+
+            for s in range(sphere.SECTORS):
+                least = R_of(iv.mpf(outer[s])).b
+                most = R_of(iv.mpf(inner[s]) + moduli._INNER_MARGIN / 2).a if inside[s] else mp.inf
+                for a, b in _sector_boxes(s, lo, hi):
+                    met[s] = True
+                    assert _R_holds(which, n, a, b, point, lambda R: least <= R.a and R.b <= most)
+        # a sector that meets no curve holds M alone of the closure
+        assert all(outer[s] == -1.0 + moduli._TOP_MARGIN for s in range(sphere.SECTORS)
+                   if not met[s])
+        assert sum(met) == 194 and met[0] and met[63] and not met[62]
+    finally:
+        iv.dps = dps
+
+
+@pytest.mark.parametrize("n", SOLIDS)
+def test_sector_caps_leave_the_two_circle_rows_in_the_band(n):
+    # membership puts a row on two dividing circles out, so none may be
+    # counted under an inner cap.  Such a row p has |p.c| <= ON_CIRCLE for
+    # both normals, so it lies within asin(2 ON_CIRCLE / sin phi) of a
+    # crossing of the two circles, phi the angle between them, and its
+    # height within as much of the crossing's.  Every crossing but M lies
+    # above the inner caps of the sectors around it by more than that: the
+    # crossings in the moduli's range of angles are vertices on its
+    # boundary (A, B, C, A', B').  At M the two circles through it, A60
+    # and B(n-1), cross at right angles, and every row counted under a cap
+    # lies farther from M than their reach (z > -1 + POLE_GAP).  Those two
+    # circles run from M at the angles of the radial arcs, pi/2 and 2 pi,
+    # and on into the moduli: a row of an inner sector off their interior
+    # half is farther from them than ON_CIRCLE, since |p.c| = sin d
+    # |sin(theta - theta_c)| at distance d from M.
+    inner, _ = moduli.sector_caps(n)
+    div = moduli.division(n)
+    M = charts.geometry(n).M
+    width = 2 * math.pi / sphere.SECTORS
+    far = math.acos(1.0 - sphere.POLE_GAP)
+    through_m = []
+    for i in range(len(div.normals)):
+        for j in range(i + 1, len(div.normals)):
+            x = np.cross(div.normals[i], div.normals[j])
+            sin_phi = np.linalg.norm(x)
+            reach = math.asin(2.0 * sphere.ON_CIRCLE / sin_phi) + 1e-15
+            for X in (x / sin_phi, -x / sin_phi):
+                if np.linalg.norm(X - M) < 1e-12:
+                    through_m.append((div.circle_names[i], div.circle_names[j]))
+                    assert reach < far
+                    continue
+                # the sectors of the azimuths within reach of X
+                if abs(X[2]) > 0.99:
+                    near = range(sphere.SECTORS)
+                else:
+                    az = math.atan2(X[1], X[0]) % (2 * math.pi)
+                    spread = math.asin(math.sin(reach) / math.sqrt(1.0 - X[2] ** 2)) + 1e-13
+                    near = {int((az + d) % (2 * math.pi) // width) for d in (-spread, spread)}
+                assert all(X[2] - reach > inner[t] for t in near), (i, j, X)
+    assert through_m == [("A60", f"B{n - 1}")]
+    for name in through_m[0]:
+        # c = (-sin t, cos t, 0): the circle leaves M at the angles t and t +
+        # pi, the radial arc's, pi/2 or 2 pi, and one into the moduli, 3 pi/2
+        # or pi, which puts a row beside it on one circle between two moduli
+        # regions
+        c = div.normals[div.circle_names.index(name)]
+        t = math.atan2(c[0], -c[1]) % math.pi
+        radial = 0.5 * math.pi if abs(t - 0.5 * math.pi) < 1e-12 else 2.0 * math.pi
+        assert min(abs(t - 0.5 * math.pi), t, math.pi - t) < 1e-12
+        for s in np.isfinite(inner).nonzero()[0]:
+            a, b = s * width - 1e-13, (s + 1) * width + 1e-13
+            if not a <= (radial + math.pi) % (2.0 * math.pi) <= b:
+                # off a multiple of pi |sin| is least at an end
+                sine = min(abs(math.sin(a - radial)), abs(math.sin(b - radial)))
+                assert math.sin(far) * sine > sphere.ON_CIRCLE, (name, s)
+
+
+@pytest.mark.parametrize("n", SOLIDS)
+def test_no_anchor_outside_the_sector_caps_is_misjudged(n):
+    # on a seeded uniform draw and the near-locus anchors of test_backends,
+    # each row taken to the sector of its azimuth: no row above the outer
+    # cap is in by either predicate, every row under the inner cap and off
+    # M is in by membership, and the band between them is thin: loose caps
+    # fail here, wrong ones in the certificates above
+    from test_backends import _exact_path_anchors
+
+    inner, outer = moduli.sector_caps(n)
+    drawn = sphere.sample_sphere(200_000, 150 + n)
+    pts = np.vstack([drawn, _exact_path_anchors(n)])
+    az = np.arctan2(pts[:, 1], pts[:, 0]) % (2 * math.pi)
+    sector = np.minimum(az // (2 * math.pi / sphere.SECTORS), sphere.SECTORS - 1).astype(int)
+    z = pts[:, 2]
+    over = z > outer[sector]
+    under = (z < inner[sector]) & (z > -1.0 + sphere.POLE_GAP)
+    assert 0.4 * len(pts) < np.count_nonzero(over)
+    analytic = moduli.analytic_in_moduli_batch(n, pts)
+    for inside in (analytic, pentagon.oracle_in_moduli_batch(n, pts)):
+        assert not (inside & over).any()
+    assert analytic[under].all()
+    assert np.count_nonzero(under[:len(drawn)]) > 0.95 * np.count_nonzero(analytic[:len(drawn)])
+    assert np.count_nonzero((~over & ~under)[:len(drawn)]) < 0.01 * len(drawn)
+
+
 def _mirror_ab(n, pts):
     """The reflection of each row across the a=b plane, whose normal is A - B."""
     geo = charts.geometry(n)

@@ -1,11 +1,12 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pentamod import sphere
+from pentamod import moduli, sphere
 from pentamod.errors import AntipodalEndpoints, DegenerateArc
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -162,28 +163,130 @@ def test_sample_sphere_whole_range_is_one_stream():
         assert sphere.sample_sphere(samples, seed).tobytes() == _whole_draw(samples, seed).tobytes()
 
 
+def _azimuth_words(samples, seed):
+    """The raw Philox words of the whole draw's azimuths, draws samples ..
+    2 samples - 1: Generator.uniform scales word w to ((w >> 11) 2^-53) 2 pi."""
+    bits = np.random.Philox(seed).advance(samples // 4)
+    bits.random_raw(samples % 4)
+    return bits.random_raw(samples)
+
+
+def _split(pts, words, caps):
+    """(over, under): the rows of pts above the outer cap of their sector,
+    the top byte of their azimuth word, and those under its inner cap and
+    off the south pole."""
+    inner, outer = caps
+    sector = (words >> np.uint64(56)).astype(np.intp)
+    z = pts[:, 2]
+    return z > outer[sector], (z < inner[sector]) & (z > -1.0 + sphere.POLE_GAP)
+
+
+def _test_caps():
+    """Sector tables that drop every row, keep every row, count every row
+    off the pole, the real caps, a random table, and ones that keep sector
+    0 or sector 255 alone."""
+    rng = np.random.default_rng(5)
+    lo = rng.uniform(-1.0, 0.5, sphere.SECTORS)
+    one = np.zeros(sphere.SECTORS, bool)
+    drop, keep = np.full(sphere.SECTORS, -np.inf), np.full(sphere.SECTORS, np.inf)
+    tables = {"drop": (drop, drop), "keep": sphere.NO_CAPS, "under": (keep, keep),
+              "random": (lo, lo + rng.uniform(0.0, 0.5, sphere.SECTORS))}
+    for s in (0, sphere.SECTORS - 1):
+        only = one.copy()
+        only[s] = True
+        tables[f"sector {s}"] = (drop, np.where(only, 1.0, -1.5))
+    for n in (3, 4, 5):
+        tables[f"caps {n}"] = moduli.sector_caps(n)
+    return tables
+
+
 @pytest.mark.parametrize("size", [1, 3, 4, 1000, 16384])
 def test_sample_sphere_rows_equal_slice_of_whole_draw(size, monkeypatch):
     samples, seed = 40_003, 11
     whole = _whole_draw(samples, seed)
+    words = _azimuth_words(samples, seed)
+    tables = _test_caps()
+    # the slices cover both edge sectors under every table
+    sector = words >> np.uint64(56)
+    assert (sector == 0).any() and (sector == 255).any()
     for start in (0, 1, 2, 3, 5, 4097, 20_001, samples - size):
         stop = min(start + size, samples)
-        rows = sphere._sample_rows(samples, seed, start, stop)
-        assert rows.tobytes() == whole[start:stop].tobytes(), (start, stop)
-        # under a height cap, the rows of the slice at most that high, some
-        # slices keeping none
-        for top in (0.3, -0.77, -1.0):
+        under, rows = sphere._sample_rows(samples, seed, start, stop,
+                                          sphere._m_bounds(sphere.NO_CAPS))
+        assert under == 0 and rows.tobytes() == whole[start:stop].tobytes(), (start, stop)
+        # between sector caps, the rows of the slice between them, some
+        # slices keeping none, and the count of those under them
+        for name, caps in tables.items():
             piece = whole[start:stop]
-            rows = sphere._sample_rows(samples, seed, start, stop, top)
-            assert rows.tobytes() == piece[piece[:, 2] <= top].tobytes(), (start, stop, top)
+            over, below = _split(piece, words[start:stop], caps)
+            under, rows = sphere._sample_rows(samples, seed, start, stop, sphere._m_bounds(caps))
+            assert rows.tobytes() == piece[~over & ~below].tobytes(), (start, stop, name)
+            assert under == np.count_nonzero(below), (start, stop, name)
     # the pieces map_sample streams, put together, give the whole draw, and
-    # under a cap its rows at most that high
+    # between caps its rows between them
     monkeypatch.setattr(sphere, "_CHUNK", max(size, 997))
     pieces = sphere.map_sample(samples, seed, lambda pts: pts)
-    assert max(len(p) for p in pieces) <= sphere._CHUNK
-    assert np.vstack(pieces).tobytes() == sphere.sample_sphere(samples, seed).tobytes()
-    pieces = sphere.map_sample(samples, seed, lambda pts: pts, -0.5)
-    assert np.vstack(pieces).tobytes() == whole[whole[:, 2] <= -0.5].tobytes()
+    assert max(len(p) for _, p in pieces) <= sphere._CHUNK
+    assert {u for u, _ in pieces} == {0}
+    assert np.vstack([p for _, p in pieces]).tobytes() == sphere.sample_sphere(samples, seed).tobytes()
+    for name in ("random", "caps 4", "sector 255"):
+        over, below = _split(whole, words, tables[name])
+        pieces = sphere.map_sample(samples, seed, lambda pts: pts, tables[name])
+        assert np.vstack([p for _, p in pieces]).tobytes() == whole[~over & ~below].tobytes()
+        assert sum(u for u, _ in pieces) == np.count_nonzero(below), name
+
+
+def test_map_sample_rejects_malformed_caps():
+    # caps of the wrong length, or with a NaN, which every comparison would
+    # silently fail, are refused before any row is drawn
+    keep = sphere.NO_CAPS[1]
+    for caps in ((keep[:-1], keep), (keep, np.append(keep, 1.0)), (keep, keep.reshape(16, 16)),
+                 (np.where(np.arange(sphere.SECTORS) == 7, np.nan, -1.0), keep)):
+        with pytest.raises(ValueError):
+            sphere.map_sample(100, 1, len, caps)
+
+
+def test_sample_rows_sort_edge_words_into_their_sectors(monkeypatch):
+    # crafted words: azimuths at both ends of every fifth sector and within
+    # ulps of 2 pi, heights at and beside the pole gap and two caps that
+    # lie on the grid of z, -0.5 and 0.25, then words of the stream.  Each
+    # row goes to the band, the count or neither by the caps of its
+    # azimuth word's top byte, and a band row is the one Generator.uniform's
+    # scaling of its words gives, bit for bit
+    samples, seed, start = 5000, 3, 7
+    ends = [(s << 56) + d for s in range(0, 256, 5) for d in (0, 1, 2 ** 11, 2 ** 56 - 1)]
+    top = [2 ** 64 - 1 - d for d in (0, 1, 2 ** 11 - 1, 2 ** 11, 2 ** 12, 2 ** 20)]
+    azimuth = np.array((ends + top) * 4, dtype=np.uint64)
+    pole = sphere._M_POLE
+    grid = [m << 11 | low for m in (0, 1, pole - 1, pole, pole + 1, 2 ** 51 - 1, 2 ** 51,
+                                    2 ** 51 + 1, 5 * 2 ** 50 - 1, 5 * 2 ** 50, 5 * 2 ** 50 + 1)
+            for low in (0, 2 ** 11 - 1)]
+    height = np.array(grid * 40, dtype=np.uint64)[:len(azimuth)]
+    height[1::3] = np.random.Philox(1).random_raw(len(height[1::3]))
+
+    def fake(bits, fresh, draw, count):
+        if draw < samples:
+            return height[draw - start:][:count].copy()
+        return azimuth[draw - samples - start:][:count].copy()
+
+    monkeypatch.setattr(sphere, "_draws", fake)
+    u = lambda w: (w >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+    z = -1.0 + (1.0 - -1.0) * u(height)
+    az = 0.0 + (2.0 * math.pi - 0.0) * u(azimuth)
+    assert 2.0 * math.pi - 2e-15 < az.max() < 2.0 * math.pi
+    assert (z == -1.0).any() and (z == -0.5).any() and (z == 0.25).any()
+    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    want = np.column_stack([s * np.cos(az), s * np.sin(az), z])
+    on_grid = (np.full(sphere.SECTORS, -0.5), np.full(sphere.SECTORS, 0.25))
+    for name, caps in {**_test_caps(), "grid": on_grid}.items():
+        over, below = _split(want, azimuth, caps)
+        under, rows = sphere._sample_rows(samples, seed, start, start + len(azimuth),
+                                          sphere._m_bounds(caps))
+        assert rows.tobytes() == want[~over & ~below].tobytes(), name
+        assert under == np.count_nonzero(below), name
+    # the pole gap holds rows back from the count
+    over, below = _split(want, azimuth, (np.full(sphere.SECTORS, np.inf), sphere.NO_CAPS[1]))
+    assert 0 < np.count_nonzero(~below) < len(z) and (z[~below] <= -1.0 + sphere.POLE_GAP).all()
 
 
 def test_scratch_frames_never_hand_out_live_memory():
@@ -209,3 +312,24 @@ def test_scratch_frames_never_hand_out_live_memory():
         with sphere.scratch(rows) as s:
             e, f = s.empty((rows, 3)), s.empty((rows, 3))
             assert s.out(rows) is None and not np.shares_memory(e, f)
+
+
+@pytest.mark.parametrize("first", ["large", "small"])
+def test_scratch_size_follows_only_the_peak(first):
+    # two request orders that reach one peak leave one buffer size: the
+    # least power of two that holds the peak
+    def run():
+        sizes = {"large": (3000, 3), "small": 1000}
+        order = [first, "small" if first == "large" else "large"]
+        with sphere.scratch(sphere._CHUNK) as s:
+            for name in order:
+                s.empty(sizes[name])
+            peak = sphere._THREAD_SCRATCH.top
+        return peak, sphere._THREAD_SCRATCH.buf.size
+
+    out = []
+    t = threading.Thread(target=lambda: out.append(run()))
+    t.start()
+    t.join(timeout=60)
+    peak, size = out[0]
+    assert peak == 8 * (9000 + 1000) and size == 1 << 17
